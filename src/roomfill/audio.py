@@ -142,8 +142,9 @@ def read_wav(path) -> AudioBuffer:
 
     Accepts PCM 16/24 bit and IEEE float32 payloads. Integer samples are
     scaled by 1/32768 resp. 1/2**23, so int16 value 32767 reads back as
-    32767/32768. Anything else (8 bit, a-law, ...) raises FormatError;
-    a file that ends mid-chunk raises OSError.
+    32767/32768. Anything else (8 bit, a-law, ...) and NaN or infinite
+    float samples raise FormatError; a file that ends mid-chunk raises
+    OSError.
     """
     with open(path, "rb") as fh:
         header = fh.read(12)
@@ -207,6 +208,12 @@ def read_wav(path) -> AudioBuffer:
     if frames.size % channels:
         raise OSError("payload not a whole number of frames in %s" % path)
     samples = frames.reshape(-1, channels).T.copy()
+    finite = np.isfinite(samples).all(axis=1)
+    if not finite.all():
+        raise FormatError(
+            "%s has non-finite samples in channel %d"
+            % (path, int(np.flatnonzero(~finite)[0]))
+        )
     return AudioBuffer(samples, rate)
 
 

@@ -34,10 +34,6 @@ class UnfillableBandError(RoomfillError):
         )
 
 
-class NonConvergenceError(RoomfillError):
-    """Iterative gain solve stopped at the iteration cap."""
-
-
 class ConfigError(RoomfillError):
     """A run configuration file is malformed or contains unknown keys."""
 

@@ -30,6 +30,12 @@ ALIGN_LATENCY_S = 0.004
 #: has fully decayed.
 DESIGN_LEN = 16384
 
+#: Length of the FIR built by band_gain_eq; ~85 ms at 48 kHz, long enough
+#: for the lowest band's ringing to decay well below the energy tolerances.
+#: The bank is causal, so the first EQ_IR_LEN samples of the DESIGN_LEN
+#: impulse analysis are exactly the analysis of an EQ_IR_LEN impulse.
+EQ_IR_LEN = 4096
+
 
 def erb_of(freq_hz: float) -> float:
     """Equivalent rectangular bandwidth in Hz at a given centre frequency."""
@@ -206,8 +212,10 @@ def _shift(row: np.ndarray, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _synthesis_design(spec: FilterbankSpec):
-    """Per-band delay, phase and gain for resynthesis, plus the design's
-    group delay in samples. Computed once per spec.
+    """Per-band delay, phase and gain for resynthesis, the design's group
+    delay in samples, and two products of the same unit-impulse analysis:
+    its band energies and its first EQ_IR_LEN band samples, from which
+    band_gain_eq builds every EQ. Computed once per spec.
 
     Delays pull each band's envelope maximum toward a common 4 ms
     latency; bands whose intrinsic peak falls later stay undelayed.
@@ -297,10 +305,11 @@ def _synthesis_design(spec: FilterbankSpec):
         delays = np.where(movable, np.maximum(0, delays - miss), delays)
         phases, gains, latency = build(delays)
 
-    delays.setflags(write=False)
-    phases.setflags(write=False)
-    gains.setflags(write=False)
-    return delays, phases, gains, latency
+    impulse_energies = _energies(bands)
+    eq_bands = bands[:, :EQ_IR_LEN].copy()
+    for arr in (delays, phases, gains, impulse_energies, eq_bands):
+        arr.setflags(write=False)
+    return delays, phases, gains, latency, impulse_energies, eq_bands
 
 
 def synthesis_latency(spec: FilterbankSpec) -> int:
@@ -310,17 +319,13 @@ def synthesis_latency(spec: FilterbankSpec) -> int:
     return _synthesis_design(spec)[3]
 
 
-def synthesis_gains(spec: FilterbankSpec) -> np.ndarray:
-    return _synthesis_design(spec)[2].copy()
-
-
 def synthesize(bands: BandSignals) -> AudioBuffer:
     """Collapse band signals back to one channel.
 
     Applies the per-spec alignment delays, phase rotations and gain
     weights, then sums real parts. Output length equals input length.
     """
-    delays, phases, gains, _ = _synthesis_design(bands.spec)
+    delays, phases, gains = _synthesis_design(bands.spec)[:3]
     rot = np.exp(1j * phases)
     out = np.zeros(bands.num_samples)
     for b in range(bands.spec.num_bands):
@@ -333,44 +338,25 @@ def band_energies(ir: ImpulseResponse, spec: FilterbankSpec) -> np.ndarray:
     return _band_energies_array(ir.data, spec)
 
 
-def _band_energies_array(x: np.ndarray, spec: FilterbankSpec) -> np.ndarray:
-    bands = analyze(AudioBuffer(x, spec.sample_rate), spec)
-    re = bands.data.real
-    im = bands.data.imag
+def _energies(bands: np.ndarray) -> np.ndarray:
+    re = bands.real
+    im = bands.imag
     return np.einsum("bn,bn->b", re, re) + np.einsum("bn,bn->b", im, im)
 
 
-@lru_cache(maxsize=16)
-def _impulse_reference(spec: FilterbankSpec):
-    imp = np.zeros(DESIGN_LEN)
-    imp[0] = 1.0
-    ref = _band_energies_array(imp, spec)
-    ref.setflags(write=False)
-    return ref
+def _band_energies_array(x: np.ndarray, spec: FilterbankSpec) -> np.ndarray:
+    return _energies(analyze(AudioBuffer(x, spec.sample_rate), spec).data)
 
 
 def impulse_band_energies(spec: FilterbankSpec) -> np.ndarray:
     """Band energies of a unit impulse: the reference vector that anchors
     absolute target levels."""
-    return _impulse_reference(spec).copy()
+    return _synthesis_design(spec)[4].copy()
 
 
-#: Length of the FIR built by band_gain_eq; ~85 ms at 48 kHz, long enough
-#: for the lowest band's ringing to decay well below the energy tolerances.
-EQ_IR_LEN = 4096
-
-
-@lru_cache(maxsize=16)
-def _impulse_bands(spec: FilterbankSpec, length: int) -> BandSignals:
-    imp = np.zeros(length)
-    imp[0] = 1.0
-    bands = analyze(AudioBuffer(imp, spec.sample_rate), spec)
-    bands.data.setflags(write=False)
-    return bands
-
-
-def band_gain_eq(gains, spec: FilterbankSpec, length: int = EQ_IR_LEN) -> ImpulseResponse:
-    """FIR equaliser that weights each band of the bank by a linear gain.
+def band_gain_eq(gains, spec: FilterbankSpec) -> ImpulseResponse:
+    """FIR equaliser (EQ_IR_LEN taps) that weights each band of the bank
+    by a linear gain.
 
     Built by resynthesising a gain-scaled analysed impulse, so unity gains
     reproduce the bank's flat reconstruction (a delayed near-delta at the
@@ -383,6 +369,6 @@ def band_gain_eq(gains, spec: FilterbankSpec, length: int = EQ_IR_LEN) -> Impuls
         )
     if np.any(g < 0):
         raise ContractError("band gains must be >= 0")
-    bands = _impulse_bands(spec, length)
+    bands = BandSignals(spec, _synthesis_design(spec)[5])
     out = synthesize(bands.scaled(g))
     return ImpulseResponse(out, label="band-gain eq")

@@ -31,6 +31,9 @@ class RirSet:
         rates = {ir.sample_rate for ir in self.responses.values()}
         if len(rates) != 1:
             raise ContractError("all impulse responses must share one sample rate")
+        for name, ir in self.responses.items():
+            if not np.isfinite(ir.data).all():
+                raise ContractError("impulse response %r has non-finite samples" % name)
 
     @property
     def responses(self) -> dict:

@@ -6,7 +6,7 @@ of that channel's impulse response pair.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -133,15 +133,10 @@ def initial_gains(
     return out
 
 
-def _measure_chain(gains, spec, chain_data):
-    """Band energies of the fill EQ pushed through a response."""
-    eq = band_gain_eq(gains, spec)
-    return _band_energies_array(fftconvolve(eq.data, chain_data), spec)
-
-
 def _measure_total(gains, spec, base, chain_data):
-    """Band energies of the coherent total: primary response plus the fill
-    EQ pushed through the supporting chain."""
+    """Band energies of the coherent total: the base response plus the
+    fill EQ pushed through the chain. An empty base measures the EQ
+    through the chain alone."""
     eq = band_gain_eq(gains, spec)
     fill = fftconvolve(eq.data, chain_data)
     n = max(base.size, fill.size)
@@ -149,6 +144,96 @@ def _measure_total(gains, spec, base, chain_data):
     mix[: base.size] += base
     mix[: fill.size] += fill
     return _band_energies_array(mix, spec)
+
+
+def _anchored_targets(primary_profile, target, spec, cfg, offset_db):
+    """Per-band energy targets and the offset (solved against the primary
+    profile unless given) that anchors them."""
+    shape = band_targets(target.with_offset(0.0), spec)
+    if offset_db is None:
+        offset_db = anchor_target(primary_profile, shape, cfg.anchor_mode)
+    return float(offset_db), shape * 10.0 ** (offset_db / 10.0)
+
+
+def _solve(gains, spec, cfg, targets, offset_db, base, chain_data, baseline, *, retire):
+    """The damped multiplicative solve behind solve_gains and
+    solve_front_gains.
+
+    Measures the band energies of base + EQ(gains) * chain_data and drives
+    the part the EQ contributes, total - baseline, to the deficit
+    targets - baseline. With `retire`, bands already met by leakage from
+    their neighbours are muted and leave the active set.
+    """
+    deficits = np.clip(targets - baseline, 0.0, None)
+    if not np.any(deficits > 0):
+        return ChannelSolve(
+            gains=np.zeros(spec.num_bands),
+            offset_db=offset_db,
+            residual_db=_profile_db(baseline) - _profile_db(targets),
+            iterations_used=0,
+            converged=True,
+        )
+
+    gains0 = gains.copy()
+    active = deficits > 0
+    trace = []
+    best_gains = gains.copy()
+    best_err = np.inf
+    iterations = 0
+    converged = False
+    total = _measure_total(gains, spec, base, chain_data)
+
+    while True:
+        live = active & (gains > 0)
+        if not np.any(live):
+            converged = True
+            break
+        err_db = np.abs(
+            10.0 * np.log10(np.maximum(total[live], 1e-300) / targets[live])
+        )
+        max_err = float(np.max(err_db))
+        trace.append(max_err)
+        if max_err < best_err:
+            best_err = max_err
+            best_gains = gains.copy()
+        if max_err <= cfg.tolerance_db:
+            converged = True
+            break
+        if iterations >= cfg.max_iterations:
+            break
+
+        achieved = total - baseline
+        ratio = np.ones_like(gains)
+        ratio[live] = deficits[live] / np.maximum(achieved[live], 1e-300)
+        gains = gains * ratio ** (cfg.damping / 2.0)
+        gains = np.clip(gains, 0.0, G_MAX)
+        gains[~active] = 0.0
+        if retire:
+            # A band already at/above target on neighbour leakage alone
+            # cannot pull its total down once its own fill is marginal (the
+            # initial gain would supply the whole deficit, so (g/g0)^2 is
+            # the fraction it still contributes); retire it.
+            own_frac = np.zeros_like(gains)
+            own_frac[active] = (gains[active] / gains0[active]) ** 2
+            gains[active & (total >= targets) & (own_frac <= 0.05)] = 0.0
+        iterations += 1
+        total = _measure_total(gains, spec, base, chain_data)
+
+    if not converged:
+        gains = best_gains
+        total = _measure_total(gains, spec, base, chain_data)
+
+    capped = tuple(np.flatnonzero(gains >= G_MAX))
+    residual = _profile_db(total) - _profile_db(targets)
+    return ChannelSolve(
+        gains=gains,
+        offset_db=offset_db,
+        residual_db=residual,
+        iterations_used=iterations,
+        converged=converged,
+        capped_bands=capped,
+        trace=tuple(trace),
+    )
 
 
 def solve_gains(
@@ -186,90 +271,18 @@ def solve_gains(
         raise ContractError("primary/support sample rate mismatch")
     primary_profile = band_energies(primary_ir, spec)
     support_profile = band_energies(support_ir, spec)
-    shape = band_targets(target.with_offset(0.0), spec)
-    if offset_db is None:
-        offset_db = anchor_target(primary_profile, shape, cfg.anchor_mode)
-    targets = shape * 10.0 ** (offset_db / 10.0)
-    deficits = np.clip(targets - primary_profile, 0.0, None)
-
-    if not np.any(deficits > 0):
-        residual = _profile_db(primary_profile) - _profile_db(targets)
-        return ChannelSolve(
-            gains=np.zeros(spec.num_bands),
-            offset_db=float(offset_db),
-            residual_db=residual,
-            iterations_used=0,
-            converged=True,
-        )
-
+    offset_db, targets = _anchored_targets(primary_profile, target, spec, cfg, offset_db)
     gains = np.clip(
         initial_gains(primary_profile, support_profile, targets, spec), 0.0, G_MAX
     )
-    gains0 = gains.copy()
     chain_data = support_ir.data
     if decorrelator is not None:
         chain_data = fftconvolve(decorrelator.taps, chain_data)
     if extra_delay:
         chain_data = np.concatenate([np.zeros(extra_delay), chain_data])
-    base = primary_ir.data
-
-    active = deficits > 0
-    trace = []
-    best_gains = gains.copy()
-    best_err = np.inf
-    iterations = 0
-    converged = False
-    total = _measure_total(gains, spec, base, chain_data)
-
-    while True:
-        live = active & (gains > 0)
-        if not np.any(live):
-            converged = True
-            break
-        err_db = np.abs(
-            10.0 * np.log10(np.maximum(total[live], 1e-300) / targets[live])
-        )
-        max_err = float(np.max(err_db))
-        trace.append(max_err)
-        if max_err < best_err:
-            best_err = max_err
-            best_gains = gains.copy()
-        if max_err <= cfg.tolerance_db:
-            converged = True
-            break
-        if iterations >= cfg.max_iterations:
-            break
-
-        achieved = total - primary_profile
-        ratio = np.ones_like(gains)
-        ratio[live] = deficits[live] / np.maximum(achieved[live], 1e-300)
-        gains = gains * ratio ** (cfg.damping / 2.0)
-        gains = np.clip(gains, 0.0, G_MAX)
-        gains[~active] = 0.0
-        # A band already at/above target on neighbour leakage alone cannot
-        # pull its total down once its own fill is marginal (the initial
-        # gain would supply the whole deficit, so (g/g0)^2 is the fraction
-        # it still contributes); retire it from the active set.
-        own_frac = np.zeros_like(gains)
-        own_frac[active] = (gains[active] / gains0[active]) ** 2
-        gains[active & (total >= targets) & (own_frac <= 0.05)] = 0.0
-        iterations += 1
-        total = _measure_total(gains, spec, base, chain_data)
-
-    if not converged:
-        gains = best_gains
-        total = _measure_total(gains, spec, base, chain_data)
-
-    capped = tuple(np.flatnonzero(gains >= G_MAX))
-    residual = _profile_db(total) - _profile_db(targets)
-    return ChannelSolve(
-        gains=gains,
-        offset_db=float(offset_db),
-        residual_db=residual,
-        iterations_used=iterations,
-        converged=converged,
-        capped_bands=capped,
-        trace=tuple(trace),
+    return _solve(
+        gains, spec, cfg, targets, offset_db,
+        primary_ir.data, chain_data, primary_profile, retire=True,
     )
 
 
@@ -290,57 +303,12 @@ def solve_front_gains(
     no band is ever muted.
     """
     primary_profile = band_energies(primary_ir, spec)
-    shape = band_targets(target.with_offset(0.0), spec)
-    if offset_db is None:
-        offset_db = anchor_target(primary_profile, shape, cfg.anchor_mode)
-    targets = shape * 10.0 ** (offset_db / 10.0)
-    if np.any(primary_profile < SUPPORT_ENERGY_FLOOR):
-        idx = np.flatnonzero(primary_profile < SUPPORT_ENERGY_FLOOR)
-        raise UnfillableBandError(idx, [spec.center_freqs[i] for i in idx])
-
-    gains = np.sqrt(targets / primary_profile)
-    gains = np.clip(gains, 0.0, G_MAX)
-    chain_data = primary_ir.data
-
-    trace = []
-    best_gains = gains.copy()
-    best_err = np.inf
-    iterations = 0
-    converged = False
-    achieved = _measure_chain(gains, spec, chain_data)
-    while True:
-        err_db = np.abs(
-            10.0 * np.log10(np.maximum(achieved, 1e-300) / targets)
-        )
-        max_err = float(np.max(err_db))
-        trace.append(max_err)
-        if max_err < best_err:
-            best_err = max_err
-            best_gains = gains.copy()
-        if max_err <= cfg.tolerance_db:
-            converged = True
-            break
-        if iterations >= cfg.max_iterations:
-            break
-        ratio = targets / np.maximum(achieved, 1e-300)
-        gains = np.clip(gains * ratio ** (cfg.damping / 2.0), 0.0, G_MAX)
-        iterations += 1
-        achieved = _measure_chain(gains, spec, chain_data)
-
-    if not converged:
-        gains = best_gains
-        achieved = _measure_chain(gains, spec, chain_data)
-
-    capped = tuple(np.flatnonzero(gains >= G_MAX))
-    residual = _profile_db(achieved) - _profile_db(targets)
-    return ChannelSolve(
-        gains=gains,
-        offset_db=float(offset_db),
-        residual_db=residual,
-        iterations_used=iterations,
-        converged=converged,
-        capped_bands=capped,
-        trace=tuple(trace),
+    offset_db, targets = _anchored_targets(primary_profile, target, spec, cfg, offset_db)
+    zeros = np.zeros(spec.num_bands)
+    gains = np.clip(initial_gains(zeros, primary_profile, targets, spec), 0.0, G_MAX)
+    return _solve(
+        gains, spec, cfg, targets, offset_db,
+        np.zeros(0), primary_ir.data, zeros, retire=False,
     )
 
 

@@ -83,6 +83,16 @@ def test_non_wav_file_rejected(tmp_path):
         read_wav(path)
 
 
+def test_non_finite_float_samples_rejected_naming_channel(tmp_path, rng):
+    for bad in (np.nan, np.inf, -np.inf):
+        data = rng.standard_normal((3, 50))
+        data[1, 7] = bad
+        path = tmp_path / "nan.wav"
+        write_wav(path, AudioBuffer(data, 48000))
+        with pytest.raises(FormatError, match=r"nan\.wav.*channel 1"):
+            read_wav(path)
+
+
 def test_truncated_wav_raises_oserror(tmp_path, rng):
     path = tmp_path / "t.wav"
     write_wav(path, AudioBuffer(rng.standard_normal((1, 100)), 48000))

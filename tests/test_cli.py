@@ -127,6 +127,17 @@ def test_design_iteration_cap_exits_3_with_best_effort(workspace, tmp_path, caps
     assert "NOT converged" in capsys.readouterr().out
 
 
+def test_design_non_finite_response_exits_2_naming_file(workspace, capsys):
+    broken = read_wav(workspace / "pl.wav").samples.copy()
+    broken[0, 100] = np.nan
+    write_wav(workspace / "nan.wav", AudioBuffer(broken, 48000))
+    cfg = workspace / "nan.ini"
+    cfg.write_text(RUN_INI.replace("primary_left = pl.wav", "primary_left = nan.wav"))
+    rc = main(["design", "--config", str(cfg)])
+    assert rc == 2
+    assert "nan.wav" in capsys.readouterr().err
+
+
 def test_design_unfillable_exits_4_naming_bands(workspace, capsys):
     unfill = workspace / "unfill.ini"
     unfill.write_text(

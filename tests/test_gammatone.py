@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from roomfill.audio import AudioBuffer
+from roomfill.audio import AudioBuffer, ImpulseResponse
 from roomfill.errors import ContractError
 from roomfill.gammatone import (
+    DESIGN_LEN,
     EQ_IR_LEN,
     analyze,
     band_energies,
@@ -173,3 +174,16 @@ def test_impulse_band_energies_reference(spec48):
     assert np.all(ref > 0)
     ref[0] = -1.0  # caller's copy, the cached reference must not change
     assert impulse_band_energies(spec48)[0] > 0
+    # the cached vector is exactly the slow path: a fresh impulse analysis
+    fresh = band_energies(ImpulseResponse(_impulse(DESIGN_LEN)), spec48)
+    assert np.array_equal(impulse_band_energies(spec48), fresh)
+
+
+def test_eq_matches_fresh_impulse_resynthesis(spec48, rng):
+    """band_gain_eq reuses a prefix of the design's long impulse analysis;
+    it must equal resynthesising a fresh EQ_IR_LEN impulse exactly."""
+    bands = analyze(_impulse(EQ_IR_LEN), spec48)
+    for _ in range(3):
+        g = rng.uniform(0.0, 3.0, size=37)
+        slow = synthesize(bands.scaled(g)).mono
+        assert np.array_equal(band_gain_eq(g, spec48).data, slow)

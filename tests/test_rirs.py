@@ -73,6 +73,14 @@ def test_rirset_rejects_mixed_rates(rng):
         RirSet(a, a, a, b)
 
 
+def test_rirset_rejects_non_finite_samples_naming_speaker(rng):
+    a = _ir(rng.standard_normal(100))
+    bad = rng.standard_normal(100)
+    bad[3] = np.nan
+    with pytest.raises(ContractError, match="support_left"):
+        RirSet(a, a, _ir(bad), a)
+
+
 def test_channel_band_profile_checks_name(rng, spec48):
     balanced = balance_levels(_quad(rng))
     prof = channel_band_profile(balanced, "support_left", spec48)

@@ -137,6 +137,19 @@ def test_pinned_pair_fill_solve(solved_design):
         assert np.max(np.abs(solve.residual_db[live])) <= 0.5
         assert np.all(solve.gains >= 0.0)
         assert np.all(solve.gains <= G_MAX)
+    # the exact solve on the pinned room: fill L/R, then front L/R
+    solves = (
+        solved_design.gains.left,
+        solved_design.gains.right,
+        solved_design.front_gains.left,
+        solved_design.front_gains.right,
+    )
+    assert [s.iterations_used for s in solves] == [8, 12, 19, 7]
+    for solve in solves:
+        assert solve.converged
+        assert len(solve.trace) == solve.iterations_used + 1
+    for solve in solves[2:]:
+        assert np.all(solve.gains > 0.0)  # the front solve never mutes a band
 
 
 def test_leakage_covered_bands_are_muted(solved_design, fixture_rirs, spec48):
