@@ -250,7 +250,8 @@ def write_wav(path, buffer: AudioBuffer, bit_depth="float32") -> None:
         payload = quads[:, :3].tobytes()
         tag, bits = _WAVE_FORMAT_PCM, 24
     elif bit_depth == "float32":
-        payload = frames.astype("<f4").tobytes()
+        # a byte view of the interleaved copy, not a second copy as bytes
+        payload = memoryview(np.ascontiguousarray(frames, dtype="<f4")).cast("B")
         tag, bits = _WAVE_FORMAT_IEEE_FLOAT, 32
     else:
         raise ContractError("bit_depth must be 16, 24 or 'float32'")

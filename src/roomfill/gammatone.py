@@ -4,7 +4,8 @@ Each band is a cascade of `order` identical complex one-pole sections with
 pole a = lambda * exp(i*2*pi*f_c/f_s). The cascade is peak-normalised to
 unity gain at f_c. Resynthesis delays, phase-rotates and weights the band
 signals so their summed real parts reconstruct a broadband impulse with a
-flat magnitude response.
+flat magnitude response. Band energies come from the cascade's closed-form
+response by Parseval, without running the filters.
 """
 from __future__ import annotations
 
@@ -13,7 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.signal import lfilter
+from scipy.special import gammainccinv
 
 from .audio import AudioBuffer, ImpulseResponse
 from .errors import ContractError
@@ -175,22 +178,28 @@ class BandSignals:
 
 
 def _pole_coefficients(spec: FilterbankSpec):
-    """Per-band complex pole and peak-normalisation factor."""
+    """Per-band pole radius lam and angle theta (the pole is
+    lam * exp(i*theta)) and the peak-normalisation factor."""
     beta = bandwidth_factor(spec.order)
     fc = np.asarray(spec.center_freqs)
     bw = np.asarray(spec.bandwidths)
     lam = np.exp(-2.0 * math.pi * beta * bw / spec.sample_rate)
-    poles = lam * np.exp(1j * 2.0 * math.pi * fc / spec.sample_rate)
+    theta = 2.0 * math.pi * fc / spec.sample_rate
     norm = (1.0 - lam) ** spec.order
-    return poles, norm
+    return lam, theta, norm
 
 
 def analyze(buffer: AudioBuffer, spec: FilterbankSpec) -> BandSignals:
-    """Split a mono buffer into complex band signals (same length)."""
+    """Split a mono buffer into complex band signals (same length).
+
+    This is the time-domain filterbank. Band energies are measured in
+    closed form instead (see band_energies); this stays their reference.
+    """
     if buffer.sample_rate != spec.sample_rate:
         raise ContractError("buffer/spec sample rate mismatch")
     x = buffer.mono.astype(np.complex128)
-    poles, norm = _pole_coefficients(spec)
+    lam, theta, norm = _pole_coefficients(spec)
+    poles = lam * np.exp(1j * theta)
     out = np.empty((spec.num_bands, x.size), dtype=np.complex128)
     for b in range(spec.num_bands):
         y = x
@@ -305,7 +314,7 @@ def _synthesis_design(spec: FilterbankSpec):
         delays = np.where(movable, np.maximum(0, delays - miss), delays)
         phases, gains, latency = build(delays)
 
-    impulse_energies = _energies(bands)
+    impulse_energies = _band_energies_array(imp, spec)
     eq_bands = bands[:, :EQ_IR_LEN].copy()
     for arr in (delays, phases, gains, impulse_energies, eq_bands):
         arr.setflags(write=False)
@@ -334,18 +343,74 @@ def synthesize(bands: BandSignals) -> AudioBuffer:
 
 
 def band_energies(ir: ImpulseResponse, spec: FilterbankSpec) -> np.ndarray:
-    """Per-band energy (sum of squared magnitude) of an impulse response."""
+    """Per-band energy (sum of squared magnitude) of an impulse response,
+    including the bank's ringing past its last sample."""
     return _band_energies_array(ir.data, spec)
 
 
-def _energies(bands: np.ndarray) -> np.ndarray:
-    re = bands.real
-    im = bands.imag
-    return np.einsum("bn,bn->b", re, re) + np.einsum("bn,bn->b", im, im)
+def _ring_tail(spec: FilterbankSpec) -> int:
+    """Samples of zero padding after a signal that let the slowest band
+    ring out: less than 1e-30 of its energy lies beyond them, so what
+    wraps around a Parseval FFT stays below 1e-15 relative.
+
+    The squared envelope n**(2*order-2) * lam**(2n) of a cascade is a
+    gamma density, so the tail is its upper quantile. DESIGN_LEN covers
+    44.1 and 48 kHz; higher rates need more.
+    """
+    lam = _pole_coefficients(spec)[0]
+    rate = -2.0 * math.log(float(lam.max()))
+    quantile = float(gammainccinv(2 * spec.order - 1, 1e-30))
+    return max(DESIGN_LEN, math.ceil(quantile / rate))
+
+
+def _band_energy_meter(spec: FilterbankSpec, n: int):
+    """Return measure(x): the band energies of a real signal x of at most
+    n samples, as analyze gives them for x zero-padded by _ring_tail(spec)
+    (to rounding), without running the filterbank.
+
+    Band k is norm_k / (1 - p_k z^-1)**order, so by Parseval its energy
+    is sum_f |H_k(f)|**2 |X(f)|**2 / m over an m-point FFT of the padded
+    signal. The filters are complex, so |H_k(f)|**2 and |H_k(-f)|**2 are
+    folded onto the rfft bins (DC and Nyquist once). Zero padding leaves
+    a Parseval energy unchanged, so a meter gives the same energies (to
+    rounding) for every n it is sized for; the weights live as long as
+    the meter.
+    """
+    m = next_fast_len(n + _ring_tail(spec), real=True)
+    lam, theta, norm = _pole_coefficients(spec)
+    half_w = math.pi * np.arange(m // 2 + 1) / m
+    sin_w, cos_w = np.sin(half_w), np.cos(half_w)
+    weights = np.zeros((spec.num_bands, half_w.size))
+    for k in range(spec.num_bands):
+        # |1 - lam e^{id}|**2 = (1 - lam)**2 + 4 lam sin(d/2)**2 has no
+        # cancellation near the pole, unlike 1 + lam**2 - 2 lam cos(d).
+        # For d = w - theta (positive f) and w + theta (negative f) the
+        # half-angle sines come from the angle-sum identity.
+        a = sin_w * math.cos(0.5 * theta[k])
+        b = cos_w * math.sin(0.5 * theta[k])
+        for den in (a - b, a + b):
+            den *= den
+            den *= 4.0 * lam[k]
+            den += (1.0 - lam[k]) ** 2
+            weights[k] += den ** -spec.order
+        weights[k] *= norm[k] ** 2 / m
+    weights[:, 0] *= 0.5
+    if m % 2 == 0:
+        weights[:, -1] *= 0.5
+
+    def measure(x: np.ndarray) -> np.ndarray:
+        if x.size > n:
+            raise ContractError(
+                "signal of %d samples exceeds the meter's %d" % (x.size, n)
+            )
+        spectrum = np.fft.rfft(x, m)
+        return weights @ (spectrum.real ** 2 + spectrum.imag ** 2)
+
+    return measure
 
 
 def _band_energies_array(x: np.ndarray, spec: FilterbankSpec) -> np.ndarray:
-    return _energies(analyze(AudioBuffer(x, spec.sample_rate), spec).data)
+    return _band_energy_meter(spec, x.size)(x)
 
 
 def impulse_band_energies(spec: FilterbankSpec) -> np.ndarray:

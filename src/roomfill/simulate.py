@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal import fftconvolve, lfilter
 
 from .audio import AudioBuffer, ImpulseResponse
 from .errors import ContractError
-from .gammatone import band_energies
+from .gammatone import _band_energy_meter
 from .rirs import RirSet
 from .render import EqualisationDesign, render
 from .target import band_targets
@@ -258,8 +258,8 @@ def simulate_total(
         support = rirs.support_right.data
         solve = design.gains.right
 
-    primary_path = np.convolve(front, primary)
-    fill_path = np.convolve(rear, support) if np.any(rear) else np.zeros(1)
+    primary_path = fftconvolve(front, primary)
+    fill_path = fftconvolve(rear, support) if np.any(rear) else np.zeros(1)
 
     n = max(primary_path.size, fill_path.size)
     total = np.zeros(n)
@@ -267,9 +267,10 @@ def simulate_total(
     total[: fill_path.size] += fill_path
 
     spec = design.spec
-    e_primary = band_energies(ImpulseResponse(AudioBuffer(primary_path, rate)), spec)
-    e_fill = band_energies(ImpulseResponse(AudioBuffer(fill_path, rate)), spec)
-    e_total = band_energies(ImpulseResponse(AudioBuffer(total, rate)), spec)
+    meter = _band_energy_meter(spec, n)
+    e_primary = meter(primary_path)
+    e_fill = meter(fill_path)
+    e_total = meter(total)
     targets = band_targets(design.target.with_offset(solve.offset_db), spec)
 
     return VerificationReport.build(

@@ -13,7 +13,7 @@ from scipy.signal import fftconvolve
 
 from .audio import ImpulseResponse
 from .errors import ContractError, UnfillableBandError
-from .gammatone import FilterbankSpec, _band_energies_array, band_energies, band_gain_eq
+from .gammatone import EQ_IR_LEN, FilterbankSpec, _band_energy_meter, band_gain_eq
 from .target import TargetFunction, band_targets
 
 #: Amplitude cap per band (20 dB); protects the supporting channel from
@@ -133,7 +133,14 @@ def initial_gains(
     return out
 
 
-def _measure_total(gains, spec, base, chain_data):
+def _chain_meter(spec, base, chain_data):
+    """Band-energy meter for one solve, sized to the longest signal it
+    measures: the coherent total of _measure_total. The profiles are
+    shorter and measure the same through it."""
+    return _band_energy_meter(spec, max(base.size, EQ_IR_LEN + chain_data.size - 1))
+
+
+def _measure_total(gains, spec, base, chain_data, meter):
     """Band energies of the coherent total: the base response plus the
     fill EQ pushed through the chain. An empty base measures the EQ
     through the chain alone."""
@@ -143,7 +150,7 @@ def _measure_total(gains, spec, base, chain_data):
     mix = np.zeros(n)
     mix[: base.size] += base
     mix[: fill.size] += fill
-    return _band_energies_array(mix, spec)
+    return meter(mix)
 
 
 def _anchored_targets(primary_profile, target, spec, cfg, offset_db):
@@ -155,14 +162,14 @@ def _anchored_targets(primary_profile, target, spec, cfg, offset_db):
     return float(offset_db), shape * 10.0 ** (offset_db / 10.0)
 
 
-def _solve(gains, spec, cfg, targets, offset_db, base, chain_data, baseline, *, retire):
+def _solve(gains, spec, cfg, targets, offset_db, base, chain_data, meter, baseline, *, retire):
     """The damped multiplicative solve behind solve_gains and
     solve_front_gains.
 
-    Measures the band energies of base + EQ(gains) * chain_data and drives
-    the part the EQ contributes, total - baseline, to the deficit
-    targets - baseline. With `retire`, bands already met by leakage from
-    their neighbours are muted and leave the active set.
+    Measures the band energies of base + EQ(gains) * chain_data through
+    `meter` and drives the part the EQ contributes, total - baseline, to
+    the deficit targets - baseline. With `retire`, bands already met by
+    leakage from their neighbours are muted and leave the active set.
     """
     deficits = np.clip(targets - baseline, 0.0, None)
     if not np.any(deficits > 0):
@@ -181,7 +188,7 @@ def _solve(gains, spec, cfg, targets, offset_db, base, chain_data, baseline, *, 
     best_err = np.inf
     iterations = 0
     converged = False
-    total = _measure_total(gains, spec, base, chain_data)
+    total = _measure_total(gains, spec, base, chain_data, meter)
 
     while True:
         live = active & (gains > 0)
@@ -217,11 +224,11 @@ def _solve(gains, spec, cfg, targets, offset_db, base, chain_data, baseline, *, 
             own_frac[active] = (gains[active] / gains0[active]) ** 2
             gains[active & (total >= targets) & (own_frac <= 0.05)] = 0.0
         iterations += 1
-        total = _measure_total(gains, spec, base, chain_data)
+        total = _measure_total(gains, spec, base, chain_data, meter)
 
     if not converged:
         gains = best_gains
-        total = _measure_total(gains, spec, base, chain_data)
+        total = _measure_total(gains, spec, base, chain_data, meter)
 
     capped = tuple(np.flatnonzero(gains >= G_MAX))
     residual = _profile_db(total) - _profile_db(targets)
@@ -269,20 +276,21 @@ def solve_gains(
     """
     if primary_ir.sample_rate != support_ir.sample_rate:
         raise ContractError("primary/support sample rate mismatch")
-    primary_profile = band_energies(primary_ir, spec)
-    support_profile = band_energies(support_ir, spec)
-    offset_db, targets = _anchored_targets(primary_profile, target, spec, cfg, offset_db)
-    gains = np.clip(
-        initial_gains(primary_profile, support_profile, targets, spec), 0.0, G_MAX
-    )
     chain_data = support_ir.data
     if decorrelator is not None:
         chain_data = fftconvolve(decorrelator.taps, chain_data)
     if extra_delay:
         chain_data = np.concatenate([np.zeros(extra_delay), chain_data])
+    meter = _chain_meter(spec, primary_ir.data, chain_data)
+    primary_profile = meter(primary_ir.data)
+    support_profile = meter(support_ir.data)
+    offset_db, targets = _anchored_targets(primary_profile, target, spec, cfg, offset_db)
+    gains = np.clip(
+        initial_gains(primary_profile, support_profile, targets, spec), 0.0, G_MAX
+    )
     return _solve(
         gains, spec, cfg, targets, offset_db,
-        primary_ir.data, chain_data, primary_profile, retire=True,
+        primary_ir.data, chain_data, meter, primary_profile, retire=True,
     )
 
 
@@ -302,13 +310,15 @@ def solve_front_gains(
     primary response, driven to T_b. Bands above target get cut (g < 1);
     no band is ever muted.
     """
-    primary_profile = band_energies(primary_ir, spec)
+    base = np.zeros(0)
+    meter = _chain_meter(spec, base, primary_ir.data)
+    primary_profile = meter(primary_ir.data)
     offset_db, targets = _anchored_targets(primary_profile, target, spec, cfg, offset_db)
     zeros = np.zeros(spec.num_bands)
     gains = np.clip(initial_gains(zeros, primary_profile, targets, spec), 0.0, G_MAX)
     return _solve(
         gains, spec, cfg, targets, offset_db,
-        np.zeros(0), primary_ir.data, zeros, retire=False,
+        base, primary_ir.data, meter, zeros, retire=False,
     )
 
 
@@ -341,8 +351,10 @@ def oracle_single_band(
     unit = np.zeros(n)
     unit[: fill_unit.size] = fill_unit
 
+    meter = _band_energy_meter(spec, n)
+
     def objective(g: float) -> float:
-        e = _band_energies_array(base + g * unit, spec)[band]
+        e = meter(base + g * unit)[band]
         return abs(e - target_energy)
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0

@@ -6,6 +6,8 @@ from roomfill.errors import ContractError
 from roomfill.gammatone import (
     DESIGN_LEN,
     EQ_IR_LEN,
+    _band_energy_meter,
+    _ring_tail,
     analyze,
     band_energies,
     band_gain_eq,
@@ -15,12 +17,21 @@ from roomfill.gammatone import (
     synthesis_latency,
     synthesize,
 )
+from roomfill.simulate import FIXTURE_SUITE, SyntheticRirParams, synth_rir
 
 
 def _impulse(n, rate=48000):
     d = np.zeros(n)
     d[0] = 1.0
     return AudioBuffer(d, rate)
+
+
+def _filterbank_energies(x, spec, pad=0):
+    """The slow reference: band energies of the time-domain filterbank
+    run over x followed by `pad` zeros."""
+    padded = np.concatenate([x, np.zeros(pad)])
+    bands = analyze(AudioBuffer(padded, spec.sample_rate), spec).data
+    return np.sum(bands.real**2 + bands.imag**2, axis=1)
 
 
 def _magnitude_db(data, rate, f_lo=100.0, f_hi=12800.0):
@@ -187,3 +198,68 @@ def test_eq_matches_fresh_impulse_resynthesis(spec48, rng):
         g = rng.uniform(0.0, 3.0, size=37)
         slow = synthesize(bands.scaled(g)).mono
         assert np.array_equal(band_gain_eq(g, spec48).data, slow)
+
+
+def _energy_cases():
+    spec48 = make_spec(48000, 80.0, 16000.0)
+    for name, params in FIXTURE_SUITE:
+        yield pytest.param(spec48, synth_rir(params).data, id=name)
+    pinned = SyntheticRirParams(
+        44100, 1000.0, 300.0, direct_delay_ms=3.0,
+        coloration=("notch", 1000.0, 15.0, 3.0), seed=201,
+    )
+    yield pytest.param(
+        make_spec(44100, 80.0, 16000.0), synth_rir(pinned).data, id="pinned_44k1"
+    )
+    # noise cut off abruptly: the most ringing past the end a signal can leave
+    noise = np.random.default_rng(96).standard_normal(9600)
+    yield pytest.param(make_spec(96000, 80.0, 16000.0), noise, id="noise_96k")
+
+
+@pytest.mark.parametrize("spec, x", _energy_cases())
+def test_band_energies_match_padded_filterbank(spec, x):
+    """The closed-form band energies are the filterbank's energies of the
+    signal followed by the ring-out tail."""
+    fast = band_energies(ImpulseResponse(AudioBuffer(x, spec.sample_rate)), spec)
+    slow = _filterbank_energies(x, spec, pad=_ring_tail(spec))
+    assert np.allclose(fast, slow, rtol=1e-9, atol=0.0)
+
+
+def test_ring_tail_lets_the_slowest_band_ring_out():
+    """Less than 1e-30 of a unit impulse's energy in any band lies past the
+    tail. DESIGN_LEN is the tail at 44.1 and 48 kHz; at 96 kHz the lowest
+    band decays too slowly for it and the tail grows."""
+    for rate in (44100, 48000):
+        assert _ring_tail(make_spec(rate, 80.0, 16000.0)) == DESIGN_LEN
+    spec = make_spec(96000, 80.0, 16000.0)
+    tail = _ring_tail(spec)
+    assert tail > DESIGN_LEN
+    bands = analyze(_impulse(2 * tail, 96000), spec).data
+    energy = bands.real**2 + bands.imag**2
+    past = energy[:, tail:].sum(axis=1) / energy.sum(axis=1)
+    assert past.max() < 1e-30
+
+
+def test_short_ir_band_energies_include_ringing(spec48):
+    """A 6 ms response counts its low bands in full: its band energies
+    equal those of the same response zero-padded to 1 s. The filterbank
+    run over the response's own length misses most of the lowest bands'
+    ringing."""
+    ir = synth_rir(SyntheticRirParams(48000, 6.0, 2.0, seed=6))
+    padded = np.concatenate([ir.data, np.zeros(48000 - ir.data.size)])
+    got = band_energies(ir, spec48)
+    want = band_energies(ImpulseResponse(AudioBuffer(padded, 48000)), spec48)
+    assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+    truncated = _filterbank_energies(ir.data, spec48)
+    assert 10.0 * np.log10(got[0] / truncated[0]) > 10.0
+
+
+def test_meter_does_not_depend_on_its_size(spec48, rng):
+    """A meter sized for longer signals measures a short one the same, so
+    one meter serves every signal of a solve."""
+    x = rng.standard_normal(3000)
+    exact = _band_energy_meter(spec48, x.size)(x)
+    roomy = _band_energy_meter(spec48, 40000)(x)
+    assert np.allclose(roomy, exact, rtol=1e-9, atol=0.0)
+    with pytest.raises(ContractError):
+        _band_energy_meter(spec48, x.size - 1)(x)
