@@ -10,6 +10,7 @@ response by Parseval, without running the filters.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -363,9 +364,14 @@ def _ring_tail(spec: FilterbankSpec) -> int:
     return max(DESIGN_LEN, math.ceil(quantile / rate))
 
 
-def _band_energy_meter(spec: FilterbankSpec, n: int):
-    """Return measure(x): the band energies of a real signal x of at most
-    n samples, as analyze gives them for x zero-padded by _ring_tail(spec)
+#: The two halves of a band-energy meter; see _band_energy_meter.
+_Meter = namedtuple("_Meter", "spectrum energies")
+
+
+def _band_energy_meter(spec: FilterbankSpec, n: int) -> _Meter:
+    """Return a meter for real signals x of at most n samples:
+    meter.spectrum(x) is their m-point rfft and meter.energies of that is
+    the band energies analyze gives for x zero-padded by _ring_tail(spec)
     (to rounding), without running the filterbank.
 
     Band k is norm_k / (1 - p_k z^-1)**order, so by Parseval its energy
@@ -374,7 +380,8 @@ def _band_energy_meter(spec: FilterbankSpec, n: int):
     folded onto the rfft bins (DC and Nyquist once). Zero padding leaves
     a Parseval energy unchanged, so a meter gives the same energies (to
     rounding) for every n it is sized for; the weights live as long as
-    the meter.
+    the meter. As m exceeds n, a product of spectra is the spectrum of a
+    linear convolution of at most n samples, so chains need no convolving.
     """
     m = next_fast_len(n + _ring_tail(spec), real=True)
     lam, theta, norm = _pole_coefficients(spec)
@@ -398,19 +405,22 @@ def _band_energy_meter(spec: FilterbankSpec, n: int):
     if m % 2 == 0:
         weights[:, -1] *= 0.5
 
-    def measure(x: np.ndarray) -> np.ndarray:
+    def spectrum(x: np.ndarray) -> np.ndarray:
         if x.size > n:
             raise ContractError(
                 "signal of %d samples exceeds the meter's %d" % (x.size, n)
             )
-        spectrum = np.fft.rfft(x, m)
+        return np.fft.rfft(x, m)
+
+    def energies(spectrum: np.ndarray) -> np.ndarray:
         return weights @ (spectrum.real ** 2 + spectrum.imag ** 2)
 
-    return measure
+    return _Meter(spectrum, energies)
 
 
 def _band_energies_array(x: np.ndarray, spec: FilterbankSpec) -> np.ndarray:
-    return _band_energy_meter(spec, x.size)(x)
+    meter = _band_energy_meter(spec, x.size)
+    return meter.energies(meter.spectrum(x))
 
 
 def impulse_band_energies(spec: FilterbankSpec) -> np.ndarray:

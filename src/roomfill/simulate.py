@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
+from scipy.signal import lfilter
 
 from .audio import AudioBuffer, ImpulseResponse
 from .errors import ContractError
@@ -228,7 +228,8 @@ def simulate_total(
     """Push an impulse through one channel's proposed-mode chain, convolve
     the front path with the (balanced) primary response and the supporting
     path with the support response, sum coherently and tabulate band
-    energies against the channel's anchored target.
+    energies against the channel's anchored target. The convolutions and
+    the sum are taken as products and sums of spectra.
 
     The front feed is untouched by design, so the primary balance trim is
     applied on the acoustic side; the supporting feed already carries its
@@ -258,19 +259,13 @@ def simulate_total(
         support = rirs.support_right.data
         solve = design.gains.right
 
-    primary_path = fftconvolve(front, primary)
-    fill_path = fftconvolve(rear, support) if np.any(rear) else np.zeros(1)
-
-    n = max(primary_path.size, fill_path.size)
-    total = np.zeros(n)
-    total[: primary_path.size] += primary_path
-    total[: fill_path.size] += fill_path
-
     spec = design.spec
-    meter = _band_energy_meter(spec, n)
-    e_primary = meter(primary_path)
-    e_fill = meter(fill_path)
-    e_total = meter(total)
+    meter = _band_energy_meter(spec, front.size + max(primary.size, support.size) - 1)
+    primary_path = meter.spectrum(front) * meter.spectrum(primary)
+    fill_path = meter.spectrum(rear) * meter.spectrum(support)
+    e_primary = meter.energies(primary_path)
+    e_fill = meter.energies(fill_path)
+    e_total = meter.energies(primary_path + fill_path)
     targets = band_targets(design.target.with_offset(solve.offset_db), spec)
 
     return VerificationReport.build(

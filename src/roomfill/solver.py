@@ -133,24 +133,20 @@ def initial_gains(
     return out
 
 
-def _chain_meter(spec, base, chain_data):
-    """Band-energy meter for one solve, sized to the longest signal it
-    measures: the coherent total of _measure_total. The profiles are
-    shorter and measure the same through it."""
-    return _band_energy_meter(spec, max(base.size, EQ_IR_LEN + chain_data.size - 1))
+def _chain_meter(spec, base_len, chain_len):
+    """Band-energy meter for one solve, sized so that the coherent total
+    base + EQ * chain fits: the product of the EQ's and the chain's
+    spectra is then the spectrum of their linear convolution. The
+    profiles are shorter and measure the same through it."""
+    return _band_energy_meter(spec, max(base_len, EQ_IR_LEN + chain_len - 1))
 
 
-def _measure_total(gains, spec, base, chain_data, meter):
-    """Band energies of the coherent total: the base response plus the
-    fill EQ pushed through the chain. An empty base measures the EQ
-    through the chain alone."""
+def _measure_total(gains, spec, base, chain, meter):
+    """Band energies of the coherent total: base plus the fill EQ pushed
+    through the chain, where `base` and `chain` are spectra from `meter`.
+    One rfft per call, of the EQ; the front solve's base is 0."""
     eq = band_gain_eq(gains, spec)
-    fill = fftconvolve(eq.data, chain_data)
-    n = max(base.size, fill.size)
-    mix = np.zeros(n)
-    mix[: base.size] += base
-    mix[: fill.size] += fill
-    return meter(mix)
+    return meter.energies(base + meter.spectrum(eq.data) * chain)
 
 
 def _anchored_targets(primary_profile, target, spec, cfg, offset_db):
@@ -162,14 +158,15 @@ def _anchored_targets(primary_profile, target, spec, cfg, offset_db):
     return float(offset_db), shape * 10.0 ** (offset_db / 10.0)
 
 
-def _solve(gains, spec, cfg, targets, offset_db, base, chain_data, meter, baseline, *, retire):
+def _solve(gains, spec, cfg, targets, offset_db, base, chain, meter, baseline, *, retire):
     """The damped multiplicative solve behind solve_gains and
     solve_front_gains.
 
-    Measures the band energies of base + EQ(gains) * chain_data through
-    `meter` and drives the part the EQ contributes, total - baseline, to
-    the deficit targets - baseline. With `retire`, bands already met by
-    leakage from their neighbours are muted and leave the active set.
+    Measures the band energies of base + EQ(gains) * chain (spectra from
+    `meter`, see _measure_total) and drives the part the EQ contributes,
+    total - baseline, to the deficit targets - baseline. With `retire`,
+    bands already met by leakage from their neighbours are muted and
+    leave the active set.
     """
     deficits = np.clip(targets - baseline, 0.0, None)
     if not np.any(deficits > 0):
@@ -188,7 +185,7 @@ def _solve(gains, spec, cfg, targets, offset_db, base, chain_data, meter, baseli
     best_err = np.inf
     iterations = 0
     converged = False
-    total = _measure_total(gains, spec, base, chain_data, meter)
+    total = _measure_total(gains, spec, base, chain, meter)
 
     while True:
         live = active & (gains > 0)
@@ -224,11 +221,11 @@ def _solve(gains, spec, cfg, targets, offset_db, base, chain_data, meter, baseli
             own_frac[active] = (gains[active] / gains0[active]) ** 2
             gains[active & (total >= targets) & (own_frac <= 0.05)] = 0.0
         iterations += 1
-        total = _measure_total(gains, spec, base, chain_data, meter)
+        total = _measure_total(gains, spec, base, chain, meter)
 
     if not converged:
         gains = best_gains
-        total = _measure_total(gains, spec, base, chain_data, meter)
+        total = _measure_total(gains, spec, base, chain, meter)
 
     capped = tuple(np.flatnonzero(gains >= G_MAX))
     residual = _profile_db(total) - _profile_db(targets)
@@ -281,16 +278,17 @@ def solve_gains(
         chain_data = fftconvolve(decorrelator.taps, chain_data)
     if extra_delay:
         chain_data = np.concatenate([np.zeros(extra_delay), chain_data])
-    meter = _chain_meter(spec, primary_ir.data, chain_data)
-    primary_profile = meter(primary_ir.data)
-    support_profile = meter(support_ir.data)
+    meter = _chain_meter(spec, primary_ir.data.size, chain_data.size)
+    primary = meter.spectrum(primary_ir.data)
+    primary_profile = meter.energies(primary)
+    support_profile = meter.energies(meter.spectrum(support_ir.data))
     offset_db, targets = _anchored_targets(primary_profile, target, spec, cfg, offset_db)
     gains = np.clip(
         initial_gains(primary_profile, support_profile, targets, spec), 0.0, G_MAX
     )
     return _solve(
         gains, spec, cfg, targets, offset_db,
-        primary_ir.data, chain_data, meter, primary_profile, retire=True,
+        primary, meter.spectrum(chain_data), meter, primary_profile, retire=True,
     )
 
 
@@ -310,15 +308,15 @@ def solve_front_gains(
     primary response, driven to T_b. Bands above target get cut (g < 1);
     no band is ever muted.
     """
-    base = np.zeros(0)
-    meter = _chain_meter(spec, base, primary_ir.data)
-    primary_profile = meter(primary_ir.data)
+    meter = _chain_meter(spec, 0, primary_ir.data.size)
+    primary = meter.spectrum(primary_ir.data)
+    primary_profile = meter.energies(primary)
     offset_db, targets = _anchored_targets(primary_profile, target, spec, cfg, offset_db)
     zeros = np.zeros(spec.num_bands)
     gains = np.clip(initial_gains(zeros, primary_profile, targets, spec), 0.0, G_MAX)
     return _solve(
         gains, spec, cfg, targets, offset_db,
-        base, primary_ir.data, meter, zeros, retire=False,
+        0.0, primary, meter, zeros, retire=False,
     )
 
 
@@ -354,7 +352,7 @@ def oracle_single_band(
     meter = _band_energy_meter(spec, n)
 
     def objective(g: float) -> float:
-        e = meter(base + g * unit)[band]
+        e = meter.energies(meter.spectrum(base + g * unit))[band]
         return abs(e - target_energy)
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
+from roomfill.audio import AudioBuffer, ImpulseResponse
 from roomfill.errors import ContractError
 from roomfill.gammatone import band_energies, erb_number
+from roomfill.render import render
 from roomfill.simulate import (
     FIXTURE_SUITE,
     REPORT_HEADER,
@@ -163,6 +166,31 @@ def test_cross_term_stays_bounded(solved_design, fixture_rirs):
         frac = np.abs(t - (p + f)) / t
         assert float(np.median(frac)) <= 0.15
         assert float(np.max(frac)) <= 0.45
+
+
+def test_spectral_simulation_matches_time_domain_paths(solved_design, fixture_rirs):
+    """simulate_total multiplies spectra; convolving the rendered impulse
+    with the responses in time and summing gives the same band levels."""
+    rate = solved_design.sample_rate
+    for i, channel in enumerate(("left", "right")):
+        report = simulate_total(solved_design, fixture_rirs, channel)
+        imp = np.zeros((2, 1))
+        imp[i, 0] = 1.0
+        out = render(AudioBuffer(imp, rate), solved_design, "proposed").buffer.samples
+        primary = getattr(fixture_rirs, "primary_" + channel).data
+        primary = primary * solved_design.balance_gains["primary_" + channel]
+        primary_path = fftconvolve(out[i], primary)
+        fill_path = fftconvolve(out[2 + i], getattr(fixture_rirs, "support_" + channel).data)
+        total = np.zeros(max(primary_path.size, fill_path.size))
+        total[: primary_path.size] += primary_path
+        total[: fill_path.size] += fill_path
+        for got, path in (
+            (report.primary_db, primary_path),
+            (report.fill_db, fill_path),
+            (report.total_db, total),
+        ):
+            energies = band_energies(ImpulseResponse(AudioBuffer(path, rate)), solved_design.spec)
+            assert np.allclose(got, 10.0 * np.log10(energies), rtol=0.0, atol=1e-8)
 
 
 def test_simulation_is_deterministic(solved_design, fixture_rirs):

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from roomfill.audio import AudioBuffer, ImpulseResponse
 from roomfill.errors import ContractError, UnfillableBandError
-from roomfill.gammatone import band_energies, make_spec
+from roomfill.gammatone import _ring_tail, analyze, band_energies, band_gain_eq, make_spec
+from roomfill.render import DEFAULT_DECORRELATOR_LEN, DEFAULT_SEED_LEFT, design_decorrelator
 from roomfill.rirs import balance_levels
 from roomfill.solver import (
     G_MAX,
     SolverConfig,
+    _chain_meter,
+    _measure_total,
     anchor_target,
     initial_gains,
     oracle_single_band,
@@ -96,6 +100,34 @@ def _single_band_case(f0, seed):
         + 5.0
     )
     return spec, primary, support, offset
+
+
+def test_spectral_measurement_matches_time_domain_chain(fixture_rirs, spec48):
+    """Each solver iteration measures base + EQ(g) * chain as a product of
+    spectra. On the pinned room's left chain (decorrelator, 10 ms delay),
+    its front chain (base 0) and abruptly cut noise, which shows any
+    wrap-around, this equals the filterbank's energies of the time-domain
+    sum, padded by the ring-out tail."""
+    primary = fixture_rirs.primary_left.data
+    decorrelator = design_decorrelator(DEFAULT_DECORRELATOR_LEN, DEFAULT_SEED_LEFT)
+    chain = np.concatenate(
+        [np.zeros(480), fftconvolve(decorrelator.taps, fixture_rirs.support_left.data)]
+    )
+    rng = np.random.default_rng(77)
+    cut = (primary[:2000], rng.standard_normal(6000))
+    for base, path in ((primary, chain), (np.zeros(0), primary), (primary, chain), cut):
+        gains = rng.uniform(0.0, 3.0, spec48.num_bands)
+        meter = _chain_meter(spec48, base.size, path.size)
+        got = _measure_total(
+            gains, spec48, meter.spectrum(base), meter.spectrum(path), meter
+        )
+        fill = fftconvolve(band_gain_eq(gains, spec48).data, path)
+        total = np.zeros(max(base.size, fill.size) + _ring_tail(spec48))
+        total[: base.size] += base
+        total[: fill.size] += fill
+        bands = analyze(AudioBuffer(total, 48000), spec48).data
+        want = np.sum(bands.real**2 + bands.imag**2, axis=1)
+        assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 def test_solve_matches_brute_force_oracle():
