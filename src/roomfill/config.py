@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .audio import ImpulseResponse, read_wav
 from .errors import ConfigError
@@ -30,15 +30,17 @@ from .rirs import CHANNEL_NAMES, RirSet, average_pair
 from .solver import SolverConfig
 from .target import TargetFunction
 
+
+def _field_defaults(cls, omit=()) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.name not in omit}
+
+
+# [target] and [solver] are the dataclasses' own fields and defaults; the
+# target's offset_db is solved, never configured.
 _DEFAULTS = {
     "filterbank": {"f_low": 80.0, "f_high": 16000.0, "bands_per_erb": 1.0},
-    "target": {"slope_db": 5.0, "f_ref_low": 20.0, "f_ref_high": 20000.0},
-    "solver": {
-        "tolerance_db": 0.5,
-        "max_iterations": 50,
-        "damping": 0.7,
-        "anchor_mode": "percentile-95",
-    },
+    "target": _field_defaults(TargetFunction, omit=("offset_db",)),
+    "solver": _field_defaults(SolverConfig),
     "render": {
         "delay_ms": DEFAULT_DELAY_MS,
         "decorrelator_len": DEFAULT_DECORRELATOR_LEN,
@@ -78,20 +80,14 @@ class RunConfig:
             sample_rate, self.f_low, self.f_high, bands_per_erb=self.bands_per_erb
         )
 
+    def _section(self, name: str) -> dict:
+        return {key: getattr(self, key) for key in _DEFAULTS[name]}
+
     def target(self) -> TargetFunction:
-        return TargetFunction(
-            slope_db=self.slope_db,
-            f_ref_low=self.f_ref_low,
-            f_ref_high=self.f_ref_high,
-        )
+        return TargetFunction(**self._section("target"))
 
     def solver(self) -> SolverConfig:
-        return SolverConfig(
-            tolerance_db=self.tolerance_db,
-            max_iterations=self.max_iterations,
-            damping=self.damping,
-            anchor_mode=self.anchor_mode,
-        )
+        return SolverConfig(**self._section("solver"))
 
     def load_rirs(self) -> RirSet:
         """Read the configured WAVs, averaging microphone pairs."""

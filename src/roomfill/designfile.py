@@ -66,7 +66,7 @@ def dumps_design(design: EqualisationDesign) -> str:
     target = design.target
     lines = [
         "[design]",
-        "format_version = %d" % design.format_version,
+        "format_version = %d" % FORMAT_VERSION,
         "",
         "[filterbank]",
         "sample_rate = %d" % spec.sample_rate,
@@ -184,7 +184,6 @@ def loads_design(text: str) -> EqualisationDesign:
         decorrelator_len=int(rd["decorrelator_len"]),
         seed_left=int(rd["seed_left"]),
         seed_right=int(rd["seed_right"]),
-        format_version=version,
     )
 
 

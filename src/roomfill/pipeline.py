@@ -15,6 +15,8 @@ from .render import (
     DEFAULT_SEED_LEFT,
     DEFAULT_SEED_RIGHT,
     EqualisationDesign,
+    bulk_delay_samples,
+    check_chain,
     design_decorrelator,
 )
 from .rirs import RirSet, balance_levels
@@ -43,15 +45,17 @@ def solve_design(
     another measurement pass.
 
     Convergence is not required here; inspect the returned channel
-    solves. Unfillable bands raise from the solve itself.
+    solves. Unfillable bands raise from the solve itself; chain parameters
+    the design would reject raise before anything is solved.
     """
+    check_chain(delay_ms, decorrelator_len, seed_left, seed_right)
     if spec.sample_rate != rirs.sample_rate:
         raise ContractError(
             "filterbank sample rate %d does not match the responses (%d)"
             % (spec.sample_rate, rirs.sample_rate)
         )
     balanced = balance_levels(rirs)
-    extra_delay = int(round(delay_ms / 1000.0 * rirs.sample_rate))
+    extra_delay = bulk_delay_samples(delay_ms, rirs.sample_rate)
 
     fill = {}
     front = {}

@@ -11,9 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioBuffer, ImpulseResponse, convolve, delay
+from .audio import AudioBuffer, ImpulseResponse, convolve
 from .errors import ContractError
 from .gammatone import FilterbankSpec, band_gain_eq, synthesis_latency
+from .rirs import CHANNEL_NAMES
 from .solver import BandGainSet
 from .target import TargetFunction
 
@@ -22,6 +23,8 @@ __all__ = [
     "EqualisationDesign",
     "RenderResult",
     "band_gain_eq",
+    "bulk_delay_samples",
+    "check_chain",
     "design_decorrelator",
     "render",
     "DELAY_RANGE_MS",
@@ -47,6 +50,8 @@ DEFAULT_SEED_RIGHT = 12002
 
 RENDER_MODES = ("proposed", "stereo", "rear_stereo", "front_eq")
 
+_OUTPUT_CHANNELS = ("FL", "FR", "SL", "SR")
+
 
 @dataclass
 class DecorrelatorFilter:
@@ -62,6 +67,32 @@ class DecorrelatorFilter:
         return float(np.dot(np.arange(self.taps.size), h2) / np.sum(h2))
 
 
+def _check_decorrelator_len(length: int) -> None:
+    if length < 256 or length & (length - 1):
+        raise ContractError("decorrelator length must be a power of two >= 256")
+
+
+def check_chain(delay_ms: float, decorrelator_len: int, seed_left: int, seed_right: int) -> None:
+    """Reject supporting-chain parameters the design cannot play: a bulk
+    delay outside the precedence-effect window, one decorrelator seed for
+    both sides, or a decorrelator length design_decorrelator refuses."""
+    lo, hi = DELAY_RANGE_MS
+    if not lo <= delay_ms <= hi:
+        raise ContractError(
+            "delay_ms %.3f outside the precedence-effect window [%g, %g] ms"
+            % (delay_ms, lo, hi)
+        )
+    if seed_left == seed_right:
+        raise ContractError("left/right decorrelator seeds must differ")
+    _check_decorrelator_len(decorrelator_len)
+
+
+def bulk_delay_samples(delay_ms: float, sample_rate: int) -> int:
+    """The supporting chain's bulk delay in whole samples. The solve, the
+    renderer and the latency metadata all take it from here."""
+    return int(round(delay_ms * sample_rate / 1000.0))
+
+
 def design_decorrelator(length: int, seed: int) -> DecorrelatorFilter:
     """Build an all-pass FIR by inverse-transforming unit-magnitude bins
     with seeded uniform random phase in (-pi, pi].
@@ -69,8 +100,7 @@ def design_decorrelator(length: int, seed: int) -> DecorrelatorFilter:
     DC and Nyquist stay at phase 0 so the taps are real. length must be a
     power of two >= 256.
     """
-    if length < 256 or length & (length - 1):
-        raise ContractError("decorrelator length must be a power of two >= 256")
+    _check_decorrelator_len(length)
     rng = np.random.default_rng(seed)
     # uniform() samples a half-open [lo, hi); negate for (-pi, pi]
     phases = -rng.uniform(-math.pi, math.pi, size=length // 2 - 1)
@@ -94,26 +124,11 @@ class EqualisationDesign:
     decorrelator_len: int = DEFAULT_DECORRELATOR_LEN
     seed_left: int = DEFAULT_SEED_LEFT
     seed_right: int = DEFAULT_SEED_RIGHT
-    format_version: int = 1
 
     def __post_init__(self):
-        lo, hi = DELAY_RANGE_MS
-        if not lo <= self.delay_ms <= hi:
-            raise ContractError(
-                "delay_ms %.3f outside the precedence-effect window [%g, %g] ms"
-                % (self.delay_ms, lo, hi)
-            )
-        if self.seed_left == self.seed_right:
-            raise ContractError("left/right decorrelator seeds must differ")
-        if self.decorrelator_len < 256 or self.decorrelator_len & (self.decorrelator_len - 1):
-            raise ContractError("decorrelator length must be a power of two >= 256")
+        check_chain(self.delay_ms, self.decorrelator_len, self.seed_left, self.seed_right)
         if not self.balance_gains:
-            self.balance_gains = {
-                "primary_left": 1.0,
-                "primary_right": 1.0,
-                "support_left": 1.0,
-                "support_right": 1.0,
-            }
+            self.balance_gains = dict.fromkeys(CHANNEL_NAMES, 1.0)
 
     @property
     def sample_rate(self) -> int:
@@ -124,7 +139,7 @@ class EqualisationDesign:
         return design_decorrelator(self.decorrelator_len, seed)
 
     def delay_samples(self) -> int:
-        return int(round(self.delay_ms * self.sample_rate / 1000.0))
+        return bulk_delay_samples(self.delay_ms, self.sample_rate)
 
 
 @dataclass
@@ -137,10 +152,8 @@ class RenderResult:
 
 
 def _support_chain_kernel(design: EqualisationDesign, side: str):
-    gains = design.gains.gains_left if side == "left" else design.gains.gains_right
-    eq = band_gain_eq(gains, design.spec)
-    taps = design.decorrelator(side).taps
-    return np.convolve(eq.data, taps)
+    eq = band_gain_eq(getattr(design.gains, side).gains, design.spec)
+    return np.convolve(eq.data, design.decorrelator(side).taps)
 
 
 def support_chain_latency(design: EqualisationDesign, side: str) -> int:
@@ -154,14 +167,22 @@ def support_chain_latency(design: EqualisationDesign, side: str) -> int:
     )
 
 
+def _through(x: np.ndarray, ir: ImpulseResponse, gain: float) -> np.ndarray:
+    """One input channel convolved with ir and scaled by a balance gain."""
+    return convolve(AudioBuffer(x, ir.sample_rate), ir).mono * gain
+
+
 def render(buffer: AudioBuffer, design: EqualisationDesign, mode: str) -> RenderResult:
     """Render stereo input to the 4-channel (FL, FR, SL, SR) condition.
 
-    proposed: fronts pass through bit-exact; each supporting channel is
-    the same-side input through EQ, decorrelation, the bulk delay and its
-    balance gain. stereo: fronts only. rear_stereo: input duplicated to
-    the rears untouched. front_eq: fronts carry the re-solved band EQ
-    (times balance), rears silent.
+    Every output channel is silent or carries one (offset, samples) row
+    built from the same-side input, and the output is as long as the
+    longest row. stereo: the fronts carry the input, rears silent.
+    rear_stereo: the rears carry copies of the fronts. proposed: the
+    fronts carry the input bit-exact; each rear carries the input through
+    EQ and decorrelation, trimmed by its balance gain, at the bulk delay.
+    front_eq: the fronts carry the re-solved band EQ (times balance),
+    rears silent.
     """
     if buffer.num_channels != 2:
         raise ContractError("render input must be 2-channel stereo")
@@ -173,54 +194,31 @@ def render(buffer: AudioBuffer, design: EqualisationDesign, mode: str) -> Render
     if mode not in RENDER_MODES:
         raise ContractError("mode must be one of %s" % (RENDER_MODES,))
 
-    left = buffer.samples[0]
-    right = buffer.samples[1]
     rate = buffer.sample_rate
-    latency = {"FL": 0, "FR": 0, "SL": 0, "SR": 0}
-
-    if mode == "stereo":
-        out = np.zeros((4, buffer.num_samples))
-        out[0] = left
-        out[1] = right
-    elif mode == "rear_stereo":
-        out = np.vstack([left, right, left, right])
-    elif mode == "proposed":
-        rears = []
-        for side, sig in (("left", left), ("right", right)):
-            kernel = _support_chain_kernel(design, side)
-            ir = ImpulseResponse(AudioBuffer(kernel, rate), label="support chain")
-            wet = convolve(AudioBuffer(sig, rate), ir)
-            wet = delay(wet, design.delay_ms)
-            g = design.balance_gains["support_" + side]
-            rears.append(wet.mono * g)
-        n = max(buffer.num_samples, rears[0].size, rears[1].size)
-        out = np.zeros((4, n))
-        out[0, : left.size] = left
-        out[1, : right.size] = right
-        out[2, : rears[0].size] = rears[0]
-        out[3, : rears[1].size] = rears[1]
-        latency["SL"] = support_chain_latency(design, "left")
-        latency["SR"] = support_chain_latency(design, "right")
-    else:  # front_eq
-        fronts = []
-        for side, sig in (("left", left), ("right", right)):
-            gains = (
-                design.front_gains.gains_left
-                if side == "left"
-                else design.front_gains.gains_right
+    latency = dict.fromkeys(_OUTPUT_CHANNELS, 0)
+    rows = {}  # output channel index -> (offset, samples); absent is silent
+    for i, side in enumerate(("left", "right")):
+        dry = buffer.samples[i]
+        if mode == "front_eq":
+            eq = band_gain_eq(getattr(design.front_gains, side).gains, design.spec)
+            rows[i] = (0, _through(dry, eq, design.balance_gains["primary_" + side]))
+            latency[_OUTPUT_CHANNELS[i]] = synthesis_latency(design.spec)
+        else:
+            rows[i] = (0, dry)
+        if mode == "rear_stereo":
+            rows[2 + i] = rows[i]
+        elif mode == "proposed":
+            chain = ImpulseResponse(
+                AudioBuffer(_support_chain_kernel(design, side), rate),
+                label="support chain",
             )
-            eq = band_gain_eq(gains, design.spec)
-            wet = convolve(AudioBuffer(sig, rate), eq)
-            g = design.balance_gains["primary_" + side]
-            fronts.append(wet.mono * g)
-        n = max(fronts[0].size, fronts[1].size)
-        out = np.zeros((4, n))
-        out[0, : fronts[0].size] = fronts[0]
-        out[1, : fronts[1].size] = fronts[1]
-        lat = synthesis_latency(design.spec)
-        latency["FL"] = lat
-        latency["FR"] = lat
+            wet = _through(dry, chain, design.balance_gains["support_" + side])
+            rows[2 + i] = (design.delay_samples(), wet)
+            latency[_OUTPUT_CHANNELS[2 + i]] = support_chain_latency(design, side)
 
+    out = np.zeros((len(_OUTPUT_CHANNELS), max(o + x.size for o, x in rows.values())))
+    for ch, (offset, x) in rows.items():
+        out[ch, offset : offset + x.size] = x
     return RenderResult(
         buffer=AudioBuffer(out, rate), mode=mode, latency_samples=latency
     )

@@ -243,21 +243,15 @@ def simulate_total(
             % (rirs.sample_rate, design.sample_rate)
         )
 
-    rate = design.sample_rate
+    i = ("left", "right").index(channel)
     imp = np.zeros((2, 1))
-    imp[0 if channel == "left" else 1, 0] = 1.0
-    rendered = render(AudioBuffer(imp, rate), design, "proposed")
-
-    if channel == "left":
-        front, rear = rendered.buffer.samples[0], rendered.buffer.samples[2]
-        primary = rirs.primary_left.data * design.balance_gains["primary_left"]
-        support = rirs.support_left.data
-        solve = design.gains.left
-    else:
-        front, rear = rendered.buffer.samples[1], rendered.buffer.samples[3]
-        primary = rirs.primary_right.data * design.balance_gains["primary_right"]
-        support = rirs.support_right.data
-        solve = design.gains.right
+    imp[i, 0] = 1.0
+    rendered = render(AudioBuffer(imp, design.sample_rate), design, "proposed")
+    front, rear = rendered.buffer.samples[i], rendered.buffer.samples[2 + i]
+    trim = design.balance_gains["primary_" + channel]
+    primary = getattr(rirs, "primary_" + channel).data * trim
+    support = getattr(rirs, "support_" + channel).data
+    solve = getattr(design.gains, channel)
 
     spec = design.spec
     meter = _band_energy_meter(spec, front.size + max(primary.size, support.size) - 1)

@@ -71,14 +71,6 @@ class BandGainSet:
     left: ChannelSolve
     right: ChannelSolve
 
-    @property
-    def gains_left(self) -> np.ndarray:
-        return self.left.gains
-
-    @property
-    def gains_right(self) -> np.ndarray:
-        return self.right.gains
-
 
 def _profile_db(profile: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):

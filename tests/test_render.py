@@ -3,18 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from roomfill import pipeline
 from roomfill.audio import AudioBuffer
 from roomfill.errors import ContractError
-from roomfill.gammatone import make_spec, synthesis_latency
+from roomfill.gammatone import EQ_IR_LEN, band_gain_eq, make_spec, synthesis_latency
 from roomfill.render import (
+    DEFAULT_DECORRELATOR_LEN,
     DEFAULT_SEED_LEFT,
     DEFAULT_SEED_RIGHT,
+    RENDER_MODES,
     EqualisationDesign,
     design_decorrelator,
     render,
     support_chain_latency,
 )
-from roomfill.solver import BandGainSet, ChannelSolve
+from roomfill.solver import BandGainSet, ChannelSolve, SolverConfig
 from roomfill.target import TargetFunction
 
 
@@ -29,13 +32,14 @@ def _solve(gains):
     )
 
 
-def _design(spec, gains=None, **kwargs):
+def _design(spec, gains=None, front_gains=None, **kwargs):
     ones = np.ones(spec.num_bands)
     g = ones if gains is None else gains
+    f = ones if front_gains is None else front_gains
     return EqualisationDesign(
         spec=spec,
         gains=BandGainSet(spec, _solve(g), _solve(g)),
-        front_gains=BandGainSet(spec, _solve(ones), _solve(ones)),
+        front_gains=BandGainSet(spec, _solve(f), _solve(f)),
         target=TargetFunction(),
         **kwargs,
     )
@@ -90,6 +94,19 @@ def test_design_validates_delay_window(spec48):
 def test_design_rejects_equal_seeds(spec48):
     with pytest.raises(ContractError):
         _design(spec48, seed_left=9, seed_right=9)
+
+
+def test_solve_design_rejects_bad_chain_before_solving(monkeypatch, fixture_rirs, spec48):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the chain was checked")
+
+    monkeypatch.setattr(pipeline, "solve_gains", no_solve)
+    monkeypatch.setattr(pipeline, "solve_front_gains", no_solve)
+    for bad in ({"delay_ms": 1.0}, {"seed_left": 9, "seed_right": 9}):
+        with pytest.raises(ContractError):
+            pipeline.solve_design(
+                fixture_rirs, spec48, TargetFunction(), SolverConfig(), **bad
+            )
 
 
 def test_design_defaults_balance_to_unity(spec48):
@@ -179,6 +196,58 @@ def test_front_eq_mode_replaces_fronts(spec48, rng):
     lat = synthesis_latency(spec48)
     assert result.latency_samples["FL"] == lat
     assert result.latency_samples["FR"] == lat
+
+
+@pytest.mark.parametrize("rate", (44100, 48000))
+@pytest.mark.parametrize("mode", RENDER_MODES)
+def test_render_lengths_and_wet_channels(mode, rate, rng):
+    """Output length per mode, and the wet channels against a direct
+    np.convolve of the same chain: the proposed rears are the input through
+    EQ and decorrelator, delayed 10 ms and trimmed; the front_eq fronts
+    are the input through the front EQ, trimmed."""
+    spec = make_spec(rate, 80.0, 16000.0)
+    bands = spec.num_bands
+    balance = {
+        "primary_left": 0.8,
+        "primary_right": 1.25,
+        "support_left": 0.5,
+        "support_right": 2.0,
+    }
+    design = _design(
+        spec,
+        gains=np.linspace(0.25, 2.0, bands),
+        front_gains=np.linspace(1.5, 0.5, bands),
+        balance_gains=balance,
+    )
+    n = 700
+    sig = rng.standard_normal((2, n))
+    out = render(AudioBuffer(sig, rate), design, mode).buffer.samples
+    delay = rate // 100
+    kernel_len = EQ_IR_LEN + DEFAULT_DECORRELATOR_LEN - 1
+    want = {
+        "stereo": n,
+        "rear_stereo": n,
+        "front_eq": n + EQ_IR_LEN - 1,
+        "proposed": max(n, delay + n + kernel_len - 1),
+    }[mode]
+    assert out.shape == (4, want)
+
+    def close(got, ref):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    for i, side in enumerate(("left", "right")):
+        if mode == "proposed":
+            kernel = np.convolve(
+                band_gain_eq(design.gains.left.gains, spec).data,
+                design.decorrelator(side).taps,
+            )
+            ref = balance["support_" + side] * np.convolve(sig[i], kernel)
+            assert ref.size == n + kernel_len - 1
+            assert np.all(out[2 + i, :delay] == 0.0)
+            close(out[2 + i, delay:], ref)
+        if mode == "front_eq":
+            eq = band_gain_eq(design.front_gains.left.gains, spec).data
+            close(out[i], balance["primary_" + side] * np.convolve(sig[i], eq))
 
 
 def test_render_input_validation(spec48):

@@ -8,6 +8,7 @@ from scipy.signal import fftconvolve
 from roomfill.audio import AudioBuffer, ImpulseResponse
 from roomfill.errors import ContractError
 from roomfill.gammatone import band_energies, erb_number
+from roomfill.pipeline import solve_design
 from roomfill.render import render
 from roomfill.simulate import (
     FIXTURE_SUITE,
@@ -19,7 +20,8 @@ from roomfill.simulate import (
     simulate_total,
     synth_rir,
 )
-from roomfill.solver import BandGainSet
+from roomfill.solver import BandGainSet, SolverConfig
+from roomfill.target import TargetFunction
 
 
 def _params(**kw):
@@ -145,6 +147,19 @@ def test_simulation_deviation_matches_solver_residual(solved_design, fixture_rir
         live = solve.gains > 0
         assert report.max_abs_deviation_filled_bands_db <= 0.5
         assert report.unfilled_band_count == int(np.count_nonzero(~live))
+
+
+def test_odd_delay_simulates_to_the_solver_residual(fixture_rirs, spec48):
+    """20.96875 ms is 1006.5 samples at 48 kHz, where two roundings of the
+    bulk delay can differ by one sample; the solve must measure the delay
+    that render plays."""
+    design = solve_design(
+        fixture_rirs, spec48, TargetFunction(), SolverConfig(), delay_ms=20.96875
+    )
+    for channel in ("left", "right"):
+        report = simulate_total(design, fixture_rirs, channel)
+        solve = getattr(design.gains, channel)
+        assert np.allclose(report.deviation_db, solve.residual_db, atol=1e-6)
 
 
 def test_fill_never_cancels_primary(solved_design, fixture_rirs):
