@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import ClippingWarning, ContractError, FormatError
 
@@ -78,9 +78,7 @@ def rms_energy(buffer: AudioBuffer) -> float:
     Uses exact (correctly rounded) summation so the value is invariant
     under zero padding, e.g. rms_energy(delay(x, d)) == rms_energy(x).
     """
-    return math.fsum(
-        float(v) for v in np.square(buffer.samples, dtype=np.float64).ravel()
-    )
+    return math.fsum(np.square(buffer.samples, dtype=np.float64).ravel().tolist())
 
 
 def delay(buffer: AudioBuffer, delay_ms: float) -> AudioBuffer:
@@ -95,19 +93,45 @@ def delay(buffer: AudioBuffer, delay_ms: float) -> AudioBuffer:
     return AudioBuffer(out, buffer.sample_rate)
 
 
+def _block_fft_size(taps: int) -> int:
+    """FFT size of convolve's overlap-add blocks: the next power of two at
+    least 4 * taps, and at least 4096 so that a short kernel does not cost
+    one Python-level FFT pair per few samples."""
+    return 1 << (max(4 * taps, 4096) - 1).bit_length()
+
+
 def convolve(buffer: AudioBuffer, ir: ImpulseResponse) -> AudioBuffer:
     """Full linear convolution of every channel with the impulse response.
 
-    Output length is n + len(ir) - 1. Computed by FFT; it agrees with
-    direct convolution within 1e-9 relative.
+    Output length is n + len(ir) - 1 (0 for an empty signal or kernel).
+    Computed by overlap-add: the kernel's spectrum is taken once, and
+    each block of nfft - len(ir) + 1 input samples is convolved by one
+    nfft-point rfft/irfft pair, its tail overlapping the next block. nfft
+    follows from the kernel length alone (_block_fft_size); a convolution
+    shorter than that is one block of next_fast_len(n + len(ir) - 1). It
+    agrees with direct convolution within 1e-12 of the peak.
     """
     if buffer.sample_rate != ir.sample_rate:
         raise ContractError(
             "sample rate mismatch: signal %d Hz, impulse response %d Hz"
             % (buffer.sample_rate, ir.sample_rate)
         )
-    rows = [fftconvolve(ch, ir.data, mode="full") for ch in buffer.samples]
-    return AudioBuffer(np.vstack(rows), buffer.sample_rate)
+    x, h = buffer.samples, ir.data
+    n, taps = x.shape[1], h.size
+    if n == 0 or taps == 0:
+        return AudioBuffer(np.zeros((x.shape[0], 0)), buffer.sample_rate)
+    full = n + taps - 1
+    nfft = _block_fft_size(taps)
+    if full < nfft:  # the whole convolution fits in one shorter block
+        nfft = next_fast_len(full, real=True)
+    step = nfft - taps + 1
+    kernel = rfft(h, nfft)
+    out = np.zeros((x.shape[0], full))
+    for start in range(0, n, step):
+        block = irfft(rfft(x[:, start : start + step], nfft) * kernel, nfft)
+        stop = min(start + nfft, full)
+        out[:, start:stop] += block[:, : stop - start]
+    return AudioBuffer(out, buffer.sample_rate)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from roomfill.audio import (
     AudioBuffer,
     ImpulseResponse,
+    _block_fft_size,
     convolve,
     delay,
     read_wav,
@@ -143,18 +144,28 @@ def test_delay_sample_count_rounds():
 
 
 def test_convolve_matches_direct_reference(rng):
-    """The FFT convolution agrees with numpy's direct reference to 1e-9
-    relative, for short and long kernels."""
-    sig = rng.standard_normal(2000)
-    buf = AudioBuffer(sig, 48000)
-    for taps in (64, 1023, 1025, 4096):
+    """The overlap-add convolution agrees with numpy's direct reference to
+    1e-12 of the peak on every channel: for short and long kernels, for
+    signals ending one sample before, on and one sample after a block
+    boundary, for a signal many blocks long, for one shorter than the
+    kernel, and it keeps (channels, 0) for an empty signal."""
+    for taps in (1, 64, 1023, 1025, 4096, 5119):
         kernel = rng.standard_normal(taps)
         ir = ImpulseResponse(AudioBuffer(kernel, 48000))
-        got = convolve(buf, ir).samples[0]
-        want = np.convolve(sig, kernel)
-        scale = np.max(np.abs(want))
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-9 * scale
+        step = _block_fft_size(taps) - taps + 1
+        lengths = [2 * step - 1, 2 * step, 2 * step + 1, 3 * step + 1, max(taps // 2, 1)]
+        if step < 5000:
+            lengths.append(20 * step + 17)
+        for n in lengths:
+            sig = rng.standard_normal((2, n))
+            got = convolve(AudioBuffer(sig, 48000), ir).samples
+            assert got.shape == (2, n + taps - 1)
+            for ch in range(2):
+                want = np.convolve(sig[ch], kernel)
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got[ch] - want)) <= 1e-12 * scale, (taps, n, ch)
+        empty = convolve(AudioBuffer(np.zeros((2, 0)), 48000), ir)
+        assert empty.samples.shape == (2, 0)
 
 
 def test_convolve_rejects_rate_mismatch():
