@@ -20,7 +20,6 @@ from .solver import (
     SolverConfig,
     anchor_target,
     initial_gains,
-    oracle_single_band,
     solve_front_gains,
     solve_gains,
 )
@@ -28,6 +27,7 @@ from .render import (
     DecorrelatorFilter,
     EqualisationDesign,
     RenderResult,
+    SupportChain,
     band_gain_eq,
     design_decorrelator,
     render,
@@ -74,12 +74,12 @@ __all__ = [
     "SolverConfig",
     "anchor_target",
     "initial_gains",
-    "oracle_single_band",
     "solve_front_gains",
     "solve_gains",
     "DecorrelatorFilter",
     "EqualisationDesign",
     "RenderResult",
+    "SupportChain",
     "band_gain_eq",
     "design_decorrelator",
     "render",

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 simulated deviation over the allowed maximum,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -48,6 +49,17 @@ def _bit_depth(text: str):
     if text == "float32":
         return text
     raise argparse.ArgumentTypeError("bit depth must be 16, 24 or float32")
+
+
+def _deviation_budget(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    # a NaN budget would pass every deviation: worst > nan is always false
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("expected a finite number >= 0, got %r" % text)
+    return value
 
 
 def cmd_synth_rir(args) -> int:
@@ -113,16 +125,7 @@ def cmd_design(args) -> int:
     run = load_config(args.config)
     rirs = run.load_rirs()
     spec = run.filterbank(rirs.sample_rate)
-    design = solve_design(
-        rirs,
-        spec,
-        run.target(),
-        run.solver(),
-        delay_ms=run.delay_ms,
-        decorrelator_len=run.decorrelator_len,
-        seed_left=run.seed_left,
-        seed_right=run.seed_right,
-    )
+    design = solve_design(rirs, spec, run.target, run.solver, run.chain)
     out = args.output or os.path.join(run.output_dir, "design.txt")
     parent = os.path.dirname(os.path.abspath(out))
     os.makedirs(parent, exist_ok=True)
@@ -315,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", choices=("left", "right"), help="simulate one channel only")
     p.add_argument(
         "--max-deviation-db",
-        type=float,
+        type=_deviation_budget,
         default=1.0,
         help="largest filled-band |deviation| that still exits 0",
     )

@@ -18,34 +18,28 @@ import os
 from dataclasses import dataclass, fields
 
 from .audio import ImpulseResponse, read_wav
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .gammatone import FilterbankSpec, make_spec
-from .render import (
-    DEFAULT_DECORRELATOR_LEN,
-    DEFAULT_DELAY_MS,
-    DEFAULT_SEED_LEFT,
-    DEFAULT_SEED_RIGHT,
-)
+from .render import SupportChain
 from .rirs import CHANNEL_NAMES, RirSet, average_pair
 from .solver import SolverConfig
 from .target import TargetFunction
 
 
-def _field_defaults(cls, omit=()) -> dict:
-    return {f.name: f.default for f in fields(cls) if f.name not in omit}
+# [target], [solver] and [render] are these dataclasses' own fields and
+# defaults, validated by their constructors; the target's offset_db is
+# solved, never configured.
+_SECTION_TYPES = {
+    "target": TargetFunction,
+    "solver": SolverConfig,
+    "render": SupportChain,
+}
 
-
-# [target] and [solver] are the dataclasses' own fields and defaults; the
-# target's offset_db is solved, never configured.
 _DEFAULTS = {
     "filterbank": {"f_low": 80.0, "f_high": 16000.0, "bands_per_erb": 1.0},
-    "target": _field_defaults(TargetFunction, omit=("offset_db",)),
-    "solver": _field_defaults(SolverConfig),
-    "render": {
-        "delay_ms": DEFAULT_DELAY_MS,
-        "decorrelator_len": DEFAULT_DECORRELATOR_LEN,
-        "seed_left": DEFAULT_SEED_LEFT,
-        "seed_right": DEFAULT_SEED_RIGHT,
+    **{
+        name: {f.name: f.default for f in fields(cls) if f.name != "offset_db"}
+        for name, cls in _SECTION_TYPES.items()
     },
 }
 
@@ -63,31 +57,14 @@ class RunConfig:
     f_low: float
     f_high: float
     bands_per_erb: float
-    slope_db: float
-    f_ref_low: float
-    f_ref_high: float
-    tolerance_db: float
-    max_iterations: int
-    damping: float
-    anchor_mode: str
-    delay_ms: float
-    decorrelator_len: int
-    seed_left: int
-    seed_right: int
+    target: TargetFunction
+    solver: SolverConfig
+    chain: SupportChain
 
     def filterbank(self, sample_rate: int) -> FilterbankSpec:
         return make_spec(
             sample_rate, self.f_low, self.f_high, bands_per_erb=self.bands_per_erb
         )
-
-    def _section(self, name: str) -> dict:
-        return {key: getattr(self, key) for key in _DEFAULTS[name]}
-
-    def target(self) -> TargetFunction:
-        return TargetFunction(**self._section("target"))
-
-    def solver(self) -> SolverConfig:
-        return SolverConfig(**self._section("solver"))
 
     def load_rirs(self) -> RirSet:
         """Read the configured WAVs, averaging microphone pairs."""
@@ -134,14 +111,18 @@ def load_config(path) -> RunConfig:
 
     values = {}
     for section, defaults in _DEFAULTS.items():
-        for key, default in defaults.items():
-            values[key] = default
+        values[section] = dict(defaults)
         if not parser.has_section(section):
             continue
         for key, raw in parser[section].items():
             if key not in defaults:
                 raise ConfigError("unknown key %r in section [%s]" % (key, section))
-            values[key] = _typed(section, key, raw, defaults[key])
+            values[section][key] = _typed(section, key, raw, defaults[key])
+    for section, cls in _SECTION_TYPES.items():
+        try:
+            values[section] = cls(**values[section])
+        except ContractError as exc:
+            raise ConfigError("[%s] %s" % (section, exc)) from None
 
     if not parser.has_section("io"):
         raise ConfigError("missing required section [io]")
@@ -175,5 +156,8 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         rir_paths=rir_paths,
         output_dir=resolve(io_sec.get("output_dir", ".")),
-        **values,
+        target=values["target"],
+        solver=values["solver"],
+        chain=values["render"],
+        **values["filterbank"],
     )

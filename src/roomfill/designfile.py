@@ -11,34 +11,50 @@ from __future__ import annotations
 
 import configparser
 import io
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import FormatError
 from .gammatone import make_spec
-from .render import EqualisationDesign
+from .render import EqualisationDesign, SupportChain
+from .rirs import CHANNEL_NAMES
 from .solver import G_MAX, BandGainSet, ChannelSolve
 from .target import TargetFunction
 
 FORMAT_VERSION = 1
 
+
+def _field_types(cls) -> dict:
+    return {f.name: type(f.default) for f in fields(cls)}
+
+
+# Every section of single values, key by key with the value's type: an
+# int is written with %d, a float with repr. [target] and [render] are the
+# TargetFunction and SupportChain fields, typed by their defaults.
+_SCALAR_SECTIONS = {
+    "design": {"format_version": int},
+    "filterbank": {
+        "sample_rate": int,
+        "f_low": float,
+        "f_high": float,
+        "bands_per_erb": float,
+        "order": int,
+    },
+    "target": _field_types(TargetFunction),
+    "render": _field_types(SupportChain),
+    "balance": dict.fromkeys(CHANNEL_NAMES, float),
+}
+
 _CHANNEL_SECTIONS = ("fill_left", "fill_right", "front_left", "front_right")
 
 _SECTION_KEYS = {
-    "design": ("format_version",),
-    "filterbank": ("sample_rate", "f_low", "f_high", "bands_per_erb", "order"),
-    "target": ("slope_db", "f_ref_low", "f_ref_high", "offset_db"),
-    "render": ("delay_ms", "decorrelator_len", "seed_left", "seed_right"),
-    "balance": ("primary_left", "primary_right", "support_left", "support_right"),
+    **_SCALAR_SECTIONS,
+    **dict.fromkeys(
+        _CHANNEL_SECTIONS,
+        ("offset_db", "converged", "iterations_used", "gains", "residual_db"),
+    ),
 }
-for _name in _CHANNEL_SECTIONS:
-    _SECTION_KEYS[_name] = (
-        "offset_db",
-        "converged",
-        "iterations_used",
-        "gains",
-        "residual_db",
-    )
 
 
 def _fmt(value) -> str:
@@ -47,6 +63,15 @@ def _fmt(value) -> str:
 
 def _fmt_list(values) -> str:
     return ", ".join(_fmt(v) for v in values)
+
+
+def _scalar_lines(name: str, source) -> list:
+    """[name] with each key's value taken from a dict or an object."""
+    lines = ["[%s]" % name]
+    for key, kind in _SCALAR_SECTIONS[name].items():
+        v = source[key] if isinstance(source, dict) else getattr(source, key)
+        lines.append("%s = %s" % (key, "%d" % v if kind is int else _fmt(v)))
+    return lines + [""]
 
 
 def _channel_lines(name: str, solve: ChannelSolve) -> list:
@@ -62,36 +87,15 @@ def _channel_lines(name: str, solve: ChannelSolve) -> list:
 
 
 def dumps_design(design: EqualisationDesign) -> str:
-    spec = design.spec
-    target = design.target
-    lines = [
-        "[design]",
-        "format_version = %d" % FORMAT_VERSION,
-        "",
-        "[filterbank]",
-        "sample_rate = %d" % spec.sample_rate,
-        "f_low = %s" % _fmt(spec.f_low),
-        "f_high = %s" % _fmt(spec.f_high),
-        "bands_per_erb = %s" % _fmt(spec.bands_per_erb),
-        "order = %d" % spec.order,
-        "",
-        "[target]",
-        "slope_db = %s" % _fmt(target.slope_db),
-        "f_ref_low = %s" % _fmt(target.f_ref_low),
-        "f_ref_high = %s" % _fmt(target.f_ref_high),
-        "offset_db = %s" % _fmt(target.offset_db),
-        "",
-        "[render]",
-        "delay_ms = %s" % _fmt(design.delay_ms),
-        "decorrelator_len = %d" % design.decorrelator_len,
-        "seed_left = %d" % design.seed_left,
-        "seed_right = %d" % design.seed_right,
-        "",
-        "[balance]",
-    ]
-    for name in ("primary_left", "primary_right", "support_left", "support_right"):
-        lines.append("%s = %s" % (name, _fmt(design.balance_gains[name])))
-    lines.append("")
+    lines = []
+    for name, source in (
+        ("design", {"format_version": FORMAT_VERSION}),
+        ("filterbank", design.spec),
+        ("target", design.target),
+        ("render", design.chain),
+        ("balance", design.balance_gains),
+    ):
+        lines += _scalar_lines(name, source)
     lines += _channel_lines("fill_left", design.gains.left)
     lines += _channel_lines("fill_right", design.gains.right)
     lines += _channel_lines("front_left", design.front_gains.left)
@@ -104,23 +108,46 @@ def save_design(design: EqualisationDesign, path) -> None:
         fh.write(dumps_design(design))
 
 
+def _floats(text: str) -> np.ndarray:
+    return np.array([float(v) for v in text.split(",")])
+
+
+def _parse(sec, key: str, convert):
+    """convert(sec[key]), or a FormatError naming the section and key."""
+    try:
+        return convert(sec[key])
+    except ValueError:
+        raise FormatError(
+            "[%s] %s: cannot parse %r" % (sec.name, key, sec[key])
+        ) from None
+
+
+def _parse_scalars(parser, name: str) -> dict:
+    sec = parser[name]
+    return {key: _parse(sec, key, kind) for key, kind in _SCALAR_SECTIONS[name].items()}
+
+
 def _parse_channel(parser, name: str, num_bands: int) -> ChannelSolve:
     sec = parser[name]
-    gains = np.array([float(v) for v in sec["gains"].split(",")])
-    residual = np.array([float(v) for v in sec["residual_db"].split(",")])
+    gains = _parse(sec, "gains", _floats)
+    residual = _parse(sec, "residual_db", _floats)
     if gains.size != num_bands or residual.size != num_bands:
         raise FormatError(
             "section [%s] carries %d gains for a %d band filterbank"
             % (name, gains.size, num_bands)
         )
+    # render would play these: a NaN gain writes NaN samples and a
+    # negative one inverts the band's polarity
+    if not np.all(np.isfinite(gains) & (gains >= 0)):
+        raise FormatError("[%s] gains: every gain must be finite and >= 0" % name)
     converged = sec["converged"].strip().lower()
     if converged not in ("yes", "no"):
         raise FormatError("converged must be yes or no, got %r" % sec["converged"])
     return ChannelSolve(
         gains=gains,
-        offset_db=float(sec["offset_db"]),
+        offset_db=_parse(sec, "offset_db", float),
         residual_db=residual,
-        iterations_used=int(sec["iterations_used"]),
+        iterations_used=_parse(sec, "iterations_used", int),
         converged=converged == "yes",
         capped_bands=tuple(int(i) for i in np.flatnonzero(gains >= G_MAX)),
     )
@@ -145,45 +172,32 @@ def loads_design(text: str) -> EqualisationDesign:
         if set(parser[name]) != set(keys):
             raise FormatError("unexpected keys in section [%s]" % name)
 
-    version = int(parser["design"]["format_version"])
+    version = _parse_scalars(parser, "design")["format_version"]
     if version != FORMAT_VERSION:
         raise FormatError(
             "design format_version %d is not supported (expected %d)"
             % (version, FORMAT_VERSION)
         )
+    balance = _parse_scalars(parser, "balance")
+    for name, gain in balance.items():
+        # a zero or negative trim would mute or invert a loudspeaker
+        if not (np.isfinite(gain) and gain > 0):
+            raise FormatError("[balance] %s: %r is not finite and > 0" % (name, gain))
 
-    fb = parser["filterbank"]
-    spec = make_spec(
-        int(fb["sample_rate"]),
-        float(fb["f_low"]),
-        float(fb["f_high"]),
-        bands_per_erb=float(fb["bands_per_erb"]),
-        order=int(fb["order"]),
-    )
-    tg = parser["target"]
-    target = TargetFunction(
-        slope_db=float(tg["slope_db"]),
-        f_ref_low=float(tg["f_ref_low"]),
-        f_ref_high=float(tg["f_ref_high"]),
-        offset_db=float(tg["offset_db"]),
-    )
+    spec = make_spec(**_parse_scalars(parser, "filterbank"))
     channels = {
         name: _parse_channel(parser, name, spec.num_bands)
         for name in _CHANNEL_SECTIONS
     }
-    rd = parser["render"]
     return EqualisationDesign(
         spec=spec,
         gains=BandGainSet(spec, channels["fill_left"], channels["fill_right"]),
         front_gains=BandGainSet(
             spec, channels["front_left"], channels["front_right"]
         ),
-        target=target,
-        balance_gains={k: float(v) for k, v in parser["balance"].items()},
-        delay_ms=float(rd["delay_ms"]),
-        decorrelator_len=int(rd["decorrelator_len"]),
-        seed_left=int(rd["seed_left"]),
-        seed_right=int(rd["seed_right"]),
+        target=TargetFunction(**_parse_scalars(parser, "target")),
+        balance_gains=balance,
+        chain=SupportChain(**_parse_scalars(parser, "render")),
     )
 
 

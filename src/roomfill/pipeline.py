@@ -9,16 +9,7 @@ from __future__ import annotations
 
 from .errors import ContractError
 from .gammatone import FilterbankSpec
-from .render import (
-    DEFAULT_DECORRELATOR_LEN,
-    DEFAULT_DELAY_MS,
-    DEFAULT_SEED_LEFT,
-    DEFAULT_SEED_RIGHT,
-    EqualisationDesign,
-    bulk_delay_samples,
-    check_chain,
-    design_decorrelator,
-)
+from .render import EqualisationDesign, SupportChain
 from .rirs import RirSet, balance_levels
 from .solver import BandGainSet, SolverConfig, solve_front_gains, solve_gains
 from .target import TargetFunction
@@ -29,37 +20,30 @@ def solve_design(
     spec: FilterbankSpec,
     target: TargetFunction,
     cfg: SolverConfig,
-    *,
-    delay_ms: float = DEFAULT_DELAY_MS,
-    decorrelator_len: int = DEFAULT_DECORRELATOR_LEN,
-    seed_left: int = DEFAULT_SEED_LEFT,
-    seed_right: int = DEFAULT_SEED_RIGHT,
+    chain: SupportChain = SupportChain(),
 ) -> EqualisationDesign:
     """Solve both channels against the target and assemble the design.
 
     Levels are balanced first and every solve runs on the balanced
     responses. The fill solve for each side measures through that side's
-    decorrelator and the rendering delay, so the solved gains describe
+    decorrelator and the bulk delay from `chain`, so the solved gains describe
     the playback chain, not an idealised one. The front-feed gains are
     solved as well so the design supports front_eq rendering without
     another measurement pass.
 
     Convergence is not required here; inspect the returned channel
-    solves. Unfillable bands raise from the solve itself; chain parameters
-    the design would reject raise before anything is solved.
+    solves. Unfillable bands raise from the solve itself.
     """
-    check_chain(delay_ms, decorrelator_len, seed_left, seed_right)
     if spec.sample_rate != rirs.sample_rate:
         raise ContractError(
             "filterbank sample rate %d does not match the responses (%d)"
             % (spec.sample_rate, rirs.sample_rate)
         )
     balanced = balance_levels(rirs)
-    extra_delay = bulk_delay_samples(delay_ms, rirs.sample_rate)
 
     fill = {}
     front = {}
-    for side, seed in (("left", seed_left), ("right", seed_right)):
+    for side in ("left", "right"):
         primary = balanced.balanced("primary_" + side)
         support = balanced.balanced("support_" + side)
         fill[side] = solve_gains(
@@ -68,8 +52,8 @@ def solve_design(
             target,
             spec,
             cfg,
-            decorrelator=design_decorrelator(decorrelator_len, seed),
-            extra_delay=extra_delay,
+            decorrelator=chain.decorrelator(side),
+            extra_delay=chain.delay_samples(rirs.sample_rate),
         )
         front[side] = solve_front_gains(primary, target, spec, cfg)
 
@@ -79,8 +63,5 @@ def solve_design(
         front_gains=BandGainSet(spec, front["left"], front["right"]),
         target=target,
         balance_gains=dict(balanced.balance_gains),
-        delay_ms=delay_ms,
-        decorrelator_len=decorrelator_len,
-        seed_left=seed_left,
-        seed_right=seed_right,
+        chain=chain,
     )

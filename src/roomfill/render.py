@@ -23,8 +23,7 @@ __all__ = [
     "EqualisationDesign",
     "RenderResult",
     "band_gain_eq",
-    "bulk_delay_samples",
-    "check_chain",
+    "SupportChain",
     "design_decorrelator",
     "render",
     "DELAY_RANGE_MS",
@@ -72,27 +71,6 @@ def _check_decorrelator_len(length: int) -> None:
         raise ContractError("decorrelator length must be a power of two >= 256")
 
 
-def check_chain(delay_ms: float, decorrelator_len: int, seed_left: int, seed_right: int) -> None:
-    """Reject supporting-chain parameters the design cannot play: a bulk
-    delay outside the precedence-effect window, one decorrelator seed for
-    both sides, or a decorrelator length design_decorrelator refuses."""
-    lo, hi = DELAY_RANGE_MS
-    if not lo <= delay_ms <= hi:
-        raise ContractError(
-            "delay_ms %.3f outside the precedence-effect window [%g, %g] ms"
-            % (delay_ms, lo, hi)
-        )
-    if seed_left == seed_right:
-        raise ContractError("left/right decorrelator seeds must differ")
-    _check_decorrelator_len(decorrelator_len)
-
-
-def bulk_delay_samples(delay_ms: float, sample_rate: int) -> int:
-    """The supporting chain's bulk delay in whole samples. The solve, the
-    renderer and the latency metadata all take it from here."""
-    return int(round(delay_ms * sample_rate / 1000.0))
-
-
 def design_decorrelator(length: int, seed: int) -> DecorrelatorFilter:
     """Build an all-pass FIR by inverse-transforming unit-magnitude bins
     with seeded uniform random phase in (-pi, pi].
@@ -110,6 +88,42 @@ def design_decorrelator(length: int, seed: int) -> DecorrelatorFilter:
     return DecorrelatorFilter(taps=taps, seed=int(seed))
 
 
+@dataclass(frozen=True)
+class SupportChain:
+    """The supporting path's playback parameters: a bulk delay inside the
+    precedence-effect window and one all-pass decorrelator per side.
+
+    A chain the design cannot play is rejected here: a delay outside
+    DELAY_RANGE_MS, one seed for both sides, or a decorrelator length
+    design_decorrelator refuses.
+    """
+
+    delay_ms: float = DEFAULT_DELAY_MS
+    decorrelator_len: int = DEFAULT_DECORRELATOR_LEN
+    seed_left: int = DEFAULT_SEED_LEFT
+    seed_right: int = DEFAULT_SEED_RIGHT
+
+    def __post_init__(self):
+        lo, hi = DELAY_RANGE_MS
+        if not lo <= self.delay_ms <= hi:
+            raise ContractError(
+                "delay_ms %.3f outside the precedence-effect window [%g, %g] ms"
+                % (self.delay_ms, lo, hi)
+            )
+        if self.seed_left == self.seed_right:
+            raise ContractError("left/right decorrelator seeds must differ")
+        _check_decorrelator_len(self.decorrelator_len)
+
+    def decorrelator(self, side: str) -> DecorrelatorFilter:
+        seed = self.seed_left if side == "left" else self.seed_right
+        return design_decorrelator(self.decorrelator_len, seed)
+
+    def delay_samples(self, sample_rate: int) -> int:
+        """The bulk delay in whole samples. The solve, the renderer and the
+        latency metadata all take it from here."""
+        return int(round(self.delay_ms * sample_rate / 1000.0))
+
+
 @dataclass
 class EqualisationDesign:
     """Everything a render needs: the bank, both gain sets, chain
@@ -120,13 +134,9 @@ class EqualisationDesign:
     front_gains: BandGainSet
     target: TargetFunction
     balance_gains: dict = field(default_factory=dict)
-    delay_ms: float = DEFAULT_DELAY_MS
-    decorrelator_len: int = DEFAULT_DECORRELATOR_LEN
-    seed_left: int = DEFAULT_SEED_LEFT
-    seed_right: int = DEFAULT_SEED_RIGHT
+    chain: SupportChain = SupportChain()
 
     def __post_init__(self):
-        check_chain(self.delay_ms, self.decorrelator_len, self.seed_left, self.seed_right)
         if not self.balance_gains:
             self.balance_gains = dict.fromkeys(CHANNEL_NAMES, 1.0)
 
@@ -135,11 +145,10 @@ class EqualisationDesign:
         return self.spec.sample_rate
 
     def decorrelator(self, side: str) -> DecorrelatorFilter:
-        seed = self.seed_left if side == "left" else self.seed_right
-        return design_decorrelator(self.decorrelator_len, seed)
+        return self.chain.decorrelator(side)
 
     def delay_samples(self) -> int:
-        return bulk_delay_samples(self.delay_ms, self.sample_rate)
+        return self.chain.delay_samples(self.sample_rate)
 
 
 @dataclass

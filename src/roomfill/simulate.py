@@ -310,7 +310,7 @@ def read_report(path) -> VerificationReport:
         header = fh.readline().strip()
         if header != REPORT_HEADER:
             raise ContractError("unrecognised report header: %r" % header)
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
@@ -318,7 +318,15 @@ def read_report(path) -> VerificationReport:
                 key, _, value = line.lstrip("# ").partition("=")
                 summary[key.strip()] = value.strip()
                 continue
-            rows.append([float(v) for v in line.split(",")])
+            try:
+                row = [float(v) for v in line.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != 6:
+                raise ContractError(
+                    "%s line %d is not six numbers: %r" % (path, number, line)
+                )
+            rows.append(row)
     data = np.array(rows, dtype=np.float64).reshape(len(rows), 6)
     try:
         max_dev = float(summary["max_abs_deviation_filled_bands_db"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from roomfill.gammatone import make_spec
 from roomfill.pipeline import solve_design
@@ -9,6 +10,11 @@ from roomfill.solver import SolverConfig
 from roomfill.target import TargetFunction
 
 NOTCH_1K = ("notch", 1000.0, 15.0, 3.0)
+
+# The same examples on every run, and no per-example time limit: a shared
+# CI runner's scheduling must not turn into a failure.
+settings.register_profile("roomfill", derandomize=True, deadline=None)
+settings.load_profile("roomfill")
 
 
 @pytest.fixture(scope="session")

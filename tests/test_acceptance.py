@@ -19,6 +19,7 @@ from roomfill.render import (
     DEFAULT_SEED_LEFT,
     DEFAULT_SEED_RIGHT,
     EqualisationDesign,
+    SupportChain,
     design_decorrelator,
     render,
 )
@@ -29,11 +30,12 @@ from roomfill.solver import (
     ChannelSolve,
     SolverConfig,
     anchor_target,
-    oracle_single_band,
     solve_gains,
 )
 from roomfill.target import TargetFunction, band_targets
 from roomfill.gammatone import band_energies
+
+from oracle import oracle_single_band
 
 RUN_INI = """[io]
 primary_left = pl.wav
@@ -199,7 +201,7 @@ def test_a05_support_onset_sits_at_10ms_and_delay_window_is_enforced():
                 gains=_unity_design(48000).gains,
                 front_gains=_unity_design(48000).front_gains,
                 target=TargetFunction(),
-                delay_ms=bad_ms,
+                chain=SupportChain(delay_ms=bad_ms),
             )
 
 

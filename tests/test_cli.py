@@ -8,9 +8,9 @@ from scipy.signal import lfilter
 from roomfill.audio import AudioBuffer, read_wav, write_wav
 from roomfill.cli import main
 from roomfill.designfile import load_design
-from roomfill.render import support_chain_latency
+from roomfill.render import SupportChain, support_chain_latency
 from roomfill.rirs import average_pair
-from roomfill.simulate import SyntheticRirParams, synth_rir
+from roomfill.simulate import REPORT_HEADER, SyntheticRirParams, synth_rir
 from roomfill.audio import ImpulseResponse
 
 RUN_INI = """[io]
@@ -109,6 +109,27 @@ def test_design_reruns_byte_identical(workspace, designed):
     assert again.read_bytes() == designed.read_bytes()
 
 
+def test_design_file_carries_configured_chain_and_target(workspace, tmp_path):
+    cfg = workspace / "chain.ini"
+    cfg.write_text(
+        RUN_INI
+        + "\n[render]\ndelay_ms = 12.5\ndecorrelator_len = 2048\n"
+        "seed_left = 7\nseed_right = 9\n\n[target]\nslope_db = 3.5\n"
+    )
+    out = tmp_path / "chain.txt"
+    assert main(["design", "--config", str(cfg), "-o", str(out)]) == 0
+    text = out.read_text()
+    assert (
+        "[render]\ndelay_ms = 12.5\ndecorrelator_len = 2048\nseed_left = 7\nseed_right = 9\n"
+    ) in text
+    assert "[target]\nslope_db = 3.5\n" in text
+    design = load_design(out)
+    assert design.chain == SupportChain(
+        delay_ms=12.5, decorrelator_len=2048, seed_left=7, seed_right=9
+    )
+    assert design.target.slope_db == 3.5
+
+
 def test_design_unknown_key_exits_2(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text(RUN_INI.replace("[io]", "[io]\n") + "\n[solver]\ndampening = 0.7\n")
@@ -172,6 +193,17 @@ def test_render_rejects_mono_input(workspace, designed, tmp_path, capsys):
     assert "stereo" in capsys.readouterr().err
 
 
+def test_render_rejects_unplayable_design_naming_key(designed, tmp_path, capsys):
+    bad = tmp_path / "inverted.txt"
+    bad.write_text(designed.read_text().replace("support_left = ", "support_left = -", 1))
+    stereo = tmp_path / "in.wav"
+    write_wav(stereo, AudioBuffer(np.zeros((2, 64)), 48000))
+    rc = main(["render", "--design", str(bad), "-i", str(stereo), "-o", str(tmp_path / "x.wav")])
+    assert rc == 2
+    assert "[balance] support_left" in capsys.readouterr().err
+    assert not (tmp_path / "x.wav").exists()
+
+
 def test_simulate_writes_per_channel_reports(workspace, designed, tmp_path, capsys):
     out = tmp_path / "rep.csv"
     rc = main(["simulate", "--design", str(designed),
@@ -197,6 +229,15 @@ def test_simulate_enforces_deviation_budget(workspace, designed, tmp_path, capsy
     assert "exceeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf", "-0.5", "loud"])
+def test_simulate_rejects_meaningless_deviation_budget(workspace, designed, tmp_path, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--design", str(designed),
+              "--config", str(workspace / "run.ini"),
+              "-o", str(tmp_path / "r.csv"), "--max-deviation-db", budget])
+    assert exc.value.code == 2
+
+
 def test_report_pretty_prints(workspace, designed, tmp_path, capsys):
     csv = tmp_path / "rep.csv"
     main(["simulate", "--design", str(designed),
@@ -209,6 +250,22 @@ def test_report_pretty_prints(workspace, designed, tmp_path, capsys):
     assert "f_c_hz" in out
     assert "max |deviation| over filled bands" in out
     assert "unfilled bands" in out
+
+
+@pytest.mark.parametrize(
+    "row", ["100,1,2,3,4,x", "100,1,2,3,4", "100,1,2,3,4,5,6"], ids=["text", "short", "long"]
+)
+def test_report_malformed_row_exits_2_naming_line(tmp_path, capsys, row):
+    csv = tmp_path / "bad.csv"
+    csv.write_text(
+        REPORT_HEADER + "\n80,1,2,3,4,5\n" + row + "\n"
+        "# max_abs_deviation_filled_bands_db = 5\n"
+        "# rms_deviation_db = 5\n"
+        "# unfilled_band_count = 0\n"
+    )
+    rc = main(["report", str(csv)])
+    assert rc == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from roomfill.audio import AudioBuffer, write_wav
+from roomfill.cli import main
 from roomfill.config import load_config
 from roomfill.errors import ConfigError
 
@@ -24,25 +25,44 @@ def test_defaults_fill_every_tunable(tmp_path):
     assert cfg.f_low == 80.0
     assert cfg.f_high == 16000.0
     assert cfg.bands_per_erb == 1.0
-    assert cfg.slope_db == 5.0
-    assert cfg.f_ref_low == 20.0
-    assert cfg.f_ref_high == 20000.0
-    assert cfg.tolerance_db == 0.5
-    assert cfg.max_iterations == 50
-    assert cfg.damping == 0.7
-    assert cfg.anchor_mode == "percentile-95"
-    assert cfg.delay_ms == 10.0
-    assert cfg.decorrelator_len == 1024
-    assert cfg.seed_left != cfg.seed_right
+    assert cfg.target.slope_db == 5.0
+    assert cfg.target.f_ref_low == 20.0
+    assert cfg.target.f_ref_high == 20000.0
+    assert cfg.solver.tolerance_db == 0.5
+    assert cfg.solver.max_iterations == 50
+    assert cfg.solver.damping == 0.7
+    assert cfg.solver.anchor_mode == "percentile-95"
+    assert cfg.chain.delay_ms == 10.0
+    assert cfg.chain.decorrelator_len == 1024
+    assert cfg.chain.seed_left != cfg.chain.seed_right
 
 
 def test_values_override_defaults(tmp_path):
     text = MINIMAL_IO + "\n[solver]\ntolerance_db = 0.25\nmax_iterations = 80\n"
     cfg = load_config(_write(tmp_path, text))
-    assert cfg.tolerance_db == 0.25
-    assert cfg.max_iterations == 80
-    assert cfg.damping == 0.7  # untouched default
-    assert cfg.solver().tolerance_db == 0.25
+    assert cfg.solver.tolerance_db == 0.25
+    assert cfg.solver.max_iterations == 80
+    assert cfg.solver.damping == 0.7  # untouched default
+
+
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        ("solver", "damping = 2"),
+        ("render", "delay_ms = 1"),
+        ("render", "seed_right = 5240"),
+        ("render", "decorrelator_len = 1000"),
+        ("target", "f_ref_low = 0"),
+    ],
+)
+def test_out_of_range_value_fails_at_load_for_every_command(tmp_path, capsys, section, line):
+    path = _write(tmp_path, MINIMAL_IO + "\n[%s]\n%s\n" % (section, line))
+    with pytest.raises(ConfigError, match=r"^\[%s\] " % section):
+        load_config(path)
+    # simulate reads the config before the design, and never solves
+    rc = main(["simulate", "--design", str(tmp_path / "none.txt"), "--config", str(path)])
+    assert rc == 2
+    assert "[%s]" % section in capsys.readouterr().err
 
 
 def test_unknown_section_is_fatal(tmp_path):
@@ -125,4 +145,4 @@ def test_filterbank_accessor_builds_spec(tmp_path):
     spec = cfg.filterbank(48000)
     assert spec.center_freqs[0] == 100.0
     assert spec.center_freqs[-1] <= 8000.0
-    assert cfg.target().slope_db == 5.0
+    assert cfg.target.slope_db == 5.0

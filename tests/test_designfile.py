@@ -1,8 +1,42 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from roomfill.designfile import dumps_design, load_design, loads_design, save_design
 from roomfill.errors import FormatError
+from roomfill.render import DELAY_RANGE_MS, EqualisationDesign, SupportChain
+from roomfill.rirs import CHANNEL_NAMES
+from roomfill.solver import G_MAX, BandGainSet, ChannelSolve
+from roomfill.target import TargetFunction
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SEEDS = st.integers(0, 2**63 - 1)
+
+
+@st.composite
+def chains(draw):
+    seed_left = draw(SEEDS)
+    return SupportChain(
+        delay_ms=draw(st.floats(*DELAY_RANGE_MS)),
+        decorrelator_len=2 ** draw(st.integers(8, 16)),
+        seed_left=seed_left,
+        seed_right=draw(SEEDS.filter(lambda s: s != seed_left)),
+    )
+
+
+@st.composite
+def targets(draw):
+    f_ref_low = draw(st.floats(1e-3, 1e5))
+    return TargetFunction(
+        slope_db=draw(FINITE),
+        f_ref_low=f_ref_low,
+        f_ref_high=draw(st.floats(f_ref_low, 1e6, exclude_min=True)),
+        offset_db=draw(FINITE),
+    )
 
 
 def test_save_load_round_trip(tmp_path, solved_design):
@@ -12,10 +46,7 @@ def test_save_load_round_trip(tmp_path, solved_design):
 
     assert back.spec == solved_design.spec
     assert back.target == solved_design.target
-    assert back.delay_ms == solved_design.delay_ms
-    assert back.decorrelator_len == solved_design.decorrelator_len
-    assert back.seed_left == solved_design.seed_left
-    assert back.seed_right == solved_design.seed_right
+    assert back.chain == solved_design.chain
     assert back.balance_gains == solved_design.balance_gains
     for side in ("left", "right"):
         got = getattr(back.gains, side)
@@ -72,3 +103,69 @@ def test_not_a_design_file_rejected():
         loads_design("just some prose, no sections at all")
     with pytest.raises(FormatError):
         loads_design("[design]\nformat_version = 1\n")  # sections missing
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("gains", "nan", "[fill_left] gains"),
+        ("gains", "inf", "[fill_left] gains"),
+        ("gains", "-0.5", "[fill_left] gains"),
+        ("gains", "abc", "[fill_left] gains"),
+        ("iterations_used", "x", "[fill_left] iterations_used"),
+        ("support_left", "-1.0", "[balance] support_left"),
+        ("support_left", "nan", "[balance] support_left"),
+        ("support_left", "0.0", "[balance] support_left"),
+        ("sample_rate", "48k", "[filterbank] sample_rate"),
+        ("decorrelator_len", "1024.5", "[render] decorrelator_len"),
+    ],
+)
+def test_unplayable_or_unparsable_value_rejected_naming_key(solved_design, key, value, named):
+    text = dumps_design(solved_design)
+    head, _, rest = text.partition("\n%s = " % key)
+    # a gain list keeps its other entries, so only the edited value is wrong
+    tail = rest[rest.index("," if key == "gains" else "\n") :]
+    with pytest.raises(FormatError, match=re.escape(named)):
+        loads_design("%s\n%s = %s%s" % (head, key, value, tail))
+
+
+@given(
+    data=st.data(),
+    chain=chains(),
+    target=targets(),
+    balance=st.lists(st.floats(1e-6, 1e6), min_size=4, max_size=4),
+)
+def test_round_trip_of_drawn_designs(spec48, data, chain, target, balance):
+    n = spec48.num_bands
+
+    def solve():
+        return ChannelSolve(
+            gains=data.draw(arrays(np.float64, n, elements=st.floats(0.0, G_MAX))),
+            offset_db=data.draw(FINITE),
+            residual_db=data.draw(arrays(np.float64, n, elements=FINITE)),
+            iterations_used=data.draw(st.integers(0, 10**6)),
+            converged=data.draw(st.booleans()),
+        )
+
+    solves = [solve() for _ in range(4)]
+    design = EqualisationDesign(
+        spec=spec48,
+        gains=BandGainSet(spec48, solves[0], solves[1]),
+        front_gains=BandGainSet(spec48, solves[2], solves[3]),
+        target=target,
+        balance_gains=dict(zip(CHANNEL_NAMES, balance)),
+        chain=chain,
+    )
+    text = dumps_design(design)
+    back = loads_design(text)
+    assert dumps_design(back) == text
+    assert back.chain == chain
+    assert back.target == target
+    assert back.balance_gains == design.balance_gains
+    loaded = (back.gains.left, back.gains.right, back.front_gains.left, back.front_gains.right)
+    for got, want in zip(loaded, solves):
+        assert np.array_equal(got.gains, want.gains)
+        assert np.array_equal(got.residual_db, want.residual_db)
+        assert got.offset_db == want.offset_db
+        assert got.iterations_used == want.iterations_used
+        assert got.converged == want.converged

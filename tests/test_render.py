@@ -13,6 +13,7 @@ from roomfill.render import (
     DEFAULT_SEED_RIGHT,
     RENDER_MODES,
     EqualisationDesign,
+    SupportChain,
     design_decorrelator,
     render,
     support_chain_latency,
@@ -86,14 +87,14 @@ def test_decorrelator_centroid_within_support():
 def test_design_validates_delay_window(spec48):
     for bad in (1.99, 50.01, 0.0):
         with pytest.raises(ContractError):
-            _design(spec48, delay_ms=bad)
-    _design(spec48, delay_ms=2.0)
-    _design(spec48, delay_ms=50.0)
+            _design(spec48, chain=SupportChain(delay_ms=bad))
+    _design(spec48, chain=SupportChain(delay_ms=2.0))
+    _design(spec48, chain=SupportChain(delay_ms=50.0))
 
 
 def test_design_rejects_equal_seeds(spec48):
     with pytest.raises(ContractError):
-        _design(spec48, seed_left=9, seed_right=9)
+        _design(spec48, chain=SupportChain(seed_left=9, seed_right=9))
 
 
 def test_solve_design_rejects_bad_chain_before_solving(monkeypatch, fixture_rirs, spec48):
@@ -105,7 +106,7 @@ def test_solve_design_rejects_bad_chain_before_solving(monkeypatch, fixture_rirs
     for bad in ({"delay_ms": 1.0}, {"seed_left": 9, "seed_right": 9}):
         with pytest.raises(ContractError):
             pipeline.solve_design(
-                fixture_rirs, spec48, TargetFunction(), SolverConfig(), **bad
+                fixture_rirs, spec48, TargetFunction(), SolverConfig(), SupportChain(**bad)
             )
 
 

@@ -9,7 +9,7 @@ from roomfill.audio import AudioBuffer, ImpulseResponse
 from roomfill.errors import ContractError
 from roomfill.gammatone import band_energies, erb_number
 from roomfill.pipeline import solve_design
-from roomfill.render import render
+from roomfill.render import SupportChain, render
 from roomfill.simulate import (
     FIXTURE_SUITE,
     REPORT_HEADER,
@@ -154,7 +154,11 @@ def test_odd_delay_simulates_to_the_solver_residual(fixture_rirs, spec48):
     bulk delay can differ by one sample; the solve must measure the delay
     that render plays."""
     design = solve_design(
-        fixture_rirs, spec48, TargetFunction(), SolverConfig(), delay_ms=20.96875
+        fixture_rirs,
+        spec48,
+        TargetFunction(),
+        SolverConfig(),
+        chain=SupportChain(delay_ms=20.96875),
     )
     for channel in ("left", "right"):
         report = simulate_total(design, fixture_rirs, channel)

@@ -14,12 +14,13 @@ from roomfill.solver import (
     _measure_total,
     anchor_target,
     initial_gains,
-    oracle_single_band,
     solve_front_gains,
     solve_gains,
 )
 from roomfill.simulate import SyntheticRirParams, synth_rir
 from roomfill.target import TargetFunction, band_targets
+
+from oracle import oracle_single_band
 
 
 def _short(seed, coloration=("none",)):
