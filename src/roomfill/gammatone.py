@@ -5,7 +5,8 @@ pole a = lambda * exp(i*2*pi*f_c/f_s). The cascade is peak-normalised to
 unity gain at f_c. Resynthesis delays, phase-rotates and weights the band
 signals so their summed real parts reconstruct a broadband impulse with a
 flat magnitude response. Band energies come from the cascade's closed-form
-response by Parseval, without running the filters.
+response by Parseval, and the resynthesis design from its closed-form
+impulse response, without running the filters.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.signal import lfilter
 from scipy.special import gammainccinv
 
 from .audio import AudioBuffer, ImpulseResponse
@@ -37,7 +37,7 @@ DESIGN_LEN = 16384
 #: Length of the FIR built by band_gain_eq; ~85 ms at 48 kHz, long enough
 #: for the lowest band's ringing to decay well below the energy tolerances.
 #: The bank is causal, so the first EQ_IR_LEN samples of the DESIGN_LEN
-#: impulse analysis are exactly the analysis of an EQ_IR_LEN impulse.
+#: impulse bands are exactly the impulse bands of an EQ_IR_LEN impulse.
 EQ_IR_LEN = 4096
 
 
@@ -190,17 +190,26 @@ def _pole_coefficients(spec: FilterbankSpec):
     return lam, theta, norm
 
 
+def _poles(spec: FilterbankSpec):
+    """Per-band complex pole, rounded once, and the peak-normalisation
+    factor: what analyze filters with."""
+    lam, theta, norm = _pole_coefficients(spec)
+    return lam * np.exp(1j * theta), norm
+
+
 def analyze(buffer: AudioBuffer, spec: FilterbankSpec) -> BandSignals:
     """Split a mono buffer into complex band signals (same length).
 
-    This is the time-domain filterbank. Band energies are measured in
-    closed form instead (see band_energies); this stays their reference.
+    This is the time-domain filterbank. Band energies and the impulse
+    bands of the resynthesis design are computed in closed form instead
+    (see band_energies and _impulse_bands); this stays their reference.
     """
+    from scipy.signal import lfilter
+
     if buffer.sample_rate != spec.sample_rate:
         raise ContractError("buffer/spec sample rate mismatch")
     x = buffer.mono.astype(np.complex128)
-    lam, theta, norm = _pole_coefficients(spec)
-    poles = lam * np.exp(1j * theta)
+    poles, norm = _poles(spec)
     out = np.empty((spec.num_bands, x.size), dtype=np.complex128)
     for b in range(spec.num_bands):
         y = x
@@ -209,6 +218,36 @@ def analyze(buffer: AudioBuffer, spec: FilterbankSpec) -> BandSignals:
             y = lfilter([1.0], den, y)
         out[b] = y * norm[b]
     return BandSignals(spec, out)
+
+
+def _impulse_bands(spec: FilterbankSpec, n: int) -> np.ndarray:
+    """analyze of an n-sample unit impulse, in closed form.
+
+    A cascade of `order` sections norm**(1/order) / (1 - p z^-1) has the
+    impulse response norm * C(t + order - 1, order - 1) * p**t (Hohmann
+    2002). p is the pole as analyze rounds it, so the two agree to a few
+    ulps of each band's peak; with the exact pole they would drift apart
+    by t ulps. Each sample depends on t alone, so the first k samples for
+    any n are the same numbers.
+    """
+    poles, norm = _poles(spec)
+    t = np.arange(n, dtype=np.float64)
+    binom = np.ones(n)
+    for j in range(1, spec.order):
+        binom = binom * (t + j) / j
+    return (norm[:, None] * binom) * np.exp(np.log(poles)[:, None] * t)
+
+
+def _refined_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-squares solution of a x = b for a tall, well-conditioned a:
+    the normal equations plus one step of iterative refinement (Bjorck
+    1996, section 2.9). The step takes the normal equations' error from
+    about cond(a)**2 ulps down to the cond(a) ulps an SVD solve reaches.
+    """
+    gram = a.T @ a
+    x = np.linalg.solve(gram, a.T @ b)
+    x += np.linalg.solve(gram, a.T @ (b - a @ x))
+    return x
 
 
 def _shift(row: np.ndarray, n: int) -> np.ndarray:
@@ -223,9 +262,9 @@ def _shift(row: np.ndarray, n: int) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _synthesis_design(spec: FilterbankSpec):
     """Per-band delay, phase and gain for resynthesis, the design's group
-    delay in samples, and two products of the same unit-impulse analysis:
-    its band energies and its first EQ_IR_LEN band samples, from which
-    band_gain_eq builds every EQ. Computed once per spec.
+    delay in samples, the band energies of a unit impulse and the first
+    EQ_IR_LEN samples of its impulse bands, from which band_gain_eq
+    builds every EQ. Computed once per spec.
 
     Delays pull each band's envelope maximum toward a common 4 ms
     latency; bands whose intrinsic peak falls later stay undelayed.
@@ -240,9 +279,7 @@ def _synthesis_design(spec: FilterbankSpec):
     fs = spec.sample_rate
     n_bands = spec.num_bands
     target_latency = int(round(ALIGN_LATENCY_S * fs))
-    imp = np.zeros(DESIGN_LEN)
-    imp[0] = 1.0
-    bands = analyze(AudioBuffer(imp, fs), spec).data
+    bands = _impulse_bands(spec, DESIGN_LEN)
     peaks = np.argmax(np.abs(bands), axis=1)
     delays = np.maximum(0, target_latency - peaks).astype(int)
 
@@ -302,7 +339,7 @@ def _synthesis_design(spec: FilterbankSpec):
             rhs = phase_target * w
             a_stack = np.concatenate([a_w.real, a_w.imag])
             b_stack = np.concatenate([rhs.real, rhs.imag])
-            gains, *_ = np.linalg.lstsq(a_stack, b_stack, rcond=None)
+            gains = _refined_lstsq(a_stack, b_stack)
         recon = np.einsum("b,bn->n", gains, (shifted * rot[:, None]).real)
         return phases, gains, int(np.argmax(np.abs(recon)))
 
@@ -315,6 +352,8 @@ def _synthesis_design(spec: FilterbankSpec):
         delays = np.where(movable, np.maximum(0, delays - miss), delays)
         phases, gains, latency = build(delays)
 
+    imp = np.zeros(DESIGN_LEN)
+    imp[0] = 1.0
     impulse_energies = _band_energies_array(imp, spec)
     eq_bands = bands[:, :EQ_IR_LEN].copy()
     for arr in (delays, phases, gains, impulse_energies, eq_bands):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .audio import AudioBuffer, ImpulseResponse
 from .errors import ContractError
@@ -122,6 +121,8 @@ def synth_rir(params: SyntheticRirParams) -> ImpulseResponse:
     a seeded Gaussian tail with exponential 60 dB decay at t60, the whole
     thing shaped by the coloration filter. Deterministic per seed.
     """
+    from scipy.signal import lfilter
+
     rate = params.sample_rate
     n = int(round(params.length_ms * rate / 1000.0))
     d = int(round(params.direct_delay_ms * rate / 1000.0))
@@ -303,7 +304,10 @@ def export_report(report: VerificationReport, path) -> None:
 def read_report(path) -> VerificationReport:
     """Parse a CSV written by export_report. The filled-band mask is not
     part of the format, so the summary figures are taken from the comment
-    lines rather than recomputed."""
+    lines rather than recomputed.
+
+    Every number must be finite, except that a level column may read
+    -inf: export_report writes that for a silent path."""
     rows = []
     summary = {}
     with open(path) as fh:
@@ -316,7 +320,7 @@ def read_report(path) -> VerificationReport:
                 continue
             if line.startswith("#"):
                 key, _, value = line.lstrip("# ").partition("=")
-                summary[key.strip()] = value.strip()
+                summary[key.strip()] = (value.strip(), number)
                 continue
             try:
                 row = [float(v) for v in line.split(",")]
@@ -326,14 +330,30 @@ def read_report(path) -> VerificationReport:
                 raise ContractError(
                     "%s line %d is not six numbers: %r" % (path, number, line)
                 )
+            cells = np.array(row)
+            bad = ~np.isfinite(cells)
+            bad[1:5] &= cells[1:5] != -np.inf
+            if bad.any():
+                raise ContractError(
+                    "%s line %d has a non-finite number: %r" % (path, number, line)
+                )
             rows.append(row)
     data = np.array(rows, dtype=np.float64).reshape(len(rows), 6)
-    try:
-        max_dev = float(summary["max_abs_deviation_filled_bands_db"])
-        rms = float(summary["rms_deviation_db"])
-        unfilled = int(summary["unfilled_band_count"])
-    except KeyError as exc:
-        raise ContractError("report is missing summary line %s" % exc)
+
+    def figure(key, parse):
+        if key not in summary:
+            raise ContractError("report is missing summary line '%s'" % key)
+        text, number = summary[key]
+        try:
+            value = parse(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ContractError(
+                "%s line %d: %s is not a finite number: %r" % (path, number, key, text)
+            )
+        return value
+
     return VerificationReport(
         center_freqs=data[:, 0],
         primary_db=data[:, 1],
@@ -341,8 +361,8 @@ def read_report(path) -> VerificationReport:
         total_db=data[:, 3],
         target_db=data[:, 4],
         deviation_db=data[:, 5],
-        max_abs_deviation_filled_bands_db=max_dev,
-        rms_deviation_db=rms,
-        unfilled_band_count=unfilled,
+        max_abs_deviation_filled_bands_db=figure("max_abs_deviation_filled_bands_db", float),
+        rms_deviation_db=figure("rms_deviation_db", float),
+        unfilled_band_count=figure("unfilled_band_count", int),
         filled=None,
     )

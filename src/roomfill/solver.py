@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .audio import ImpulseResponse
 from .errors import ContractError, UnfillableBandError
@@ -265,12 +264,10 @@ def solve_gains(
     """
     if primary_ir.sample_rate != support_ir.sample_rate:
         raise ContractError("primary/support sample rate mismatch")
-    chain_data = support_ir.data
-    if decorrelator is not None:
-        chain_data = fftconvolve(decorrelator.taps, chain_data)
-    if extra_delay:
-        chain_data = np.concatenate([np.zeros(extra_delay), chain_data])
-    meter = _chain_meter(spec, primary_ir.data.size, chain_data.size)
+    taps = np.ones(1) if decorrelator is None else decorrelator.taps
+    delayed = np.concatenate([np.zeros(extra_delay), support_ir.data])
+    meter = _chain_meter(spec, primary_ir.data.size, delayed.size + taps.size - 1)
+    chain = meter.spectrum(delayed) * meter.spectrum(taps)
     primary = meter.spectrum(primary_ir.data)
     primary_profile = meter.energies(primary)
     support_profile = meter.energies(meter.spectrum(support_ir.data))
@@ -280,7 +277,7 @@ def solve_gains(
     )
     return _solve(
         gains, spec, cfg, targets, offset_db,
-        primary, meter.spectrum(chain_data), meter, primary_profile, retire=True,
+        primary, chain, meter, primary_profile, retire=True,
     )
 
 

@@ -1,10 +1,13 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+import roomfill
 from roomfill.audio import AudioBuffer, read_wav, write_wav
 from roomfill.cli import main
 from roomfill.designfile import load_design
@@ -266,6 +269,101 @@ def test_report_malformed_row_exits_2_naming_line(tmp_path, capsys, row):
     rc = main(["report", str(csv)])
     assert rc == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def _report_text(row, **summary):
+    """A report with one good row, `row`, and the three summary lines,
+    any of them overridden by keyword."""
+    figures = {
+        "max_abs_deviation_filled_bands_db": "5",
+        "rms_deviation_db": "5",
+        "unfilled_band_count": "0",
+        **summary,
+    }
+    lines = [REPORT_HEADER, "80,1,2,3,4,5", row]
+    lines += ["# %s = %s" % item for item in figures.items()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["100,1,2,3,4,nan", "100,nan,2,3,4,5", "100,1,inf,3,4,5", "100,1,2,3,4,-inf", "inf,1,2,3,4,5"],
+    ids=["nan-deviation", "nan-level", "inf-level", "inf-deviation", "inf-frequency"],
+)
+def test_report_non_finite_row_exits_2_naming_line(tmp_path, capsys, row):
+    csv = tmp_path / "bad.csv"
+    csv.write_text(_report_text(row))
+    rc = main(["report", str(csv)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(csv) in err and "line 3" in err
+
+
+@pytest.mark.parametrize(
+    "key, value, line",
+    [
+        ("max_abs_deviation_filled_bands_db", "nan", 4),
+        ("rms_deviation_db", "inf", 5),
+        ("unfilled_band_count", "many", 6),
+    ],
+)
+def test_report_non_finite_summary_exits_2_naming_line(tmp_path, capsys, key, value, line):
+    csv = tmp_path / "bad.csv"
+    csv.write_text(_report_text("100,1,2,3,4,5", **{key: value}))
+    rc = main(["report", str(csv)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(csv) in err and "line %d" % line in err and key in err
+
+
+_PLAYBACK_PATH = """
+import sys
+import numpy as np
+import roomfill.cli
+from roomfill.audio import AudioBuffer, ImpulseResponse, read_wav
+from roomfill.gammatone import make_spec
+from roomfill.pipeline import solve_design
+from roomfill.render import render
+from roomfill.rirs import RirSet
+from roomfill.simulate import simulate_total
+from roomfill.solver import SolverConfig
+from roomfill.target import TargetFunction
+
+root = sys.argv[1]
+rirs = RirSet(**{
+    name: ImpulseResponse(read_wav("%s/%s.wav" % (root, name)))
+    for name in ("primary_left", "primary_right", "support_left", "support_right")
+})
+design = solve_design(rirs, make_spec(48000, 80.0, 16000.0), TargetFunction(), SolverConfig())
+for side in ("left", "right"):
+    simulate_total(design, rirs, side)
+programme = np.random.default_rng(1).standard_normal((2, 4800))
+for mode in ("proposed", "front_eq"):
+    render(AudioBuffer(programme, 48000), design, mode)
+print(sorted(m for m in sys.modules if m.startswith("scipy.signal")))
+"""
+
+
+def test_design_simulate_render_path_never_loads_scipy_signal(tmp_path):
+    """Importing scipy.signal takes about a second, so it stays off the
+    path every command runs: a fresh process that imports the CLI and
+    then solves, simulates and renders a small room has not loaded it."""
+    for name, seed in (("primary_left", 201), ("primary_right", 202),
+                       ("support_left", 203), ("support_right", 204)):
+        coloration = ("notch", 1000.0, 15.0, 3.0) if name.startswith("primary") else ("none",)
+        ir = synth_rir(SyntheticRirParams(
+            48000, 300.0, 100.0, direct_delay_ms=3.0, coloration=coloration, seed=seed,
+        ))
+        write_wav(tmp_path / ("%s.wav" % name), ir.buffer)
+    src = os.path.dirname(os.path.dirname(roomfill.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", _PLAYBACK_PATH, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

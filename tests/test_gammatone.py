@@ -6,7 +6,10 @@ from roomfill.errors import ContractError
 from roomfill.gammatone import (
     DESIGN_LEN,
     EQ_IR_LEN,
+    BandSignals,
     _band_energy_meter,
+    _impulse_bands,
+    _refined_lstsq,
     _ring_tail,
     analyze,
     band_energies,
@@ -191,13 +194,59 @@ def test_impulse_band_energies_reference(spec48):
 
 
 def test_eq_matches_fresh_impulse_resynthesis(spec48, rng):
-    """band_gain_eq reuses a prefix of the design's long impulse analysis;
-    it must equal resynthesising a fresh EQ_IR_LEN impulse exactly."""
-    bands = analyze(_impulse(EQ_IR_LEN), spec48)
+    """band_gain_eq reuses a prefix of the design's long impulse bands; it
+    must equal resynthesising the bands of a fresh EQ_IR_LEN impulse
+    exactly. test_closed_form_impulse_bands_match_analyze ties those bands
+    to the time-domain filterbank."""
+    bands = BandSignals(spec48, _impulse_bands(spec48, EQ_IR_LEN))
     for _ in range(3):
         g = rng.uniform(0.0, 3.0, size=37)
         slow = synthesize(bands.scaled(g)).mono
         assert np.array_equal(band_gain_eq(g, spec48).data, slow)
+
+
+@pytest.mark.parametrize("order", (1, 2, 3, 4))
+@pytest.mark.parametrize("rate", (44100, 48000, 96000))
+def test_closed_form_impulse_bands_match_analyze(rate, order):
+    """The design's impulse bands come from the cascade's closed form, not
+    from running it; the filterbank run over a unit impulse is their
+    reference. Orders 1-4 exercise the binomial factor."""
+    spec = make_spec(rate, 80.0, 16000.0, order=order)
+    fast = _impulse_bands(spec, DESIGN_LEN)
+    slow = analyze(_impulse(DESIGN_LEN, rate), spec).data
+    peak = np.abs(slow).max(axis=1)
+    assert np.all(np.abs(fast - slow).max(axis=1) <= 1e-14 * peak)
+
+
+def _tall_system(cond, seed, rows=4000, cols=37):
+    """A random rows x cols matrix with singular values spaced
+    geometrically from 1 down to 1/cond, and a right-hand side it fits to
+    within a 5% residual, as the resynthesis magnitude fit does."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+    a = (u * np.geomspace(1.0, 1.0 / cond, cols)) @ v.T
+    fit = a @ rng.standard_normal(cols)
+    noise = rng.standard_normal(rows)
+    return a, fit + 0.05 * noise * np.linalg.norm(fit) / np.linalg.norm(noise)
+
+
+@pytest.mark.parametrize("cond", (10, 100, 1000))
+def test_refined_normal_equations_match_svd_least_squares(cond):
+    for seed in range(3):
+        a, b = _tall_system(cond, seed)
+        want = np.linalg.lstsq(a, b, rcond=None)[0]
+        got = _refined_lstsq(a, b)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_normal_equations_need_the_refinement_step():
+    """Without its refinement step the normal-equation solve misses the
+    bound above at condition number 1000: its error grows as cond**2."""
+    a, b = _tall_system(1000, 0)
+    want = np.linalg.lstsq(a, b, rcond=None)[0]
+    plain = np.linalg.solve(a.T @ a, a.T @ b)
+    assert np.linalg.norm(plain - want) > 1e-12 * np.linalg.norm(want)
 
 
 def _energy_cases():

@@ -261,6 +261,26 @@ def test_empty_report_is_header_and_summary_only(tmp_path):
     assert back.max_abs_deviation_filled_bands_db == 0.0
 
 
+def test_report_with_silent_fill_path_round_trips(tmp_path):
+    """export_report writes -inf for a silent path's level; read_report
+    takes it back, though it rejects every other non-finite number."""
+    silent = VerificationReport.build(
+        center_freqs=[80.0, 100.0],
+        primary_db=[-3.0, -4.0],
+        fill_db=[-np.inf, -np.inf],
+        total_db=[-3.0, -4.0],
+        target_db=[-2.5, -4.5],
+        filled=[False, False],
+    )
+    path = tmp_path / "silent.csv"
+    export_report(silent, path)
+    assert "80,-3,-inf,-3,-2.5,-0.5" in path.read_text().splitlines()
+    back = read_report(path)
+    assert np.array_equal(back.fill_db, silent.fill_db)
+    assert np.array_equal(back.deviation_db, silent.deviation_db)
+    assert back.unfilled_band_count == 2
+
+
 def test_read_report_rejects_foreign_files(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("frequency,level\n100,-3\n")
