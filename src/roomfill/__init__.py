@@ -7,6 +7,7 @@ from .gammatone import (
     FilterbankSpec,
     analyze,
     band_energies,
+    band_gain_eq,
     erb_of,
     impulse_band_energies,
     make_spec,
@@ -28,7 +29,6 @@ from .render import (
     EqualisationDesign,
     RenderResult,
     SupportChain,
-    band_gain_eq,
     design_decorrelator,
     render,
 )
@@ -58,6 +58,7 @@ __all__ = [
     "FilterbankSpec",
     "analyze",
     "band_energies",
+    "band_gain_eq",
     "erb_of",
     "impulse_band_energies",
     "make_spec",
@@ -80,7 +81,6 @@ __all__ = [
     "EqualisationDesign",
     "RenderResult",
     "SupportChain",
-    "band_gain_eq",
     "design_decorrelator",
     "render",
     "FIXTURE_SUITE",

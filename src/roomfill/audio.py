@@ -268,8 +268,9 @@ def write_wav(path, buffer: AudioBuffer, bit_depth="float32") -> None:
         payload = quads[:, :3].tobytes()
         tag, bits = _WAVE_FORMAT_PCM, 24
     elif bit_depth == "float32":
-        # a byte view of the interleaved copy, not a second copy as bytes
-        payload = memoryview(np.ascontiguousarray(frames, dtype="<f4")).cast("B")
+        # a byte view of the interleaved copy, not a second copy as bytes;
+        # flat first, so that a buffer with no frames gives an empty view
+        payload = np.ascontiguousarray(frames, dtype="<f4").ravel().view(np.uint8)
         tag, bits = _WAVE_FORMAT_IEEE_FLOAT, 32
     else:
         raise ContractError("bit_depth must be 16, 24 or 'float32'")

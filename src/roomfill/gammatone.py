@@ -171,12 +171,6 @@ class BandSignals:
     def num_samples(self) -> int:
         return self.data.shape[1]
 
-    def scaled(self, gains) -> "BandSignals":
-        g = np.asarray(gains, dtype=np.float64)
-        if g.shape != (self.spec.num_bands,):
-            raise ContractError("need one gain per band")
-        return BandSignals(self.spec, self.data * g[:, np.newaxis])
-
 
 def _pole_coefficients(spec: FilterbankSpec):
     """Per-band pole radius lam and angle theta (the pole is
@@ -250,21 +244,28 @@ def _refined_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _shift(row: np.ndarray, n: int) -> np.ndarray:
-    """Right-shift by n >= 0 samples, zero fill, keep length."""
-    if n == 0:
-        return row
-    out = np.zeros_like(row)
-    out[n:] = row[: row.size - n]
-    return out
+def _add_band(out: np.ndarray, band: np.ndarray, delay: int, phase: float, gain: float) -> None:
+    """Add one band's share of the resynthesis to out: the complex band
+    signal delayed by `delay` samples (zero fill, same length), rotated by
+    `phase`, weighted by `gain`, real part. A band signal no longer than
+    its delay adds nothing."""
+    kept = band[: max(band.size - delay, 0)]
+    out[delay:] += gain * (kept * np.exp(1j * phase)).real
+
+
+#: What _synthesis_design computes once per spec; see there.
+_SynthesisDesign = namedtuple(
+    "_SynthesisDesign", "delays phases gains latency impulse_energies eq_basis"
+)
 
 
 @lru_cache(maxsize=16)
-def _synthesis_design(spec: FilterbankSpec):
+def _synthesis_design(spec: FilterbankSpec) -> _SynthesisDesign:
     """Per-band delay, phase and gain for resynthesis, the design's group
-    delay in samples, the band energies of a unit impulse and the first
-    EQ_IR_LEN samples of its impulse bands, from which band_gain_eq
-    builds every EQ. Computed once per spec.
+    delay in samples, the band energies of a unit impulse, and the EQ
+    basis: row k is the EQ_IR_LEN-tap resynthesis of a unit impulse's
+    band k alone, so band_gain_eq(g) is g @ eq_basis. Computed once per
+    spec.
 
     Delays pull each band's envelope maximum toward a common 4 ms
     latency; bands whose intrinsic peak falls later stay undelayed.
@@ -311,9 +312,9 @@ def _synthesis_design(spec: FilterbankSpec):
     base_w = 1.0 / np.sqrt(_ERB_SCALE * (_ERB_RATE * np.maximum(freqs[sel], 1.0) / 1000.0 + 1.0))
 
     def build(cur_delays):
-        shifted = np.empty_like(bands)
-        for b in range(n_bands):
-            shifted[b] = _shift(bands[b], int(cur_delays[b]))
+        shifted = np.zeros_like(bands)
+        for b, d in enumerate(cur_delays):
+            shifted[b, d:] = bands[b, : DESIGN_LEN - d]
         spectra = np.fft.fft(shifted, axis=1)[:, :half]
 
         phases = np.zeros(n_bands)
@@ -324,9 +325,9 @@ def _synthesis_design(spec: FilterbankSpec):
             )
             phases[i + 1] = phases[i] + step
 
-        rot = np.exp(1j * phases)
         # real-part synthesis response ~ half the analytic sum
-        a_mat = 0.5 * (spectra[:, sel] * rot[:, None]).T
+        a_mat = 0.5 * (spectra[:, sel] * np.exp(1j * phases)[:, None]).T
+        a_stack = np.concatenate([a_mat.real, a_mat.imag])
         gains = np.ones(n_bands)
         w = base_w
         for k in range(16):
@@ -334,13 +335,13 @@ def _synthesis_design(spec: FilterbankSpec):
             mag_err = np.abs(np.abs(resp) - 1.0)
             if k > 3:
                 w = base_w * (1.0 + 4.0 * mag_err / max(mag_err.max(), 1e-12))
-            phase_target = resp / np.maximum(np.abs(resp), 1e-12)
-            a_w = a_mat * w[:, None]
-            rhs = phase_target * w
-            a_stack = np.concatenate([a_w.real, a_w.imag])
-            b_stack = np.concatenate([rhs.real, rhs.imag])
-            gains = _refined_lstsq(a_stack, b_stack)
-        recon = np.einsum("b,bn->n", gains, (shifted * rot[:, None]).real)
+            rhs = resp / np.maximum(np.abs(resp), 1e-12) * w
+            # each weight scales the real and the imaginary row of its bin
+            rows_w = np.concatenate([w, w])[:, None]
+            gains = _refined_lstsq(a_stack * rows_w, np.concatenate([rhs.real, rhs.imag]))
+        recon = np.zeros(DESIGN_LEN)
+        for b, d in enumerate(cur_delays):
+            _add_band(recon, bands[b], d, phases[b], gains[b])
         return phases, gains, int(np.argmax(np.abs(recon)))
 
     phases, gains, latency = build(delays)
@@ -355,17 +356,19 @@ def _synthesis_design(spec: FilterbankSpec):
     imp = np.zeros(DESIGN_LEN)
     imp[0] = 1.0
     impulse_energies = _band_energies_array(imp, spec)
-    eq_bands = bands[:, :EQ_IR_LEN].copy()
-    for arr in (delays, phases, gains, impulse_energies, eq_bands):
+    eq_basis = np.zeros((n_bands, EQ_IR_LEN))
+    for b in range(n_bands):
+        _add_band(eq_basis[b], bands[b, :EQ_IR_LEN], delays[b], phases[b], gains[b])
+    for arr in (delays, phases, gains, impulse_energies, eq_basis):
         arr.setflags(write=False)
-    return delays, phases, gains, latency, impulse_energies, eq_bands
+    return _SynthesisDesign(delays, phases, gains, latency, impulse_energies, eq_basis)
 
 
 def synthesis_latency(spec: FilterbankSpec) -> int:
     """Group delay of the resynthesis chain in samples: where the
     reconstruction of a unit impulse peaks (the 4 ms alignment sample for
     workable specs)."""
-    return _synthesis_design(spec)[3]
+    return _synthesis_design(spec).latency
 
 
 def synthesize(bands: BandSignals) -> AudioBuffer:
@@ -374,11 +377,10 @@ def synthesize(bands: BandSignals) -> AudioBuffer:
     Applies the per-spec alignment delays, phase rotations and gain
     weights, then sums real parts. Output length equals input length.
     """
-    delays, phases, gains = _synthesis_design(bands.spec)[:3]
-    rot = np.exp(1j * phases)
+    design = _synthesis_design(bands.spec)
     out = np.zeros(bands.num_samples)
     for b in range(bands.spec.num_bands):
-        out += gains[b] * _shift((bands.data[b] * rot[b]).real, int(delays[b]))
+        _add_band(out, bands.data[b], design.delays[b], design.phases[b], design.gains[b])
     return AudioBuffer(out, bands.spec.sample_rate)
 
 
@@ -465,16 +467,18 @@ def _band_energies_array(x: np.ndarray, spec: FilterbankSpec) -> np.ndarray:
 def impulse_band_energies(spec: FilterbankSpec) -> np.ndarray:
     """Band energies of a unit impulse: the reference vector that anchors
     absolute target levels."""
-    return _synthesis_design(spec)[4].copy()
+    return _synthesis_design(spec).impulse_energies.copy()
 
 
 def band_gain_eq(gains, spec: FilterbankSpec) -> ImpulseResponse:
     """FIR equaliser (EQ_IR_LEN taps) that weights each band of the bank
     by a linear gain.
 
-    Built by resynthesising a gain-scaled analysed impulse, so unity gains
-    reproduce the bank's flat reconstruction (a delayed near-delta at the
-    alignment latency) and the EQ is linear in the gain vector.
+    The EQ is the resynthesis of a unit impulse's bands, each scaled by
+    its gain. That is linear in the gains, so it is g @ eq_basis, the
+    per-spec basis of one-band EQs (see _synthesis_design); synthesize
+    stays the reference. Unity gains reproduce the bank's flat
+    reconstruction, a delayed near-delta at the alignment latency.
     """
     g = np.asarray(gains, dtype=np.float64)
     if g.shape != (spec.num_bands,):
@@ -483,6 +487,5 @@ def band_gain_eq(gains, spec: FilterbankSpec) -> ImpulseResponse:
         )
     if np.any(g < 0):
         raise ContractError("band gains must be >= 0")
-    bands = BandSignals(spec, _synthesis_design(spec)[5])
-    out = synthesize(bands.scaled(g))
-    return ImpulseResponse(out, label="band-gain eq")
+    eq = g @ _synthesis_design(spec).eq_basis
+    return ImpulseResponse(AudioBuffer(eq, spec.sample_rate), label="band-gain eq")

@@ -22,7 +22,6 @@ __all__ = [
     "DecorrelatorFilter",
     "EqualisationDesign",
     "RenderResult",
-    "band_gain_eq",
     "SupportChain",
     "design_decorrelator",
     "render",

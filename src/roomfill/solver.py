@@ -160,15 +160,6 @@ def _solve(gains, spec, cfg, targets, offset_db, base, chain, meter, baseline, *
     leave the active set.
     """
     deficits = np.clip(targets - baseline, 0.0, None)
-    if not np.any(deficits > 0):
-        return ChannelSolve(
-            gains=np.zeros(spec.num_bands),
-            offset_db=offset_db,
-            residual_db=_profile_db(baseline) - _profile_db(targets),
-            iterations_used=0,
-            converged=True,
-        )
-
     gains0 = gains.copy()
     active = deficits > 0
     trace = []

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from roomfill.audio import (
+    FILE_SAMPLE_RATES,
     AudioBuffer,
     ImpulseResponse,
     _block_fft_size,
@@ -81,6 +85,35 @@ def test_read_wav_gives_channel_major_float64_rows(tmp_path, rng, bit_depth, qua
     else:
         want = np.round(data / quantum) * quantum
     assert np.array_equal(back, want)
+
+
+@given(
+    data=st.data(),
+    bit_depth=st.sampled_from((16, 24, "float32")),
+    rate=st.sampled_from(FILE_SAMPLE_RATES),
+    channels=st.integers(1, 8),
+    frames=st.integers(0, 2000),
+)
+def test_wav_round_trip_of_drawn_buffers(tmp_path_factory, data, bit_depth, rate, channels, frames):
+    """Any channel count and length, empty included, round-trips: float32
+    samples bit exactly, in-range PCM samples within half a quantum."""
+    shape = (channels, frames)
+    if bit_depth == "float32":
+        samples = data.draw(arrays(np.float32, shape, elements=st.floats(
+            allow_nan=False, allow_infinity=False, width=32))).astype(np.float64)
+    else:
+        full = 32768.0 if bit_depth == 16 else float(2 ** 23)
+        samples = data.draw(arrays(np.float64, shape, elements=st.floats(
+            -1.0, (full - 1.0) / full)))
+    path = tmp_path_factory.mktemp("wav") / "drawn.wav"
+    write_wav(path, AudioBuffer(samples, rate), bit_depth=bit_depth)
+    back = read_wav(path)
+    assert back.sample_rate == rate
+    assert back.samples.shape == shape
+    if bit_depth == "float32":
+        assert np.array_equal(back.samples, samples)
+    else:
+        assert np.all(np.abs(back.samples - samples) <= 0.5 / full)
 
 
 def test_clipping_warns(tmp_path):

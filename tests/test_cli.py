@@ -187,6 +187,20 @@ def test_render_writes_four_channels(workspace, designed, tmp_path, capsys):
     assert ("SL %d samples" % expected) in text
 
 
+@pytest.mark.parametrize("mode", ("stereo", "front_eq"))
+def test_render_of_empty_programme_writes_empty_float32_file(designed, tmp_path, mode):
+    """A 0-frame stereo programme renders to a 4-channel, 0-frame file in
+    the default float32 format."""
+    stereo = tmp_path / "empty.wav"
+    write_wav(stereo, AudioBuffer(np.zeros((2, 0)), 48000), bit_depth=16)
+    out = tmp_path / "out.wav"
+    rc = main(["render", "--design", str(designed), "-i", str(stereo), "-o", str(out),
+               "--mode", mode])
+    assert rc == 0
+    back = read_wav(out)
+    assert back.samples.shape == (4, 0)
+
+
 def test_render_rejects_mono_input(workspace, designed, tmp_path, capsys):
     mono = tmp_path / "mono.wav"
     write_wav(mono, AudioBuffer(np.zeros((1, 64)), 48000))

@@ -146,6 +146,17 @@ def test_reconstruction_peaks_at_alignment_latency(spec48):
     assert int(np.argmax(np.abs(rec))) == 192
 
 
+@pytest.mark.parametrize("n", (1, 60, 100, 175, 176, 400))
+def test_synthesize_of_short_bands_is_a_prefix(spec48, n):
+    """Resynthesis is causal: band signals of n samples give the first n
+    samples of the long signal's reconstruction, also where n is shorter
+    than some bands' alignment delays (up to 175 samples here)."""
+    rec = synthesize(analyze(_impulse(1000), spec48)).mono
+    short = synthesize(analyze(_impulse(n), spec48)).mono
+    assert short.size == n
+    assert np.max(np.abs(short - rec[:n]), initial=0.0) <= 1e-14 * np.max(np.abs(rec))
+
+
 def test_unity_eq_is_a_delayed_near_delta(spec48):
     eq = band_gain_eq(np.ones(37), spec48)
     assert eq.data.size == EQ_IR_LEN
@@ -194,15 +205,25 @@ def test_impulse_band_energies_reference(spec48):
 
 
 def test_eq_matches_fresh_impulse_resynthesis(spec48, rng):
-    """band_gain_eq reuses a prefix of the design's long impulse bands; it
-    must equal resynthesising the bands of a fresh EQ_IR_LEN impulse
-    exactly. test_closed_form_impulse_bands_match_analyze ties those bands
-    to the time-domain filterbank."""
-    bands = BandSignals(spec48, _impulse_bands(spec48, EQ_IR_LEN))
+    """band_gain_eq is a product with a basis built from a prefix of the
+    design's long impulse bands; it must equal resynthesising the bands of
+    a fresh EQ_IR_LEN impulse. Each one-band EQ, a row of the basis, is
+    equal exactly. Any other g sums 37 rows in another order than
+    synthesize does: the rows' absolute values add up to under twice the
+    EQ's peak, so the two agree within a few ulps of it.
+    test_closed_form_impulse_bands_match_analyze ties the bands to the
+    time-domain filterbank."""
+    fresh = _impulse_bands(spec48, EQ_IR_LEN)
+
+    def slow(g):
+        return synthesize(BandSignals(spec48, fresh * g[:, None])).mono
+
+    for g in np.eye(37):
+        assert np.array_equal(band_gain_eq(g, spec48).data, slow(g))
     for _ in range(3):
         g = rng.uniform(0.0, 3.0, size=37)
-        slow = synthesize(bands.scaled(g)).mono
-        assert np.array_equal(band_gain_eq(g, spec48).data, slow)
+        fast = band_gain_eq(g, spec48).data
+        assert np.max(np.abs(fast - slow(g))) <= 1e-14 * np.max(np.abs(fast))
 
 
 @pytest.mark.parametrize("order", (1, 2, 3, 4))

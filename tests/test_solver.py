@@ -86,6 +86,12 @@ def test_target_below_primary_needs_no_fill(spec48):
     assert solve.converged
     assert solve.iterations_used == 0
     assert np.all(solve.gains == 0.0)
+    assert solve.trace == ()
+    assert solve.capped_bands == ()
+    # with no fill the total is the primary alone
+    targets = band_targets(TargetFunction().with_offset(-100.0), spec48)
+    floor = 10.0 * np.log10(band_energies(primary, spec48) / targets)
+    assert np.max(np.abs(solve.residual_db - floor)) <= 1e-9
 
 
 def _single_band_case(f0, seed):
