@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import ClippingWarning, ContractError, FormatError
 
@@ -93,6 +92,21 @@ def delay(buffer: AudioBuffer, delay_ms: float) -> AudioBuffer:
     return AudioBuffer(out, buffer.sample_rate)
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= n (n >= 1): the next size a real
+    FFT transforms fast, as scipy.fft.next_fast_len(n, real=True) gives."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _block_fft_size(taps: int) -> int:
     """FFT size of convolve's overlap-add blocks: the next power of two at
     least 4 * taps, and at least 4096 so that a short kernel does not cost
@@ -108,7 +122,7 @@ def convolve(buffer: AudioBuffer, ir: ImpulseResponse) -> AudioBuffer:
     each block of nfft - len(ir) + 1 input samples is convolved by one
     nfft-point rfft/irfft pair, its tail overlapping the next block. nfft
     follows from the kernel length alone (_block_fft_size); a convolution
-    shorter than that is one block of next_fast_len(n + len(ir) - 1). It
+    shorter than that is one block of _next_fast_len(n + len(ir) - 1). It
     agrees with direct convolution within 1e-12 of the peak.
     """
     if buffer.sample_rate != ir.sample_rate:
@@ -123,12 +137,13 @@ def convolve(buffer: AudioBuffer, ir: ImpulseResponse) -> AudioBuffer:
     full = n + taps - 1
     nfft = _block_fft_size(taps)
     if full < nfft:  # the whole convolution fits in one shorter block
-        nfft = next_fast_len(full, real=True)
+        nfft = _next_fast_len(full)
     step = nfft - taps + 1
-    kernel = rfft(h, nfft)
+    kernel = np.fft.rfft(h, nfft)
     out = np.zeros((x.shape[0], full))
     for start in range(0, n, step):
-        block = irfft(rfft(x[:, start : start + step], nfft) * kernel, nfft)
+        spectrum = np.fft.rfft(x[:, start : start + step], nfft)
+        block = np.fft.irfft(spectrum * kernel, nfft)
         stop = min(start + nfft, full)
         out[:, start:stop] += block[:, : stop - start]
     return AudioBuffer(out, buffer.sample_rate)

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.special import gammainccinv
 
-from .audio import AudioBuffer, ImpulseResponse
+from .audio import AudioBuffer, ImpulseResponse, _next_fast_len
 from .errors import ContractError
 
 # Glasberg & Moore equivalent rectangular bandwidth constants.
@@ -390,18 +388,43 @@ def band_energies(ir: ImpulseResponse, spec: FilterbankSpec) -> np.ndarray:
     return _band_energies_array(ir.data, spec)
 
 
+def _gamma_upper_quantile(a: int, q: float) -> float:
+    """The x at which a gamma density of integer shape a >= 1 leaves
+    q < 1 of its mass above x: Q(a, x) = q, as
+    scipy.special.gammainccinv(a, q) gives.
+
+    For integer a, Q(a, x) = exp(-x) * s(x) with s(x) = sum_{k<a} x**k/k!,
+    so log Q has slope -(x**(a-1)/(a-1)!) / s(x). log Q is concave, so
+    Newton from x0 = a - ln q lands right of the root after one step and
+    then falls to it monotonically.
+    """
+    log_q = math.log(q)
+    x = a - log_q
+    for _ in range(100):
+        terms = [1.0]
+        for k in range(1, a):
+            terms.append(terms[-1] * x / k)
+        s = math.fsum(terms)
+        step = (math.log(s) - x - log_q) * s / terms[-1]
+        x += step
+        if abs(step) <= 1e-15 * x:
+            break
+    return x
+
+
 def _ring_tail(spec: FilterbankSpec) -> int:
     """Samples of zero padding after a signal that let the slowest band
     ring out: less than 1e-30 of its energy lies beyond them, so what
     wraps around a Parseval FFT stays below 1e-15 relative.
 
     The squared envelope n**(2*order-2) * lam**(2n) of a cascade is a
-    gamma density, so the tail is its upper quantile. DESIGN_LEN covers
-    44.1 and 48 kHz; higher rates need more.
+    gamma density, so the tail is its upper quantile
+    (_gamma_upper_quantile). DESIGN_LEN covers 44.1 and 48 kHz; higher
+    rates need more.
     """
     lam = _pole_coefficients(spec)[0]
     rate = -2.0 * math.log(float(lam.max()))
-    quantile = float(gammainccinv(2 * spec.order - 1, 1e-30))
+    quantile = _gamma_upper_quantile(2 * spec.order - 1, 1e-30)
     return max(DESIGN_LEN, math.ceil(quantile / rate))
 
 
@@ -424,7 +447,7 @@ def _band_energy_meter(spec: FilterbankSpec, n: int) -> _Meter:
     the meter. As m exceeds n, a product of spectra is the spectrum of a
     linear convolution of at most n samples, so chains need no convolving.
     """
-    m = next_fast_len(n + _ring_tail(spec), real=True)
+    m = _next_fast_len(n + _ring_tail(spec))
     lam, theta, norm = _pole_coefficients(spec)
     half_w = math.pi * np.arange(m // 2 + 1) / m
     sin_w, cos_w = np.sin(half_w), np.cos(half_w)

@@ -184,13 +184,13 @@ def render(buffer: AudioBuffer, design: EqualisationDesign, mode: str) -> Render
     """Render stereo input to the 4-channel (FL, FR, SL, SR) condition.
 
     Every output channel is silent or carries one (offset, samples) row
-    built from the same-side input, and the output is as long as the
-    longest row. stereo: the fronts carry the input, rears silent.
-    rear_stereo: the rears carry copies of the fronts. proposed: the
-    fronts carry the input bit-exact; each rear carries the input through
-    EQ and decorrelation, trimmed by its balance gain, at the bulk delay.
-    front_eq: the fronts carry the re-solved band EQ (times balance),
-    rears silent.
+    built from the same-side input, and the output ends where the last
+    non-empty row ends (0 frames for an empty input). stereo: the fronts
+    carry the input, rears silent. rear_stereo: the rears carry copies of
+    the fronts. proposed: the fronts carry the input bit-exact; each rear
+    carries the input through EQ and decorrelation, trimmed by its balance
+    gain, at the bulk delay. front_eq: the fronts carry the re-solved band
+    EQ (times balance), rears silent.
     """
     if buffer.num_channels != 2:
         raise ContractError("render input must be 2-channel stereo")
@@ -224,7 +224,9 @@ def render(buffer: AudioBuffer, design: EqualisationDesign, mode: str) -> Render
             rows[2 + i] = (design.delay_samples(), wet)
             latency[_OUTPUT_CHANNELS[2 + i]] = support_chain_latency(design, side)
 
-    out = np.zeros((len(_OUTPUT_CHANNELS), max(o + x.size for o, x in rows.values())))
+    # a row with no samples adds no frames, whatever its offset
+    frames = max((o + x.size for o, x in rows.values() if x.size), default=0)
+    out = np.zeros((len(_OUTPUT_CHANNELS), frames))
     for ch, (offset, x) in rows.items():
         out[ch, offset : offset + x.size] = x
     return RenderResult(

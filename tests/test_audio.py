@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.fft import next_fast_len
 
 from roomfill.audio import (
     FILE_SAMPLE_RATES,
     AudioBuffer,
     ImpulseResponse,
     _block_fft_size,
+    _next_fast_len,
     convolve,
     delay,
     read_wav,
@@ -199,6 +201,17 @@ def test_convolve_matches_direct_reference(rng):
                 assert np.max(np.abs(got[ch] - want)) <= 1e-12 * scale, (taps, n, ch)
         empty = convolve(AudioBuffer(np.zeros((2, 0)), 48000), ir)
         assert empty.samples.shape == (2, 0)
+
+
+def test_next_fast_len_is_scipys_real_fft_size():
+    """The FFT sizes convolve and the band-energy meter pick are the
+    2-3-5-smooth sizes scipy picks for real transforms, for every n up to
+    300,000 (more than 6 s of audio at 48 kHz)."""
+    first_miss = next(
+        (n for n in range(1, 300001) if _next_fast_len(n) != next_fast_len(n, real=True)),
+        None,
+    )
+    assert first_miss is None
 
 
 def test_convolve_rejects_rate_mismatch():

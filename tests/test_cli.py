@@ -187,7 +187,7 @@ def test_render_writes_four_channels(workspace, designed, tmp_path, capsys):
     assert ("SL %d samples" % expected) in text
 
 
-@pytest.mark.parametrize("mode", ("stereo", "front_eq"))
+@pytest.mark.parametrize("mode", ("stereo", "front_eq", "proposed"))
 def test_render_of_empty_programme_writes_empty_float32_file(designed, tmp_path, mode):
     """A 0-frame stereo programme renders to a 4-channel, 0-frame file in
     the default float32 format."""
@@ -330,7 +330,7 @@ def test_report_non_finite_summary_exits_2_naming_line(tmp_path, capsys, key, va
     assert str(csv) in err and "line %d" % line in err and key in err
 
 
-_PLAYBACK_PATH = """
+_PLAYBACK = """
 import sys
 import numpy as np
 import roomfill.cli
@@ -354,7 +354,19 @@ for side in ("left", "right"):
 programme = np.random.default_rng(1).standard_normal((2, 4800))
 for mode in ("proposed", "front_eq"):
     render(AudioBuffer(programme, 48000), design, mode)
-print(sorted(m for m in sys.modules if m.startswith("scipy.signal")))
+"""
+_PLAYBACK_PATH = _PLAYBACK + """print(sorted(m for m in sys.modules if m.startswith("scipy.signal")))
+"""
+
+# import, first use of the default 48 kHz spec, then the playback path
+_COLD_START = """
+import numpy as np
+import roomfill.cli
+from roomfill.gammatone import band_gain_eq, impulse_band_energies, make_spec
+spec = make_spec(48000, 80.0, 16000.0)
+impulse_band_energies(spec)
+band_gain_eq(np.ones(spec.num_bands), spec)
+""" + _PLAYBACK + """print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
 
 
@@ -374,6 +386,29 @@ def test_design_simulate_render_path_never_loads_scipy_signal(tmp_path):
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run(
         [sys.executable, "-c", _PLAYBACK_PATH, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_design_simulate_render_path_never_loads_scipy(tmp_path):
+    """roomfill needs scipy only for the reference filterbank and the
+    fixture generator, so a fresh process that imports the CLI, builds
+    the default bank, then solves, simulates and renders a small room has
+    loaded no scipy module at all."""
+    for name, seed in (("primary_left", 201), ("primary_right", 202),
+                       ("support_left", 203), ("support_right", 204)):
+        coloration = ("notch", 1000.0, 15.0, 3.0) if name.startswith("primary") else ("none",)
+        ir = synth_rir(SyntheticRirParams(
+            48000, 300.0, 100.0, direct_delay_ms=3.0, coloration=coloration, seed=seed,
+        ))
+        write_wav(tmp_path / ("%s.wav" % name), ir.buffer)
+    src = os.path.dirname(os.path.dirname(roomfill.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr

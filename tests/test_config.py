@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roomfill.audio import AudioBuffer, write_wav
 from roomfill.cli import main
-from roomfill.config import load_config
+from roomfill.config import _DEFAULTS, _IO_KEYS, load_config
 from roomfill.errors import ConfigError
 
 MINIMAL_IO = """[io]
@@ -74,6 +76,49 @@ def test_unknown_key_is_fatal_and_named(tmp_path):
     text = MINIMAL_IO + "\n[solver]\ntolerence_db = 0.5\n"
     with pytest.raises(ConfigError, match="tolerence_db"):
         load_config(_write(tmp_path, text))
+
+
+# a valid run.ini with every section present, one line per entry
+_FULL_CONFIG = {
+    "io": MINIMAL_IO.splitlines()[1:],
+    "filterbank": ["f_low = 80.0"],
+    "target": ["slope_db = 5.0"],
+    "solver": ["tolerance_db = 0.5"],
+    "render": ["delay_ms = 10.0"],
+}
+_KNOWN_KEYS = {"io": set(_IO_KEYS), **{name: set(keys) for name, keys in _DEFAULTS.items()}}
+
+
+@st.composite
+def _unknown_key(draw):
+    """A section and a key it does not know: often one that another
+    section knows, otherwise any INI-safe name, case kept."""
+    section = draw(st.sampled_from(sorted(_FULL_CONFIG)))
+    every_key = sorted(set().union(*_KNOWN_KEYS.values()))
+    key = draw(
+        st.one_of(
+            st.sampled_from(every_key),
+            st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,15}", fullmatch=True),
+        ).filter(lambda k: k not in _KNOWN_KEYS[section])
+    )
+    return section, key
+
+
+@settings(max_examples=60)
+@given(_unknown_key())
+def test_any_unknown_key_in_any_section_is_fatal_and_named(tmp_path_factory, drawn):
+    section, key = drawn
+    lines = []
+    for name, entries in _FULL_CONFIG.items():
+        lines.append("[%s]" % name)
+        lines.extend(entries)
+        if name == section:
+            lines.append("%s = 1" % key)
+    path = _write(tmp_path_factory.mktemp("fuzz"), "\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert repr(key) in str(err.value)
+    assert "[%s]" % section in str(err.value)
 
 
 def test_unknown_io_key_is_fatal(tmp_path):

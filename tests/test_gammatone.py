@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import gammainccinv
 
 from roomfill.audio import AudioBuffer, ImpulseResponse
 from roomfill.errors import ContractError
@@ -8,7 +11,9 @@ from roomfill.gammatone import (
     EQ_IR_LEN,
     BandSignals,
     _band_energy_meter,
+    _gamma_upper_quantile,
     _impulse_bands,
+    _pole_coefficients,
     _refined_lstsq,
     _ring_tail,
     analyze,
@@ -308,6 +313,30 @@ def test_ring_tail_lets_the_slowest_band_ring_out():
     energy = bands.real**2 + bands.imag**2
     past = energy[:, tail:].sum(axis=1) / energy.sum(axis=1)
     assert past.max() < 1e-30
+
+
+@pytest.mark.parametrize("a", range(1, 16))
+def test_gamma_upper_quantile_matches_scipy(a):
+    """The closed-form Newton quantile agrees with scipy's inverse of the
+    regularised upper incomplete gamma function to 1e-14 relative."""
+    for q in (1e-30, 1e-15, 1e-6, 0.01, 0.5, 0.9):
+        want = float(gammainccinv(a, q))
+        assert abs(_gamma_upper_quantile(a, q) - want) <= 1e-14 * want, q
+
+
+def test_ring_tail_matches_scipy_quantile():
+    """_ring_tail is unchanged from its scipy-based form on 162 specs:
+    three rates, orders 1-6, 1/2/3 bands per ERB and three f_low."""
+    for rate in (44100, 48000, 96000):
+        for order in range(1, 7):
+            for density in (1.0, 2.0, 3.0):
+                for f_low in (20.0, 80.0, 200.0):
+                    spec = make_spec(rate, f_low, 16000.0, density, order)
+                    lam = _pole_coefficients(spec)[0]
+                    rate_per_sample = -2.0 * math.log(float(lam.max()))
+                    quantile = float(gammainccinv(2 * order - 1, 1e-30))
+                    want = max(DESIGN_LEN, math.ceil(quantile / rate_per_sample))
+                    assert _ring_tail(spec) == want, (rate, order, density, f_low)
 
 
 def test_short_ir_band_energies_include_ringing(spec48):

@@ -251,6 +251,16 @@ def test_render_lengths_and_wet_channels(mode, rate, rng):
             close(out[i], balance["primary_" + side] * np.convolve(sig[i], eq))
 
 
+@pytest.mark.parametrize("rate", (44100, 48000))
+@pytest.mark.parametrize("mode", RENDER_MODES)
+def test_render_of_empty_programme_has_no_frames(mode, rate):
+    """A 0-frame programme renders to 0 frames in every mode: a row with
+    no samples adds no frames, the proposed rears' bulk delay included."""
+    design = _design(make_spec(rate, 80.0, 16000.0))
+    out = render(AudioBuffer(np.zeros((2, 0)), rate), design, mode).buffer
+    assert out.samples.shape == (4, 0)
+
+
 def test_render_input_validation(spec48):
     design = _design(spec48)
     with pytest.raises(ContractError):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 from roomfill.audio import AudioBuffer, ImpulseResponse
 from roomfill.errors import ContractError, UnfillableBandError
 from roomfill.gammatone import _ring_tail, analyze, band_energies, band_gain_eq, make_spec
 from roomfill.render import DEFAULT_DECORRELATOR_LEN, DEFAULT_SEED_LEFT, design_decorrelator
-from roomfill.rirs import balance_levels
+from roomfill.pipeline import solve_design
+from roomfill.rirs import RirSet, balance_levels
 from roomfill.solver import (
     G_MAX,
     SolverConfig,
@@ -165,6 +168,34 @@ def test_solve_is_scale_equivariant():
         offset_db=offset + 20.0 * np.log10(alpha),
     )
     assert np.allclose(scaled.gains, base.gains, rtol=1e-6)
+
+
+@settings(max_examples=5)
+@given(st.floats(min_value=-2.0, max_value=2.0).map(lambda e: 10.0**e))
+@example(1e-2)
+@example(1e2)
+def test_design_is_invariant_to_the_rooms_overall_level(fixture_rirs, spec48, solved_design, c):
+    """Scaling all four responses of the pinned room by c changes only
+    the anchor: the balance and band gains, every solve's iterations,
+    convergence and capped bands stay, and each anchor offset moves by
+    20 log10(c) dB."""
+    scaled = RirSet(**{
+        name: ImpulseResponse(AudioBuffer(ir.data * c, ir.sample_rate))
+        for name, ir in fixture_rirs.responses.items()
+    })
+    design = solve_design(scaled, spec48, TargetFunction(), SolverConfig())
+    for name, gain in solved_design.balance_gains.items():
+        assert design.balance_gains[name] == pytest.approx(gain, rel=1e-9, abs=0.0)
+    for group in ("gains", "front_gains"):
+        for side in ("left", "right"):
+            got = getattr(getattr(design, group), side)
+            want = getattr(getattr(solved_design, group), side)
+            assert np.allclose(got.gains, want.gains, rtol=1e-9, atol=0.0), (group, side)
+            assert got.iterations_used == want.iterations_used
+            assert got.converged == want.converged
+            assert got.capped_bands == want.capped_bands
+            shift = got.offset_db - want.offset_db
+            assert abs(shift - 20.0 * np.log10(c)) <= 1e-9, (group, side)
 
 
 def test_pinned_pair_fill_solve(solved_design):
