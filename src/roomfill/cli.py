@@ -175,8 +175,9 @@ def cmd_simulate(args) -> int:
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
 
     worst = 0.0
+    meters = {}
     for channel in channels:
-        report = simulate_total(design, rirs, channel)
+        report = simulate_total(design, rirs, channel, meters=meters)
         if len(channels) == 1:
             path = out
         else:

@@ -382,9 +382,20 @@ def synthesize(bands: BandSignals) -> AudioBuffer:
     return AudioBuffer(out, bands.spec.sample_rate)
 
 
+def _check_rate(ir: ImpulseResponse, spec: FilterbankSpec) -> None:
+    """Refuse a response at another rate than the bank's: its band
+    energies would be plausible numbers for the wrong frequencies."""
+    if ir.sample_rate != spec.sample_rate:
+        raise ContractError(
+            "response sample rate %d does not match the filterbank's (%d)"
+            % (ir.sample_rate, spec.sample_rate)
+        )
+
+
 def band_energies(ir: ImpulseResponse, spec: FilterbankSpec) -> np.ndarray:
     """Per-band energy (sum of squared magnitude) of an impulse response,
     including the bank's ringing past its last sample."""
+    _check_rate(ir, spec)
     return _band_energies_array(ir.data, spec)
 
 

@@ -41,6 +41,9 @@ def solve_design(
         )
     balanced = balance_levels(rirs)
 
+    # Left and right share each band-energy meter: the fill and the front
+    # solves need one size each when the sides' responses are equally long.
+    meters = {}
     fill = {}
     front = {}
     for side in ("left", "right"):
@@ -54,8 +57,9 @@ def solve_design(
             cfg,
             decorrelator=chain.decorrelator(side),
             extra_delay=chain.delay_samples(rirs.sample_rate),
+            meters=meters,
         )
-        front[side] = solve_front_gains(primary, target, spec, cfg)
+        front[side] = solve_front_gains(primary, target, spec, cfg, meters=meters)
 
     return EqualisationDesign(
         spec=spec,

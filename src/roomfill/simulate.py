@@ -224,7 +224,7 @@ def _db(x: np.ndarray) -> np.ndarray:
 
 
 def simulate_total(
-    design: EqualisationDesign, rirs: RirSet, channel: str
+    design: EqualisationDesign, rirs: RirSet, channel: str, *, meters: dict = None
 ) -> VerificationReport:
     """Push an impulse through one channel's proposed-mode chain, convolve
     the front path with the (balanced) primary response and the supporting
@@ -235,6 +235,11 @@ def simulate_total(
     The front feed is untouched by design, so the primary balance trim is
     applied on the acoustic side; the supporting feed already carries its
     trim digitally.
+
+    `meters` maps a size to the band-energy meter built for it on the
+    design's spec. Simulations of both channels can share it: a meter of
+    the size needed is taken from it, or built and added to it. Without
+    it the simulation builds its own.
     """
     if channel not in ("left", "right"):
         raise ContractError("channel must be 'left' or 'right'")
@@ -255,7 +260,11 @@ def simulate_total(
     solve = getattr(design.gains, channel)
 
     spec = design.spec
-    meter = _band_energy_meter(spec, front.size + max(primary.size, support.size) - 1)
+    n = front.size + max(primary.size, support.size) - 1
+    meters = {} if meters is None else meters
+    if n not in meters:
+        meters[n] = _band_energy_meter(spec, n)
+    meter = meters[n]
     primary_path = meter.spectrum(front) * meter.spectrum(primary)
     fill_path = meter.spectrum(rear) * meter.spectrum(support)
     e_primary = meter.energies(primary_path)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .audio import ImpulseResponse
 from .errors import ContractError, UnfillableBandError
-from .gammatone import EQ_IR_LEN, FilterbankSpec, _band_energy_meter, band_gain_eq
+from .gammatone import EQ_IR_LEN, FilterbankSpec, _band_energy_meter, _check_rate, band_gain_eq
 from .target import TargetFunction, band_targets
 
 #: Amplitude cap per band (20 dB); protects the supporting channel from
@@ -124,12 +124,19 @@ def initial_gains(
     return out
 
 
-def _chain_meter(spec, base_len, chain_len):
+def _chain_meter(spec, base_len, chain_len, meters=None):
     """Band-energy meter for one solve, sized so that the coherent total
     base + EQ * chain fits: the product of the EQ's and the chain's
     spectra is then the spectrum of their linear convolution. The
-    profiles are shorter and measure the same through it."""
-    return _band_energy_meter(spec, max(base_len, EQ_IR_LEN + chain_len - 1))
+    profiles are shorter and measure the same through it.
+
+    `meters` maps a size to the meter built for it on this spec; a meter
+    of the size needed is taken from it, or built and added to it."""
+    n = max(base_len, EQ_IR_LEN + chain_len - 1)
+    meters = {} if meters is None else meters
+    if n not in meters:
+        meters[n] = _band_energy_meter(spec, n)
+    return meters[n]
 
 
 def _measure_total(gains, spec, base, chain, meter):
@@ -232,6 +239,7 @@ def solve_gains(
     offset_db: float = None,
     decorrelator=None,
     extra_delay: int = 0,
+    meters: dict = None,
 ) -> ChannelSolve:
     """Iteratively refine band gains until the total response meets the
     per-band target.
@@ -252,12 +260,19 @@ def solve_gains(
     active set. On hitting max_iterations the best-so-far gains are
     returned flagged non-converged. Never raises for non-convergence;
     unfillable bands propagate from initial_gains.
+
+    `meters` is a dict of band-energy meters by size that solves on the
+    same spec share (see _chain_meter); without it the solve builds its
+    own.
     """
     if primary_ir.sample_rate != support_ir.sample_rate:
         raise ContractError("primary/support sample rate mismatch")
+    _check_rate(primary_ir, spec)
+    if extra_delay < 0:
+        raise ContractError("extra_delay must be >= 0 samples, got %d" % extra_delay)
     taps = np.ones(1) if decorrelator is None else decorrelator.taps
     delayed = np.concatenate([np.zeros(extra_delay), support_ir.data])
-    meter = _chain_meter(spec, primary_ir.data.size, delayed.size + taps.size - 1)
+    meter = _chain_meter(spec, primary_ir.data.size, delayed.size + taps.size - 1, meters)
     chain = meter.spectrum(delayed) * meter.spectrum(taps)
     primary = meter.spectrum(primary_ir.data)
     primary_profile = meter.energies(primary)
@@ -279,6 +294,7 @@ def solve_front_gains(
     cfg: SolverConfig,
     *,
     offset_db: float = None,
+    meters: dict = None,
 ) -> ChannelSolve:
     """Gain solve for the front-equalisation stimulus.
 
@@ -286,9 +302,10 @@ def solve_front_gains(
     quantity to match is the full per-band target, not a deficit on top
     of an untouched primary: achieved_b = band energy of EQ through the
     primary response, driven to T_b. Bands above target get cut (g < 1);
-    no band is ever muted.
+    no band is ever muted. `meters` is shared as in solve_gains.
     """
-    meter = _chain_meter(spec, 0, primary_ir.data.size)
+    _check_rate(primary_ir, spec)
+    meter = _chain_meter(spec, 0, primary_ir.data.size, meters)
     primary = meter.spectrum(primary_ir.data)
     primary_profile = meter.energies(primary)
     offset_db, targets = _anchored_targets(primary_profile, target, spec, cfg, offset_db)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -370,23 +371,35 @@ band_gain_eq(np.ones(spec.num_bands), spec)
 """
 
 
-def test_design_simulate_render_path_never_loads_scipy_signal(tmp_path):
-    """Importing scipy.signal takes about a second, so it stays off the
-    path every command runs: a fresh process that imports the CLI and
-    then solves, simulates and renders a small room has not loaded it."""
-    for name, seed in (("primary_left", 201), ("primary_right", 202),
-                       ("support_left", 203), ("support_right", 204)):
+_ROOM = ("primary_left", "primary_right", "support_left", "support_right")
+
+
+def _write_short_room(root):
+    """The pinned room cut to 0.3 s: notched primaries, flat supports."""
+    for name, seed in zip(_ROOM, (201, 202, 203, 204)):
         coloration = ("notch", 1000.0, 15.0, 3.0) if name.startswith("primary") else ("none",)
         ir = synth_rir(SyntheticRirParams(
             48000, 300.0, 100.0, direct_delay_ms=3.0, coloration=coloration, seed=seed,
         ))
-        write_wav(tmp_path / ("%s.wav" % name), ir.buffer)
+        write_wav(root / ("%s.wav" % name), ir.buffer)
+
+
+def _src_env():
+    """The environment with this tree's roomfill first on PYTHONPATH, for
+    fresh processes."""
     src = os.path.dirname(os.path.dirname(roomfill.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_design_simulate_render_path_never_loads_scipy_signal(tmp_path):
+    """Importing scipy.signal takes about a second, so it stays off the
+    path every command runs: a fresh process that imports the CLI and
+    then solves, simulates and renders a small room has not loaded it."""
+    _write_short_room(tmp_path)
     done = subprocess.run(
         [sys.executable, "-c", _PLAYBACK_PATH, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_src_env(), timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]"
@@ -397,22 +410,45 @@ def test_design_simulate_render_path_never_loads_scipy(tmp_path):
     fixture generator, so a fresh process that imports the CLI, builds
     the default bank, then solves, simulates and renders a small room has
     loaded no scipy module at all."""
-    for name, seed in (("primary_left", 201), ("primary_right", 202),
-                       ("support_left", 203), ("support_right", 204)):
-        coloration = ("notch", 1000.0, 15.0, 3.0) if name.startswith("primary") else ("none",)
-        ir = synth_rir(SyntheticRirParams(
-            48000, 300.0, 100.0, direct_delay_ms=3.0, coloration=coloration, seed=seed,
-        ))
-        write_wav(tmp_path / ("%s.wav" % name), ir.buffer)
-    src = os.path.dirname(os.path.dirname(roomfill.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    _write_short_room(tmp_path)
     done = subprocess.run(
         [sys.executable, "-c", _COLD_START, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_src_env(), timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+def _meter_builds(root, argv):
+    """Exit status and meter sizes of one command in a fresh process,
+    counted by meter_builds.py."""
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "meter_builds.py")
+    done = subprocess.run(
+        [sys.executable, script] + argv,
+        capture_output=True, text=True, env=_src_env(), timeout=120, cwd=root,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return result["exit"], result["builds"]
+
+
+def test_design_and_simulate_build_each_meter_once(tmp_path):
+    """Left and right share every band-energy meter of a command: a fresh
+    `design` builds one at the fill solves' size and one at the front
+    solves', and a fresh `simulate` one for both channels (4 and 2 when
+    every solve and simulation built its own)."""
+    _write_short_room(tmp_path)
+    (tmp_path / "run.ini").write_text(
+        "[io]\n" + "".join("%s = %s.wav\n" % (n, n) for n in _ROOM) + "output_dir = out\n"
+    )
+    status, sizes = _meter_builds(tmp_path, ["design", "--config", "run.ini"])
+    assert status in (0, 3)  # a best-effort design is written too
+    assert len(sizes) == len(set(sizes)) == 2
+    status, sizes = _meter_builds(
+        tmp_path, ["simulate", "--design", "out/design.txt", "--config", "run.ini"]
+    )
+    assert status == 0
+    assert len(sizes) == 1
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from scipy.signal import fftconvolve
 
 from roomfill.audio import AudioBuffer, ImpulseResponse
 from roomfill.errors import ContractError
-from roomfill.gammatone import band_energies, erb_number
+from roomfill.gammatone import band_energies, band_gain_eq, erb_number, impulse_band_energies
 from roomfill.pipeline import solve_design
 from roomfill.render import SupportChain, render
+from roomfill.rirs import RirSet
 from roomfill.simulate import (
     FIXTURE_SUITE,
     REPORT_HEADER,
@@ -217,6 +219,37 @@ def test_simulation_is_deterministic(solved_design, fixture_rirs):
     b = simulate_total(solved_design, fixture_rirs, "right")
     assert np.array_equal(a.total_db, b.total_db)
     assert np.array_equal(a.deviation_db, b.deviation_db)
+
+
+def test_no_meter_outlives_its_command(spec48):
+    """A band-energy meter's weights (about 5 MB here) are shared only
+    within one design or one pair of simulations and freed when it
+    returns: with the bank's first use done, solve_design and
+    simulate_total leave under 1 MB behind. A room length no other test
+    uses keeps a cache across calls from having been filled already."""
+    notch = ("notch", 1000.0, 15.0, 3.0)
+    rirs = RirSet(**{
+        name: synth_rir(_params(length_ms=320.0, t60_ms=100.0, seed=seed,
+                                coloration=notch if name.startswith("primary") else ("none",)))
+        for name, seed in (("primary_left", 91), ("primary_right", 92),
+                           ("support_left", 93), ("support_right", 94))
+    })
+    impulse_band_energies(spec48)
+    band_gain_eq(np.ones(spec48.num_bands), spec48)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        design = solve_design(rirs, spec48, TargetFunction(), SolverConfig())
+        designed = tracemalloc.get_traced_memory()[0]
+        meters = {}
+        reports = [simulate_total(design, rirs, side, meters=meters) for side in ("left", "right")]
+        del meters
+        simulated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert designed - start < 2**20
+    assert simulated - designed < 2**20
+    assert all(r.num_bands == spec48.num_bands for r in reports)
 
 
 def test_simulate_rejects_unknown_channel(solved_design, fixture_rirs):

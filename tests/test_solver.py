@@ -4,10 +4,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
+from roomfill import solver
 from roomfill.audio import AudioBuffer, ImpulseResponse
 from roomfill.errors import ContractError, UnfillableBandError
 from roomfill.gammatone import _ring_tail, analyze, band_energies, band_gain_eq, make_spec
-from roomfill.render import DEFAULT_DECORRELATOR_LEN, DEFAULT_SEED_LEFT, design_decorrelator
+from roomfill.render import (
+    DEFAULT_DECORRELATOR_LEN,
+    DEFAULT_SEED_LEFT,
+    SupportChain,
+    design_decorrelator,
+)
 from roomfill.pipeline import solve_design
 from roomfill.rirs import RirSet, balance_levels
 from roomfill.solver import (
@@ -295,3 +301,91 @@ def test_oracle_returns_zero_when_primary_suffices():
     support = _short(63)
     tiny_target = 0.5 * band_energies(primary, spec)[0]
     assert oracle_single_band(primary, support, tiny_target, 0, spec) == 0.0
+
+
+def _room_ir(seed, rate=48000, length_ms=300.0, coloration=("none",)):
+    # t60 100 ms, so 300 ms and up keep the whole decay tail
+    return synth_rir(
+        SyntheticRirParams(
+            rate, length_ms, 100.0, direct_delay_ms=2.0, coloration=coloration, seed=seed
+        )
+    )
+
+
+@pytest.mark.parametrize("measure", [
+    pytest.param(lambda p, s, spec: band_energies(p, spec), id="band_energies"),
+    pytest.param(
+        lambda p, s, spec: solve_gains(p, s, TargetFunction(), spec, SolverConfig()),
+        id="solve_gains",
+    ),
+    pytest.param(
+        lambda p, s, spec: solve_front_gains(p, TargetFunction(), spec, SolverConfig()),
+        id="solve_front_gains",
+    ),
+])
+def test_measuring_at_the_wrong_rate_is_refused(spec48, measure):
+    """44.1 kHz responses measured through the 48 kHz bank would give
+    plausible energies for the wrong frequencies (and solves that run to
+    their iteration cap), so each public measurement refuses them and
+    names both rates."""
+    primary = _room_ir(71, rate=44100)
+    support = _room_ir(72, rate=44100)
+    with pytest.raises(ContractError, match="44100.*48000"):
+        measure(primary, support, spec48)
+
+
+def test_negative_extra_delay_is_refused_before_any_work(spec48, monkeypatch):
+    def no_meter(spec, n):
+        raise AssertionError("a meter was built")
+
+    monkeypatch.setattr(solver, "_band_energy_meter", no_meter)
+    with pytest.raises(ContractError, match="extra_delay"):
+        solve_gains(
+            _short(73), _short(74), TargetFunction(), spec48, SolverConfig(),
+            extra_delay=-5,
+        )
+
+
+def _assert_same_solve(got, want):
+    assert np.array_equal(got.gains, want.gains)
+    assert np.array_equal(got.residual_db, want.residual_db)
+    assert (got.offset_db, got.iterations_used, got.converged) == (
+        want.offset_db, want.iterations_used, want.converged
+    )
+    assert (got.capped_bands, got.trace) == (want.capped_bands, want.trace)
+
+
+def test_design_shares_meters_by_size_only(spec48, monkeypatch):
+    """With 0.30 s responses on the left and 0.35 s on the right no two
+    solves need a meter of the same size, so solve_design builds four,
+    and each of its solves equals the same solve run on its own, bit for
+    bit."""
+    notch = ("notch", 1000.0, 15.0, 3.0)
+    rirs = RirSet(
+        primary_left=_room_ir(81, coloration=notch),
+        primary_right=_room_ir(82, length_ms=350.0, coloration=notch),
+        support_left=_room_ir(83),
+        support_right=_room_ir(84, length_ms=350.0),
+    )
+    target, cfg, chain = TargetFunction(), SolverConfig(), SupportChain()
+    sizes = []
+    build = solver._band_energy_meter
+
+    def counted(spec, n):
+        sizes.append(n)
+        return build(spec, n)
+
+    monkeypatch.setattr(solver, "_band_energy_meter", counted)
+    design = solve_design(rirs, spec48, target, cfg, chain)
+    assert len(sizes) == len(set(sizes)) == 4
+
+    balanced = balance_levels(rirs)
+    for side in ("left", "right"):
+        primary = balanced.balanced("primary_" + side)
+        fill = solve_gains(
+            primary, balanced.balanced("support_" + side), target, spec48, cfg,
+            decorrelator=chain.decorrelator(side), extra_delay=chain.delay_samples(48000),
+        )
+        _assert_same_solve(getattr(design.gains, side), fill)
+        front = solve_front_gains(primary, target, spec48, cfg)
+        _assert_same_solve(getattr(design.front_gains, side), front)
