@@ -5,7 +5,9 @@ endian, PCM 16 or 24 bit or IEEE float32, at 44.1 or 48 kHz.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -114,16 +116,54 @@ def _block_fft_size(taps: int) -> int:
     return 1 << (max(4 * taps, 4096) - 1).bit_length()
 
 
+class OverlapAdd:
+    """Sectioned overlap-add convolution (Stockham 1966) of signal rows
+    with fixed kernels, fed one block at a time.
+
+    kernels is (rows, taps): one kernel per signal row, or one row for all
+    rows. n, the signal length, fixes the blocks: each push takes `step`
+    samples per row (the last block may be shorter) through one nfft-point
+    rfft/irfft pair, nfft = _block_fft_size(taps), or a single block of
+    _next_fast_len(n + taps - 1) when the whole convolution fits in one
+    shorter block. Every output sample sums in the order a zeroed
+    accumulator would, so any block-by-block consumer gets exactly the
+    samples convolve returns.
+    """
+
+    def __init__(self, kernels: np.ndarray, n: int):
+        taps = kernels.shape[1]
+        full = n + taps - 1
+        nfft = _block_fft_size(taps)
+        if full < nfft:
+            nfft = _next_fast_len(full)
+        self._nfft = nfft
+        self.step = nfft - taps + 1
+        self._spectra = np.fft.rfft(kernels, nfft)
+        self._tail = None
+
+    def push(self, x: np.ndarray) -> np.ndarray:
+        """Convolve the next block, (rows, <= step), and return the step
+        output samples per row that it completes, as a fresh array."""
+        y = np.fft.irfft(np.fft.rfft(x, self._nfft) * self._spectra, self._nfft)
+        y += 0.0  # a zeroed accumulator's first sum turns -0.0 into +0.0
+        if self._tail is not None:
+            y[:, : self._tail.shape[1]] += self._tail
+        self._tail = y[:, self.step :]
+        return y[:, : self.step]
+
+    def flush(self) -> np.ndarray:
+        """The taps - 1 output samples per row past the last pushed block."""
+        return self._tail
+
+
 def convolve(buffer: AudioBuffer, ir: ImpulseResponse) -> AudioBuffer:
     """Full linear convolution of every channel with the impulse response.
 
-    Output length is n + len(ir) - 1 (0 for an empty signal or kernel).
-    Computed by overlap-add: the kernel's spectrum is taken once, and
-    each block of nfft - len(ir) + 1 input samples is convolved by one
-    nfft-point rfft/irfft pair, its tail overlapping the next block. nfft
-    follows from the kernel length alone (_block_fft_size); a convolution
-    shorter than that is one block of _next_fast_len(n + len(ir) - 1). It
-    agrees with direct convolution within 1e-12 of the peak.
+    Output length is n + len(ir) - 1 (0 for an empty signal or kernel),
+    collected from the blocks of an OverlapAdd: the kernel's spectrum is
+    taken once and each block of nfft - len(ir) + 1 input samples costs
+    one nfft-point rfft/irfft pair. It agrees with direct convolution
+    within 1e-12 of the peak.
     """
     if buffer.sample_rate != ir.sample_rate:
         raise ContractError(
@@ -135,17 +175,15 @@ def convolve(buffer: AudioBuffer, ir: ImpulseResponse) -> AudioBuffer:
     if n == 0 or taps == 0:
         return AudioBuffer(np.zeros((x.shape[0], 0)), buffer.sample_rate)
     full = n + taps - 1
-    nfft = _block_fft_size(taps)
-    if full < nfft:  # the whole convolution fits in one shorter block
-        nfft = _next_fast_len(full)
-    step = nfft - taps + 1
-    kernel = np.fft.rfft(h, nfft)
-    out = np.zeros((x.shape[0], full))
-    for start in range(0, n, step):
-        spectrum = np.fft.rfft(x[:, start : start + step], nfft)
-        block = np.fft.irfft(spectrum * kernel, nfft)
-        stop = min(start + nfft, full)
-        out[:, start:stop] += block[:, : stop - start]
+    ola = OverlapAdd(h[np.newaxis, :], n)
+    out = np.empty((x.shape[0], full))
+    pos = 0
+    for start in range(0, n, ola.step):
+        block = ola.push(x[:, start : start + ola.step])
+        m = min(ola.step, full - pos)
+        out[:, pos : pos + m] = block[:, :m]
+        pos += m
+    out[:, pos:] = ola.flush()[:, : full - pos]
     return AudioBuffer(out, buffer.sample_rate)
 
 
@@ -166,142 +204,275 @@ def _check_file_rate(rate: int) -> None:
         )
 
 
-def read_wav(path) -> AudioBuffer:
-    """Read a WAV file into a float64 buffer normalised to +-1.0 full scale.
+#: The largest RIFF chunk size: a WAV file holds at most 4 GiB.
+_RIFF_LIMIT = 0xFFFFFFFF
 
-    Accepts PCM 16/24 bit and IEEE float32 payloads. Integer samples are
-    scaled by 1/32768 resp. 1/2**23, so int16 value 32767 reads back as
-    32767/32768. Anything else (8 bit, a-law, ...) and NaN or infinite
-    float samples raise FormatError; a file that ends mid-chunk raises
-    OSError.
+#: (format tag, bits) -> sample dtype and integer full scale (None: float)
+_ENCODINGS = {
+    (_WAVE_FORMAT_PCM, 16): ("<i2", 32768.0),
+    (_WAVE_FORMAT_PCM, 24): (None, float(2 ** 23)),
+    (_WAVE_FORMAT_IEEE_FLOAT, 32): ("<f4", None),
+}
+
+_BIT_DEPTHS = {16: (_WAVE_FORMAT_PCM, 16), 24: (_WAVE_FORMAT_PCM, 24),
+               "float32": (_WAVE_FORMAT_IEEE_FLOAT, 32)}
+
+
+class WavReader:
+    """A WAV file opened for reading in blocks of frames.
+
+    The header is parsed once, seeking from chunk to chunk, so the order
+    of the chunks does not matter. Accepts PCM 16/24 bit and IEEE float32
+    payloads; anything else (8 bit, a-law, ...) raises FormatError, and a
+    chunk that runs past the end of the file raises OSError, before any
+    sample is read. read() scales integer samples by 1/32768 resp. 1/2**23
+    (int16 value 32767 reads back as 32767/32768) and raises FormatError
+    on NaN or infinite samples and OSError if the file ends early.
     """
-    with open(path, "rb") as fh:
+
+    def __init__(self, path):
+        self.path = path
+        self._fh = open(path, "rb")
+        try:
+            self._parse_header()
+        except BaseException:
+            self._fh.close()
+            raise
+        self._frames_read = 0
+
+    def _parse_header(self) -> None:
+        fh, path = self._fh, self.path
+        file_size = os.fstat(fh.fileno()).st_size
         header = fh.read(12)
         if len(header) < 12 or header[:4] != b"RIFF" or header[8:12] != b"WAVE":
             raise FormatError("%s is not a RIFF/WAVE file" % path)
 
         fmt = None
-        data = None
+        data = None  # (offset, size)
+        pos = 12
         while True:
+            fh.seek(pos)
             chunk_header = fh.read(8)
             if len(chunk_header) == 0:
                 break
             if len(chunk_header) < 8:
                 raise OSError("truncated chunk header in %s" % path)
             chunk_id, size = struct.unpack("<4sI", chunk_header)
-            payload = fh.read(size)
-            if len(payload) < size:
+            if pos + 8 + size > file_size:
                 raise OSError("truncated %r chunk in %s" % (chunk_id, path))
-            if size % 2:
-                fh.read(1)  # chunks are word aligned
             if chunk_id == b"fmt ":
-                fmt = payload
+                fmt = fh.read(size)
             elif chunk_id == b"data":
-                data = payload
+                data = (pos + 8, size)
+            pos += 8 + size + size % 2  # chunks are word aligned
 
-    if fmt is None or data is None:
-        raise FormatError("%s lacks fmt/data chunks" % path)
-    if len(fmt) < 16:
-        raise FormatError("fmt chunk too short in %s" % path)
+        if fmt is None or data is None:
+            raise FormatError("%s lacks fmt/data chunks" % path)
+        if len(fmt) < 16:
+            raise FormatError("fmt chunk too short in %s" % path)
 
-    (tag, channels, rate, _byte_rate, _block_align, bits) = struct.unpack(
-        "<HHIIHH", fmt[:16]
-    )
-    if tag == _WAVE_FORMAT_EXTENSIBLE:
-        if len(fmt) < 26:
-            raise FormatError("extensible fmt chunk too short in %s" % path)
-        tag = struct.unpack("<H", fmt[24:26])[0]
-
-    if channels < 1:
-        raise FormatError("zero channel count in %s" % path)
-    _check_file_rate(rate)
-
-    scale = None
-    if tag == _WAVE_FORMAT_PCM and bits == 16:
-        frames, scale = np.frombuffer(data, dtype="<i2"), 32768.0
-    elif tag == _WAVE_FORMAT_PCM and bits == 24:
-        raw = np.frombuffer(data, dtype=np.uint8)
-        if raw.size % 3:
-            raise OSError("24 bit payload not a whole number of samples in %s" % path)
-        triplets = raw.reshape(-1, 3)
-        quads = np.zeros((triplets.shape[0], 4), dtype=np.uint8)
-        quads[:, :3] = triplets
-        quads[:, 3] = np.where(triplets[:, 2] & 0x80, 0xFF, 0)
-        frames, scale = quads.view("<i4").ravel(), float(2 ** 23)
-    elif tag == _WAVE_FORMAT_IEEE_FLOAT and bits == 32:
-        frames = np.frombuffer(data, dtype="<f4")
-    else:
-        raise FormatError(
-            "unsupported encoding in %s: format tag %d, %d bits" % (path, tag, bits)
+        (tag, channels, rate, _byte_rate, _block_align, bits) = struct.unpack(
+            "<HHIIHH", fmt[:16]
         )
+        if tag == _WAVE_FORMAT_EXTENSIBLE:
+            if len(fmt) < 26:
+                raise FormatError("extensible fmt chunk too short in %s" % path)
+            tag = struct.unpack("<H", fmt[24:26])[0]
 
-    if frames.size % channels:
-        raise OSError("payload not a whole number of frames in %s" % path)
-    # one conversion straight into channel-major float64 rows
-    samples = frames.reshape(-1, channels).T.astype(np.float64, order="C")
-    if scale is not None:
-        samples /= scale
-    finite = np.isfinite(samples).all(axis=1)
-    if not finite.all():
-        raise FormatError(
-            "%s has non-finite samples in channel %d"
-            % (path, int(np.flatnonzero(~finite)[0]))
+        if channels < 1:
+            raise FormatError("zero channel count in %s" % path)
+        _check_file_rate(rate)
+        if (tag, bits) not in _ENCODINGS:
+            raise FormatError(
+                "unsupported encoding in %s: format tag %d, %d bits" % (path, tag, bits)
+            )
+        self._dtype, self._scale = _ENCODINGS[tag, bits]
+        self._block_align = channels * bits // 8
+        offset, size = data
+        if size % self._block_align:
+            raise OSError("payload not a whole number of frames in %s" % path)
+        self.num_channels = channels
+        self.sample_rate = rate
+        self.num_frames = size // self._block_align
+        fh.seek(offset)
+
+    def read(self, frames: int) -> np.ndarray:
+        """The next min(frames, frames left) frames as channel-major
+        float64 rows, shape (channels, m)."""
+        frames = min(frames, self.num_frames - self._frames_read)
+        raw = self._fh.read(frames * self._block_align)
+        if len(raw) < frames * self._block_align:
+            raise OSError("truncated %r chunk in %s" % (b"data", self.path))
+        if self._dtype is None:  # 24 bit: sign-extend each triplet to int32
+            triplets = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
+            quads = np.zeros((triplets.shape[0], 4), dtype=np.uint8)
+            quads[:, :3] = triplets
+            quads[:, 3] = np.where(triplets[:, 2] & 0x80, 0xFF, 0)
+            values = quads.view("<i4").ravel()
+        else:
+            values = np.frombuffer(raw, dtype=self._dtype)
+        # one conversion straight into channel-major float64 rows
+        samples = values.reshape(-1, self.num_channels).T.astype(np.float64, order="C")
+        if self._scale is not None:
+            samples /= self._scale
+        finite = np.isfinite(samples).all(axis=1)
+        if not finite.all():
+            raise FormatError(
+                "%s has non-finite samples in channel %d"
+                % (self.path, int(np.flatnonzero(~finite)[0]))
+            )
+        self._frames_read += frames
+        return samples
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+
+def read_wav(path) -> AudioBuffer:
+    """Read a WAV file into a float64 buffer normalised to +-1.0 full scale:
+    one WavReader block of every frame, with its formats and checks."""
+    with WavReader(path) as reader:
+        return AudioBuffer(reader.read(reader.num_frames), reader.sample_rate)
+
+
+def _encode(frames: np.ndarray, bits: int):
+    """(m, channels) float64 frames as WAV payload bytes (PCM 16 or 24 bit,
+    or float32 for 32), and whether any sample clipped."""
+    if bits == 32:
+        # a byte view of the interleaved copy, not a second copy as bytes;
+        # flat first, so that a block with no frames gives an empty view
+        return np.ascontiguousarray(frames, dtype="<f4").ravel().view(np.uint8), False
+    full = float(2 ** (bits - 1))
+    scaled = np.round(frames * full)
+    lo, hi = -full, full - 1.0
+    clipped = bool(np.any(scaled < lo) or np.any(scaled > hi))
+    if bits == 16:
+        return np.clip(scaled, lo, hi).astype("<i2").tobytes(), clipped
+    quads = np.clip(scaled, lo, hi).astype("<i4", order="C").view(np.uint8).reshape(-1, 4)
+    return quads[:, :3].tobytes(), clipped
+
+
+class WavWriter:
+    """A WAV file of `frames` frames, known in advance, written in blocks.
+
+    bit_depth is 16, 24 or "float32". Integer formats scale by 32768 resp.
+    2**23 and clip out-of-range samples to full scale, with one
+    ClippingWarning per file. float32 stores samples as they are (values
+    beyond +-1.0 survive, and any float32-precision buffer round-trips bit
+    exactly). An unsupported rate or bit depth, or a file past the 4 GiB a
+    WAV can describe, is refused before anything is created.
+
+    Used as a context manager: the blocks go to a temporary file beside
+    `path` that replaces it when the block exits cleanly with every frame
+    written, and is removed on any error, so `path` is never left holding
+    a partial file. A path that is not a regular file, a device or a
+    pipe, is written directly.
+    """
+
+    def __init__(self, path, sample_rate: int, channels: int, frames: int,
+                 bit_depth="float32"):
+        _check_file_rate(sample_rate)
+        if bit_depth not in _BIT_DEPTHS:
+            raise ContractError("bit_depth must be 16, 24 or 'float32'")
+        tag, bits = _BIT_DEPTHS[bit_depth]
+        block_align = channels * bits // 8
+        # the RIFF size counts "WAVE", the fmt chunk and the data chunk
+        # with its pad byte
+        limit = (_RIFF_LIMIT - 4 - (8 + 16) - 8 - 1) // block_align
+        if frames > limit:
+            raise FormatError(
+                "%s: %d frames of %d bytes pass the 4 GiB WAV limit of %d frames"
+                % (path, frames, block_align, limit)
+            )
+        data_size = frames * block_align
+        self.path = path
+        self.channels = channels
+        self.frames = frames
+        self._bits = bits
+        self._pad = b"\x00" if data_size % 2 else b""
+        fmt = struct.pack(
+            "<HHIIHH", tag, channels, sample_rate, sample_rate * block_align,
+            block_align, bits,
         )
-    return AudioBuffer(samples, rate)
+        riff_size = 4 + (8 + len(fmt)) + (8 + data_size + len(self._pad))
+        self._header = (
+            struct.pack("<4sI4s", b"RIFF", riff_size, b"WAVE")
+            + struct.pack("<4sI", b"fmt ", len(fmt)) + fmt
+            + struct.pack("<4sI", b"data", data_size)
+        )
+        self._fh = None
+        self._tmp = None
+        self._written = 0
+        self._clipped = False
+
+    def __enter__(self):
+        self._dest = os.path.realpath(self.path)
+        if os.path.exists(self._dest) and not os.path.isfile(self._dest):
+            self._fh = open(self._dest, "wb")
+        else:
+            self._tmp = "%s.%s.tmp" % (self._dest, os.urandom(4).hex())
+            self._fh = open(self._tmp, "xb")
+        try:
+            self._fh.write(self._header)
+        except BaseException:
+            self._discard()
+            raise
+        return self
+
+    def write(self, samples: np.ndarray) -> None:
+        """Append a (channels, m) block of float64 samples."""
+        if samples.shape[0] != self.channels:
+            raise ContractError(
+                "block has %d channels, the file %d" % (samples.shape[0], self.channels)
+            )
+        if self._written + samples.shape[1] > self.frames:
+            raise ContractError("more than the %d frames declared for %s" % (self.frames, self.path))
+        payload, clipped = _encode(samples.T, self._bits)  # interleave
+        self._clipped = self._clipped or clipped
+        self._fh.write(payload)
+        self._written += samples.shape[1]
+
+    def _discard(self) -> None:
+        self._fh.close()
+        if self._tmp is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(self._tmp)
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            self._discard()
+            return False
+        try:
+            if self._written != self.frames:
+                raise ContractError(
+                    "%d of the %d frames declared for %s were written"
+                    % (self._written, self.frames, self.path)
+                )
+            if self._clipped:
+                warnings.warn(
+                    "samples clipped to full scale writing %s" % self.path, ClippingWarning
+                )
+            self._fh.write(self._pad)
+            self._fh.close()
+            if self._tmp is not None:
+                os.replace(self._tmp, self._dest)
+        except BaseException:
+            self._discard()
+            raise
+        return False
 
 
 def write_wav(path, buffer: AudioBuffer, bit_depth="float32") -> None:
-    """Write a buffer as RIFF/WAVE. bit_depth is 16, 24 or "float32".
-
-    Integer formats scale by 32768 resp. 2**23 and clip out-of-range
-    samples to full scale with a ClippingWarning. float32 stores samples
-    as they are (values beyond +-1.0 survive, and any float32-precision
-    buffer round-trips bit exactly).
-    """
-    _check_file_rate(buffer.sample_rate)
-    frames = buffer.samples.T  # interleave
-
-    if bit_depth == 16:
-        scaled = np.round(frames * 32768.0)
-        lo, hi = -32768.0, 32767.0
-        if np.any(scaled < lo) or np.any(scaled > hi):
-            warnings.warn(
-                "samples clipped to full scale writing %s" % path, ClippingWarning
-            )
-        payload = np.clip(scaled, lo, hi).astype("<i2").tobytes()
-        tag, bits = _WAVE_FORMAT_PCM, 16
-    elif bit_depth == 24:
-        scaled = np.round(frames * float(2 ** 23))
-        lo, hi = -float(2 ** 23), float(2 ** 23 - 1)
-        if np.any(scaled < lo) or np.any(scaled > hi):
-            warnings.warn(
-                "samples clipped to full scale writing %s" % path, ClippingWarning
-            )
-        quads = (
-            np.clip(scaled, lo, hi).astype("<i4", order="C").view(np.uint8).reshape(-1, 4)
-        )
-        payload = quads[:, :3].tobytes()
-        tag, bits = _WAVE_FORMAT_PCM, 24
-    elif bit_depth == "float32":
-        # a byte view of the interleaved copy, not a second copy as bytes;
-        # flat first, so that a buffer with no frames gives an empty view
-        payload = np.ascontiguousarray(frames, dtype="<f4").ravel().view(np.uint8)
-        tag, bits = _WAVE_FORMAT_IEEE_FLOAT, 32
-    else:
-        raise ContractError("bit_depth must be 16, 24 or 'float32'")
-
-    channels = buffer.num_channels
-    block_align = channels * bits // 8
-    byte_rate = buffer.sample_rate * block_align
-    fmt = struct.pack(
-        "<HHIIHH", tag, channels, buffer.sample_rate, byte_rate, block_align, bits
-    )
-    pad = b"\x00" if len(payload) % 2 else b""
-    riff_size = 4 + (8 + len(fmt)) + (8 + len(payload) + len(pad))
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI4s", b"RIFF", riff_size, b"WAVE"))
-        fh.write(struct.pack("<4sI", b"fmt ", len(fmt)))
-        fh.write(fmt)
-        fh.write(struct.pack("<4sI", b"data", len(payload)))
-        fh.write(payload)
-        fh.write(pad)
+    """Write a buffer as RIFF/WAVE: one WavWriter block of every frame,
+    with its formats, clipping and checks."""
+    with WavWriter(
+        path, buffer.sample_rate, buffer.num_channels, buffer.num_samples, bit_depth
+    ) as writer:
+        writer.write(buffer.samples)

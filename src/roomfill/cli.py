@@ -17,12 +17,12 @@ import sys
 
 import numpy as np
 
-from .audio import ImpulseResponse, read_wav, write_wav
+from .audio import ImpulseResponse, WavReader, WavWriter, read_wav, write_wav
 from .config import load_config
 from .designfile import load_design, save_design
 from .errors import RoomfillError, UnfillableBandError
 from .pipeline import solve_design
-from .render import RENDER_MODES, render
+from .render import RENDER_MODES, RenderStream
 from .rirs import average_pair
 from .simulate import SyntheticRirParams, export_report, read_report, simulate_total, synth_rir
 
@@ -148,19 +148,24 @@ def cmd_design(args) -> int:
 
 def cmd_render(args) -> int:
     design = load_design(args.design)
-    buf = read_wav(args.input)
-    result = render(buf, design, args.mode)
-    write_wav(args.output, result.buffer, bit_depth=args.bit_depth)
-    rate = result.buffer.sample_rate
+    with WavReader(args.input) as reader:
+        stream = RenderStream(
+            design, args.mode, reader.num_channels, reader.num_frames, reader.sample_rate
+        )
+        chunks = (reader.read(stream.step) for _ in range(0, reader.num_frames, stream.step))
+        rate = reader.sample_rate
+        with WavWriter(args.output, rate, 4, stream.frames_out, args.bit_depth) as writer:
+            for block in stream.blocks(chunks):
+                writer.write(block)
     print(
         "wrote %s: 4 channels (FL FR SL SR), %d samples at %d Hz, mode %s"
-        % (args.output, result.buffer.num_samples, rate, result.mode)
+        % (args.output, stream.frames_out, rate, stream.mode)
     )
     print(
         "chain latency: "
         + ", ".join(
             "%s %d samples (%.1f ms)" % (ch, n, 1000.0 * n / rate)
-            for ch, n in result.latency_samples.items()
+            for ch, n in stream.latency_samples.items()
         )
     )
     return EXIT_OK

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioBuffer, ImpulseResponse, convolve
+from .audio import AudioBuffer, OverlapAdd
 from .errors import ContractError
 from .gammatone import FilterbankSpec, band_gain_eq, synthesis_latency
 from .rirs import CHANNEL_NAMES
@@ -22,6 +22,7 @@ __all__ = [
     "DecorrelatorFilter",
     "EqualisationDesign",
     "RenderResult",
+    "RenderStream",
     "SupportChain",
     "design_decorrelator",
     "render",
@@ -175,60 +176,121 @@ def support_chain_latency(design: EqualisationDesign, side: str) -> int:
     )
 
 
-def _through(x: np.ndarray, ir: ImpulseResponse, gain: float) -> np.ndarray:
-    """One input channel convolved with ir and scaled by a balance gain."""
-    return convolve(AudioBuffer(x, ir.sample_rate), ir).mono * gain
+#: Frames per block of a mode that convolves nothing (stereo, rear_stereo).
+_COPY_STEP = 1 << 15
+
+
+class RenderStream:
+    """One render of a stereo programme of `frames` frames, known in
+    advance, to the 4-channel (FL, FR, SL, SR) condition, produced block
+    by block so that no whole row is ever held.
+
+    Every output channel is silent or carries one row built from the
+    same-side input, and the output ends where the last non-empty row ends
+    (0 frames for an empty input). stereo: the fronts carry the input,
+    rears silent. rear_stereo: the rears carry copies of the fronts.
+    proposed: the fronts carry the input bit-exact; each rear carries the
+    input through EQ and decorrelation, trimmed by its balance gain, at the
+    bulk delay. front_eq: the fronts carry the re-solved band EQ (times
+    balance), rears silent.
+
+    The input goes in as consecutive blocks of `step` frames (the last may
+    be shorter): the convolution's own block, both sides through one
+    OverlapAdd, or _COPY_STEP for a mode without a kernel. `frames_out` is
+    the output length and `latency_samples` the per-channel chain latency.
+    """
+
+    def __init__(self, design: EqualisationDesign, mode: str, channels: int,
+                 frames: int, sample_rate: int):
+        if channels != 2:
+            raise ContractError("render input must be 2-channel stereo")
+        if sample_rate != design.sample_rate:
+            raise ContractError(
+                "input rate %d does not match design rate %d"
+                % (sample_rate, design.sample_rate)
+            )
+        if mode not in RENDER_MODES:
+            raise ContractError("mode must be one of %s" % (RENDER_MODES,))
+        self.mode = mode
+        self.latency_samples = dict.fromkeys(_OUTPUT_CHANNELS, 0)
+        self._delay = 0
+        self._ola = None
+        kernels = None
+        sides = ("left", "right")
+        if mode == "front_eq":
+            kernels = [
+                band_gain_eq(getattr(design.front_gains, side).gains, design.spec).data
+                for side in sides
+            ]
+            gains = [design.balance_gains["primary_" + side] for side in sides]
+            for ch in _OUTPUT_CHANNELS[:2]:
+                self.latency_samples[ch] = synthesis_latency(design.spec)
+        elif mode == "proposed":
+            kernels = [_support_chain_kernel(design, side) for side in sides]
+            gains = [design.balance_gains["support_" + side] for side in sides]
+            self._delay = design.delay_samples()
+            for ch, side in zip(_OUTPUT_CHANNELS[2:], sides):
+                self.latency_samples[ch] = support_chain_latency(design, side)
+        self.frames_out = frames
+        self.step = _COPY_STEP
+        if kernels is not None:
+            self._ola = OverlapAdd(np.array(kernels), frames)
+            self._gains = np.array(gains)[:, np.newaxis]
+            self.step = self._ola.step
+            if frames:  # a row with no samples adds no frames, whatever its offset
+                self.frames_out = self._delay + frames + len(kernels[0]) - 1
+        self._line = np.zeros((2, self._delay))  # the rears' bulk delay
+
+    def blocks(self, chunks):
+        """Render the input, given as an iterable of (2, step) float64
+        blocks, and yield the output as (4, m) float64 blocks: one per input
+        block, then one for what the kernels and the delay leave past it.
+        A stream renders its programme once."""
+        start = 0
+        for x in chunks:
+            wet = None
+            if self._ola is not None:
+                wet = self._ola.push(x)
+                wet *= self._gains
+            yield self._output(x, wet, min(self.step, self.frames_out - start))
+            start += self.step
+        if start < self.frames_out:
+            wet = self._ola.flush()
+            wet *= self._gains
+            yield self._output(None, wet, self.frames_out - start)
+
+    def _output(self, dry, wet, m):
+        """The next m output frames, from the input block `dry` and the
+        processed block `wet` (None where there is none)."""
+        out = np.zeros((len(_OUTPUT_CHANNELS), m))
+        fronts = wet if self.mode == "front_eq" else dry
+        if fronts is not None:
+            width = min(m, fronts.shape[1])
+            out[:2, :width] = fronts[:, :width]
+        if self.mode == "rear_stereo":
+            out[2:] = out[:2]
+        elif self.mode == "proposed":
+            self._line = np.concatenate((self._line, wet), axis=1)
+            width = min(m, self._line.shape[1])
+            out[2:, :width] = self._line[:, :width]
+            self._line = self._line[:, width:]
+        return out
 
 
 def render(buffer: AudioBuffer, design: EqualisationDesign, mode: str) -> RenderResult:
-    """Render stereo input to the 4-channel (FL, FR, SL, SR) condition.
-
-    Every output channel is silent or carries one (offset, samples) row
-    built from the same-side input, and the output ends where the last
-    non-empty row ends (0 frames for an empty input). stereo: the fronts
-    carry the input, rears silent. rear_stereo: the rears carry copies of
-    the fronts. proposed: the fronts carry the input bit-exact; each rear
-    carries the input through EQ and decorrelation, trimmed by its balance
-    gain, at the bulk delay. front_eq: the fronts carry the re-solved band
-    EQ (times balance), rears silent.
-    """
-    if buffer.num_channels != 2:
-        raise ContractError("render input must be 2-channel stereo")
-    if buffer.sample_rate != design.sample_rate:
-        raise ContractError(
-            "input rate %d does not match design rate %d"
-            % (buffer.sample_rate, design.sample_rate)
-        )
-    if mode not in RENDER_MODES:
-        raise ContractError("mode must be one of %s" % (RENDER_MODES,))
-
-    rate = buffer.sample_rate
-    latency = dict.fromkeys(_OUTPUT_CHANNELS, 0)
-    rows = {}  # output channel index -> (offset, samples); absent is silent
-    for i, side in enumerate(("left", "right")):
-        dry = buffer.samples[i]
-        if mode == "front_eq":
-            eq = band_gain_eq(getattr(design.front_gains, side).gains, design.spec)
-            rows[i] = (0, _through(dry, eq, design.balance_gains["primary_" + side]))
-            latency[_OUTPUT_CHANNELS[i]] = synthesis_latency(design.spec)
-        else:
-            rows[i] = (0, dry)
-        if mode == "rear_stereo":
-            rows[2 + i] = rows[i]
-        elif mode == "proposed":
-            chain = ImpulseResponse(
-                AudioBuffer(_support_chain_kernel(design, side), rate),
-                label="support chain",
-            )
-            wet = _through(dry, chain, design.balance_gains["support_" + side])
-            rows[2 + i] = (design.delay_samples(), wet)
-            latency[_OUTPUT_CHANNELS[2 + i]] = support_chain_latency(design, side)
-
-    # a row with no samples adds no frames, whatever its offset
-    frames = max((o + x.size for o, x in rows.values() if x.size), default=0)
-    out = np.zeros((len(_OUTPUT_CHANNELS), frames))
-    for ch, (offset, x) in rows.items():
-        out[ch, offset : offset + x.size] = x
+    """Render stereo input to the 4-channel (FL, FR, SL, SR) condition:
+    the blocks of one RenderStream over the buffer, collected."""
+    stream = RenderStream(
+        design, mode, buffer.num_channels, buffer.num_samples, buffer.sample_rate
+    )
+    x, step = buffer.samples, stream.step
+    out = np.empty((len(_OUTPUT_CHANNELS), stream.frames_out))
+    pos = 0
+    for block in stream.blocks(x[:, i : i + step] for i in range(0, x.shape[1], step)):
+        out[:, pos : pos + block.shape[1]] = block
+        pos += block.shape[1]
     return RenderResult(
-        buffer=AudioBuffer(out, rate), mode=mode, latency_samples=latency
+        buffer=AudioBuffer(out, buffer.sample_rate),
+        mode=mode,
+        latency_samples=stream.latency_samples,
     )

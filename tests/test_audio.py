@@ -1,3 +1,8 @@
+import os
+import stat
+import struct
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +14,7 @@ from roomfill.audio import (
     FILE_SAMPLE_RATES,
     AudioBuffer,
     ImpulseResponse,
+    WavWriter,
     _block_fft_size,
     _next_fast_len,
     convolve,
@@ -154,6 +160,19 @@ def test_truncated_wav_raises_oserror(tmp_path, rng):
         read_wav(path)
 
 
+@pytest.mark.parametrize("tag, bits, size", [(1, 16, 19), (1, 24, 10), (3, 32, 14)])
+def test_partial_frame_payload_raises_oserror(tmp_path, tag, bits, size):
+    """A stereo data chunk that ends inside a frame is a truncated file
+    (OSError, so the CLI exits 2), for every encoding."""
+    align = 2 * bits // 8
+    fmt = struct.pack("<4sIHHIIHH", b"fmt ", 16, tag, 2, 48000, 48000 * align, align, bits)
+    body = fmt + struct.pack("<4sI", b"data", size) + b"\x01" * size + b"\x00" * (size % 2)
+    path = tmp_path / "partial.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+    with pytest.raises(OSError, match="whole number of frames"):
+        read_wav(path)
+
+
 def test_channel_order_survives_round_trip(tmp_path):
     data = np.vstack([np.full(16, 0.25), np.full(16, -0.25)])
     path = tmp_path / "st.wav"
@@ -203,6 +222,42 @@ def test_convolve_matches_direct_reference(rng):
         assert empty.samples.shape == (2, 0)
 
 
+def _accumulated_convolve(x, h):
+    """The overlap-add as one zeroed accumulator: every block's irfft is
+    added in place, so each sample is 0.0 + first block (+ next block)."""
+    n, taps = x.shape[1], h.size
+    full = n + taps - 1
+    nfft = _block_fft_size(taps)
+    if full < nfft:
+        nfft = _next_fast_len(full)
+    step = nfft - taps + 1
+    kernel = np.fft.rfft(h, nfft)
+    out = np.zeros((x.shape[0], full))
+    for start in range(0, n, step):
+        block = np.fft.irfft(np.fft.rfft(x[:, start : start + step], nfft) * kernel, nfft)
+        stop = min(start + nfft, full)
+        out[:, start:stop] += block[:, : stop - start]
+    return out
+
+
+def test_convolve_is_the_zeroed_accumulator_bit_for_bit():
+    """convolve, which streams its blocks through OverlapAdd, equals the
+    one-accumulator overlap-add byte for byte, signed zeros included, on
+    and around block edges, for one-sample signals and for silence (whose
+    irfft holds some -0.0 that the accumulator's 0.0 + turns to +0.0)."""
+    rng = np.random.default_rng(7)
+    for taps in (1, 64, 4096, 5119):
+        kernel = rng.standard_normal(taps)
+        ir = ImpulseResponse(AudioBuffer(kernel, 48000))
+        step = _block_fft_size(taps) - taps + 1
+        for n in (1, 2, 100, step - 1, step, step + 1, 3 * step + 5):
+            sig = rng.standard_normal((3, n))
+            sig[1] = 0.0
+            sig[2, n // 3 :] = 0.0
+            got = convolve(AudioBuffer(sig, 48000), ir).samples
+            assert got.tobytes() == _accumulated_convolve(sig, kernel).tobytes(), (taps, n)
+
+
 def test_next_fast_len_is_scipys_real_fft_size():
     """The FFT sizes convolve and the band-energy meter pick are the
     2-3-5-smooth sizes scipy picks for real transforms, for every n up to
@@ -219,3 +274,61 @@ def test_convolve_rejects_rate_mismatch():
     ir = ImpulseResponse(AudioBuffer(np.zeros(4), 44100))
     with pytest.raises(ContractError):
         convolve(buf, ir)
+
+
+def test_wav_writer_refuses_past_4_gib_before_creating_the_file(tmp_path):
+    """The RIFF sizes are 32 bit: the largest file a writer accepts has
+    (2**32 - 1 - 37) // bytes-per-frame frames, and one frame more is a
+    FormatError naming that limit, raised before the file exists."""
+    for channels, bit_depth, width in ((4, "float32", 4), (1, 24, 3), (3, 24, 3), (2, 16, 2)):
+        limit = (2 ** 32 - 1 - 37) // (channels * width)
+        path = tmp_path / "big.wav"
+        WavWriter(path, 48000, channels, limit, bit_depth)  # nothing written yet
+        with pytest.raises(FormatError, match="%d frames" % limit):
+            WavWriter(path, 48000, channels, limit + 1, bit_depth)
+        assert not path.exists()
+
+
+def test_wav_writer_commits_only_every_declared_frame(tmp_path):
+    """Blocks go to a temporary file that replaces the path only when the
+    declared frame count was written: too few, too many or an error in
+    between leave an existing file as it was and no temporary file."""
+    path = tmp_path / "x.wav"
+    path.write_bytes(b"keep")
+    block = np.zeros((2, 10))
+    with pytest.raises(ContractError, match="10 of the 20 frames"):
+        with WavWriter(path, 48000, 2, 20) as writer:
+            writer.write(block)
+    with pytest.raises(ContractError, match="more than the 15 frames"):
+        with WavWriter(path, 48000, 2, 15) as writer:
+            writer.write(block)
+            writer.write(block)
+    with pytest.raises(KeyError):
+        with WavWriter(path, 48000, 2, 20) as writer:
+            writer.write(block)
+            raise KeyError("interrupted")
+    assert path.read_bytes() == b"keep"
+    assert os.listdir(tmp_path) == ["x.wav"]
+    with WavWriter(path, 48000, 2, 20) as writer:
+        writer.write(block)
+        writer.write(block + 0.5)
+    assert np.array_equal(read_wav(path).samples, np.hstack([block, block + 0.5]))
+    assert os.listdir(tmp_path) == ["x.wav"]
+
+
+def test_wav_writer_writes_a_pipe_in_place(tmp_path, rng):
+    """A path that is not a regular file (a pipe, a device) cannot be
+    replaced, so the file goes straight into it."""
+    buf = AudioBuffer(rng.standard_normal((2, 300)), 48000)
+    write_wav(tmp_path / "file.wav", buf)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_wav(fifo, buf)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == [(tmp_path / "file.wav").read_bytes()]
+    assert sorted(os.listdir(tmp_path)) == ["file.wav", "pipe"]

@@ -1,20 +1,34 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
 import roomfill
-from roomfill.audio import AudioBuffer, read_wav, write_wav
+from roomfill.audio import AudioBuffer, WavReader, read_wav, write_wav
 from roomfill.cli import main
-from roomfill.designfile import load_design
-from roomfill.render import SupportChain, support_chain_latency
+from roomfill.designfile import load_design, save_design
+from roomfill.errors import ClippingWarning
+from roomfill.gammatone import EQ_IR_LEN, make_spec
+from roomfill.render import (
+    DEFAULT_DECORRELATOR_LEN,
+    RENDER_MODES,
+    EqualisationDesign,
+    RenderStream,
+    SupportChain,
+    render,
+    support_chain_latency,
+)
 from roomfill.rirs import average_pair
 from roomfill.simulate import REPORT_HEADER, SyntheticRirParams, synth_rir
+from roomfill.solver import BandGainSet, ChannelSolve
+from roomfill.target import TargetFunction
 from roomfill.audio import ImpulseResponse
 
 RUN_INI = """[io]
@@ -454,3 +468,239 @@ def test_design_and_simulate_build_each_meter_once(tmp_path):
 def test_missing_file_exits_2(tmp_path, capsys):
     rc = main(["report", str(tmp_path / "nope.csv")])
     assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# `render` streams the programme: the file it writes is the one the library
+# collects, whatever the length, format or chunk layout, and a failed render
+# leaves the output path as it was.
+
+
+def _synthetic_design(rate):
+    """A design with distinct per-side gains and balance, no solve needed."""
+    spec = make_spec(rate, 80.0, 16000.0)
+    rng = np.random.default_rng(rate)
+
+    def solve():
+        gains = rng.uniform(0.25, 2.0, spec.num_bands)
+        return ChannelSolve(gains, 0.0, np.zeros(spec.num_bands), 1, True)
+
+    return EqualisationDesign(
+        spec=spec,
+        gains=BandGainSet(spec, solve(), solve()),
+        front_gains=BandGainSet(spec, solve(), solve()),
+        target=TargetFunction(),
+        balance_gains={"primary_left": 0.8, "primary_right": 1.25,
+                       "support_left": 0.5, "support_right": 2.0},
+    )
+
+
+@pytest.fixture(scope="module")
+def synthetic_designs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("designs")
+    paths = {}
+    for rate in (44100, 48000):
+        paths[rate] = root / ("design_%d.txt" % rate)
+        save_design(_synthetic_design(rate), paths[rate])
+    return paths
+
+
+def _stereo(path, rate, frames, seed=3):
+    """A float32 stereo programme loud enough to clip a PCM render."""
+    x = 0.5 * np.random.default_rng(seed).standard_normal((2, frames))
+    write_wav(path, AudioBuffer(x.astype(np.float32), rate))
+
+
+def _render(design, src, out, mode="proposed", bit_depth="float32"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClippingWarning)
+        return main(["render", "--design", str(design), "-i", str(src), "-o", str(out),
+                     "--mode", mode, "--bit-depth", str(bit_depth)])
+
+
+def _collected(design, src, out, mode, bit_depth):
+    """The library's one-shot render of the same input, as a file."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClippingWarning)
+        result = render(read_wav(src), load_design(design), mode)
+        write_wav(out, result.buffer, bit_depth=bit_depth)
+
+
+@pytest.mark.parametrize("rate", (44100, 48000))
+@pytest.mark.parametrize("mode", RENDER_MODES)
+def test_streamed_render_is_the_collected_render_byte_for_byte(
+    synthetic_designs, tmp_path, mode, rate
+):
+    """The CLI's file equals write_wav(render(read_wav(input))) for every
+    output format, at programme lengths on and around the block edges: 0,
+    1, a third of a block, step - 1 (the longest single block), step,
+    step + 1 and 2 * step + taps."""
+    design = synthetic_designs[rate]
+    taps = {"proposed": EQ_IR_LEN + DEFAULT_DECORRELATOR_LEN - 1,
+            "front_eq": EQ_IR_LEN}.get(mode, 0)
+    step = RenderStream(load_design(design), mode, 2, 10 ** 6, rate).step
+    for frames in (0, 1, step // 3, step - 1, step, step + 1, 2 * step + taps):
+        src = tmp_path / "in.wav"
+        _stereo(src, rate, frames, seed=frames)
+        for bit_depth in (16, 24, "float32"):
+            assert _render(design, src, tmp_path / "cli.wav", mode, bit_depth) == 0
+            _collected(design, src, tmp_path / "lib.wav", mode, bit_depth)
+            cli, lib = (tmp_path / "cli.wav").read_bytes(), (tmp_path / "lib.wav").read_bytes()
+            assert cli == lib, (frames, bit_depth)
+
+
+def _chunk(chunk_id, payload):
+    return struct.pack("<4sI", chunk_id, len(payload)) + payload + b"\x00" * (len(payload) % 2)
+
+
+def test_render_reads_chunks_in_any_order(synthetic_designs, tmp_path):
+    """An input whose fmt chunk follows its data chunk, or that carries an
+    extra (odd-sized) LIST chunk, renders to the same bytes."""
+    design = synthetic_designs[48000]
+    plain = tmp_path / "plain.wav"
+    _stereo(plain, 48000, 70000)
+    blob = plain.read_bytes()
+    fmt, data = blob[12:36], blob[36:]
+    assert fmt[:4] == b"fmt " and data[:4] == b"data"
+    listed = _chunk(b"LIST", b"INFOISFT\x05\x00\x00\x00test\x00")
+    layouts = {"data_first": data + fmt, "list": fmt + listed + data,
+               "list_last": fmt + data + listed}
+    assert _render(design, plain, tmp_path / "want.wav") == 0
+    want = (tmp_path / "want.wav").read_bytes()
+    for name, body in layouts.items():
+        src = tmp_path / (name + ".wav")
+        src.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+        assert _render(design, src, tmp_path / "got.wav") == 0
+        assert (tmp_path / "got.wav").read_bytes() == want, name
+
+
+def test_clipping_render_warns_once_per_file(synthetic_designs, tmp_path):
+    """A PCM16 render that clips in many blocks warns once, naming the
+    output path."""
+    design = synthetic_designs[48000]
+    src = tmp_path / "loud.wav"
+    _stereo(src, 48000, 200000)
+    out = tmp_path / "out.wav"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["render", "--design", str(design), "-i", str(src), "-o", str(out),
+                   "--bit-depth", "16"])
+    assert rc == 0
+    clipping = [w for w in caught if issubclass(w.category, ClippingWarning)]
+    assert len(clipping) == 1
+    assert str(out) in str(clipping[0].message)
+
+
+def _existing_output(tmp_path):
+    out = tmp_path / "out.wav"
+    out.write_bytes(b"an earlier render, which a failed render must leave alone")
+    return out, out.read_bytes()
+
+
+def test_non_finite_sample_in_last_block_leaves_output_untouched(
+    synthetic_designs, tmp_path, capsys
+):
+    """A NaN in the programme's last block fails the render with exit 2
+    after every earlier block was written: no temporary file is left and
+    an existing output keeps its bytes."""
+    design = synthetic_designs[48000]
+    step = RenderStream(load_design(design), "proposed", 2, 10 ** 6, 48000).step
+    x = np.zeros((2, 3 * step), dtype=np.float32)
+    x[1, -1] = np.nan
+    src = tmp_path / "in.wav"
+    write_wav(src, AudioBuffer(x, 48000))
+    out, before = _existing_output(tmp_path)
+    assert _render(design, src, out) == 2
+    assert "non-finite samples in channel 1" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["in.wav", "out.wav"]
+    assert out.read_bytes() == before
+
+
+def test_truncated_data_chunk_leaves_output_untouched(
+    synthetic_designs, tmp_path, monkeypatch, capsys
+):
+    """A data chunk that runs past the end of the file is refused with exit
+    2, whether it was cut before the render (found in the header) or while
+    it ran (found by a short read): no temporary file, and an existing
+    output keeps its bytes."""
+    design = synthetic_designs[48000]
+    src = tmp_path / "in.wav"
+    out, before = _existing_output(tmp_path)
+    _stereo(src, 48000, 100000)
+    whole = src.read_bytes()
+    src.write_bytes(whole[:-50])
+    assert _render(design, src, out) == 2
+    assert "truncated b'data' chunk" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["in.wav", "out.wav"]
+    assert out.read_bytes() == before
+
+    src.write_bytes(whole)
+    read = WavReader.read
+
+    def cut_after_first_block(reader, frames):
+        block = read(reader, frames)
+        os.truncate(reader.path, len(whole) // 2)
+        return block
+
+    monkeypatch.setattr(WavReader, "read", cut_after_first_block)
+    assert _render(design, src, out) == 2
+    assert "truncated b'data' chunk" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["in.wav", "out.wav"]
+    assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("mode", ("proposed", "front_eq"))
+def test_render_in_place_writes_what_a_separate_path_gets(synthetic_designs, tmp_path, mode):
+    """`-i f.wav -o f.wav` replaces the programme with its render, the same
+    bytes as a render to another path."""
+    design = synthetic_designs[48000]
+    src = tmp_path / "f.wav"
+    _stereo(src, 48000, 90000)
+    assert _render(design, src, tmp_path / "separate.wav", mode) == 0
+    assert _render(design, src, src, mode) == 0
+    assert src.read_bytes() == (tmp_path / "separate.wav").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["f.wav", "separate.wav"]
+
+
+def test_output_past_4_gib_is_refused_before_reading(
+    synthetic_designs, tmp_path, monkeypatch, capsys
+):
+    """A programme whose render would pass the 4 GiB a WAV can describe
+    exits 2 naming the frame limit, before any sample is read and without
+    creating the output. The input is sparse: its header declares the
+    frames, its data is a hole."""
+    design = synthetic_designs[48000]
+    frames = (2 ** 32 - 1 - 37) // 16 + 1  # one past the 4-channel float32 limit
+    src = tmp_path / "long.wav"
+    data_size = frames * 4  # stereo PCM16
+    with open(src, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", 36 + data_size) + b"WAVE")
+        fh.write(struct.pack("<4sIHHIIHH", b"fmt ", 16, 1, 2, 48000, 48000 * 4, 4, 16))
+        fh.write(struct.pack("<4sI", b"data", data_size))
+    os.truncate(src, 44 + data_size)
+
+    def no_read(reader, frames):
+        raise AssertionError("read samples before refusing")
+
+    monkeypatch.setattr(WavReader, "read", no_read)
+    out = tmp_path / "out.wav"
+    assert _render(design, src, out, "stereo") == 2
+    err = capsys.readouterr().err
+    assert "4 GiB" in err and str(frames - 1) in err
+    assert sorted(os.listdir(tmp_path)) == ["long.wav"]
+
+
+def test_render_memory_does_not_grow_with_programme_length(designed, tmp_path):
+    """A fresh process that has loaded the design and warmed the
+    resynthesis fit renders 120 s of programme with its peak memory up by
+    less than 8 MB: the programme, the rows and the 4-channel output are
+    never held whole (a whole-programme render rises by hundreds of MB)."""
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "render_memory.py")
+    done = subprocess.run(
+        [sys.executable, script, str(designed), "120"],
+        capture_output=True, text=True, env=_src_env(), timeout=300, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["exit"] == 0
+    assert result["rss_rise_mb"] < 8.0, result

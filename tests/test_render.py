@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from roomfill import pipeline
-from roomfill.audio import AudioBuffer
+from roomfill.audio import AudioBuffer, ImpulseResponse, convolve
 from roomfill.errors import ContractError
 from roomfill.gammatone import EQ_IR_LEN, band_gain_eq, make_spec, synthesis_latency
 from roomfill.render import (
@@ -14,6 +14,7 @@ from roomfill.render import (
     RENDER_MODES,
     EqualisationDesign,
     SupportChain,
+    _support_chain_kernel,
     design_decorrelator,
     render,
     support_chain_latency,
@@ -269,3 +270,32 @@ def test_render_input_validation(spec48):
         render(AudioBuffer(np.zeros((2, 10)), 44100), design, "proposed")
     with pytest.raises(ContractError):
         render(AudioBuffer(np.zeros((2, 10)), 48000), design, "mono")
+
+
+@pytest.mark.parametrize("mode", ("proposed", "front_eq"))
+def test_render_rows_are_each_sides_convolve_bit_for_bit(mode, rng):
+    """Both sides share one 2-row FFT per block, yet every processed row is
+    exactly audio.convolve of its side with the chain, times the balance
+    gain, at its offset: signed zeros included, for a programme of several
+    blocks with silent stretches."""
+    spec = make_spec(48000, 80.0, 16000.0)
+    balance = {"primary_left": 0.8, "primary_right": 1.25,
+               "support_left": 0.5, "support_right": 2.0}
+    design = _design(spec, gains=np.linspace(0.25, 2.0, spec.num_bands),
+                     front_gains=np.linspace(1.5, 0.5, spec.num_bands),
+                     balance_gains=balance)
+    sig = rng.standard_normal((2, 70001))
+    sig[:, 30000:40000] = 0.0
+    out = render(AudioBuffer(sig, 48000), design, mode).buffer.samples
+    for i, side in enumerate(("left", "right")):
+        if mode == "proposed":
+            kernel = _support_chain_kernel(design, side)
+            row, offset, gain = 2 + i, design.delay_samples(), balance["support_" + side]
+        else:
+            kernel = band_gain_eq(getattr(design.front_gains, side).gains, spec).data
+            row, offset, gain = i, 0, balance["primary_" + side]
+        want = convolve(AudioBuffer(sig[i], 48000),
+                        ImpulseResponse(AudioBuffer(kernel, 48000))).mono * gain
+        assert kernel.size == (EQ_IR_LEN + DEFAULT_DECORRELATOR_LEN - 1
+                               if mode == "proposed" else EQ_IR_LEN)
+        assert out[row, offset:].tobytes() == want.tobytes()
