@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import FormatError
 from .gammatone import make_spec
 from .render import EqualisationDesign, SupportChain
 from .rirs import CHANNEL_NAMES
-from .solver import G_MAX, BandGainSet, ChannelSolve
+from .solver import BandGainSet, ChannelSolve
 from .target import TargetFunction
 
 FORMAT_VERSION = 1
@@ -29,10 +30,48 @@ def _field_types(cls) -> dict:
     return {f.name: type(f.default) for f in fields(cls)}
 
 
-# Every section of single values, key by key with the value's type: an
-# int is written with %d, a float with repr. [target] and [render] are the
-# TargetFunction and SupportChain fields, typed by their defaults.
-_SCALAR_SECTIONS = {
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("%r is not finite" % text)
+    return value
+
+
+def _flag(text: str) -> bool:
+    if text not in ("yes", "no"):
+        raise ValueError("%r is not yes or no" % text)
+    return text == "yes"
+
+
+def _row(text: str, num_bands: int) -> np.ndarray:
+    values = np.array([_finite(v) for v in text.split(",")])
+    if values.size != num_bands:
+        raise ValueError("%d values for a %d band filterbank" % (values.size, num_bands))
+    return values
+
+
+def _fmt(value) -> str:
+    return repr(float(value))
+
+
+# Every kind of value the file holds: how it is written, and how it is
+# read back from its text (given the filterbank's band count, which only
+# a per-band row uses). A read raises ValueError on a value no design can
+# carry, so a NaN or inf never loads.
+_KINDS = {
+    int: ("%d".__mod__, lambda text, n: int(text)),
+    float: (_fmt, lambda text, n: _finite(text)),
+    bool: (lambda v: "yes" if v else "no", lambda text, n: _flag(text)),
+    np.ndarray: (lambda v: ", ".join(map(_fmt, v)), _row),
+}
+
+_CHANNEL_SECTIONS = ("fill_left", "fill_right", "front_left", "front_right")
+
+# Every section, key by key with the value's kind, in file order. [target]
+# and [render] are the TargetFunction and SupportChain fields, typed by
+# their defaults; a channel section is the fields a ChannelSolve stores,
+# less the iteration trace.
+_TABLE = {
     "design": {"format_version": int},
     "filterbank": {
         "sample_rate": int,
@@ -44,113 +83,38 @@ _SCALAR_SECTIONS = {
     "target": _field_types(TargetFunction),
     "render": _field_types(SupportChain),
     "balance": dict.fromkeys(CHANNEL_NAMES, float),
-}
-
-_CHANNEL_SECTIONS = ("fill_left", "fill_right", "front_left", "front_right")
-
-_SECTION_KEYS = {
-    **_SCALAR_SECTIONS,
     **dict.fromkeys(
         _CHANNEL_SECTIONS,
-        ("offset_db", "converged", "iterations_used", "gains", "residual_db"),
+        {
+            "offset_db": float,
+            "converged": bool,
+            "iterations_used": int,
+            "gains": np.ndarray,
+            "residual_db": np.ndarray,
+        },
     ),
 }
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
-def _fmt_list(values) -> str:
-    return ", ".join(_fmt(v) for v in values)
-
-
-def _scalar_lines(name: str, source) -> list:
-    """[name] with each key's value taken from a dict or an object."""
-    lines = ["[%s]" % name]
-    for key, kind in _SCALAR_SECTIONS[name].items():
-        v = source[key] if isinstance(source, dict) else getattr(source, key)
-        lines.append("%s = %s" % (key, "%d" % v if kind is int else _fmt(v)))
-    return lines + [""]
-
-
-def _channel_lines(name: str, solve: ChannelSolve) -> list:
-    return [
-        "[%s]" % name,
-        "offset_db = %s" % _fmt(solve.offset_db),
-        "converged = %s" % ("yes" if solve.converged else "no"),
-        "iterations_used = %d" % solve.iterations_used,
-        "gains = %s" % _fmt_list(solve.gains),
-        "residual_db = %s" % _fmt_list(solve.residual_db),
-        "",
-    ]
-
-
 def dumps_design(design: EqualisationDesign) -> str:
+    sources = (
+        {"format_version": FORMAT_VERSION}, design.spec, design.target, design.chain,
+        design.balance_gains, design.gains.left, design.gains.right,
+        design.front_gains.left, design.front_gains.right,
+    )
     lines = []
-    for name, source in (
-        ("design", {"format_version": FORMAT_VERSION}),
-        ("filterbank", design.spec),
-        ("target", design.target),
-        ("render", design.chain),
-        ("balance", design.balance_gains),
-    ):
-        lines += _scalar_lines(name, source)
-    lines += _channel_lines("fill_left", design.gains.left)
-    lines += _channel_lines("fill_right", design.gains.right)
-    lines += _channel_lines("front_left", design.front_gains.left)
-    lines += _channel_lines("front_right", design.front_gains.right)
+    for (name, keys), source in zip(_TABLE.items(), sources):
+        lines.append("[%s]" % name)
+        for key, kind in keys.items():
+            v = source[key] if isinstance(source, dict) else getattr(source, key)
+            lines.append("%s = %s" % (key, _KINDS[kind][0](v)))
+        lines.append("")
     return "\n".join(lines)
 
 
 def save_design(design: EqualisationDesign, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(dumps_design(design))
-
-
-def _floats(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")])
-
-
-def _parse(sec, key: str, convert):
-    """convert(sec[key]), or a FormatError naming the section and key."""
-    try:
-        return convert(sec[key])
-    except ValueError:
-        raise FormatError(
-            "[%s] %s: cannot parse %r" % (sec.name, key, sec[key])
-        ) from None
-
-
-def _parse_scalars(parser, name: str) -> dict:
-    sec = parser[name]
-    return {key: _parse(sec, key, kind) for key, kind in _SCALAR_SECTIONS[name].items()}
-
-
-def _parse_channel(parser, name: str, num_bands: int) -> ChannelSolve:
-    sec = parser[name]
-    gains = _parse(sec, "gains", _floats)
-    residual = _parse(sec, "residual_db", _floats)
-    if gains.size != num_bands or residual.size != num_bands:
-        raise FormatError(
-            "section [%s] carries %d gains for a %d band filterbank"
-            % (name, gains.size, num_bands)
-        )
-    # render would play these: a NaN gain writes NaN samples and a
-    # negative one inverts the band's polarity
-    if not np.all(np.isfinite(gains) & (gains >= 0)):
-        raise FormatError("[%s] gains: every gain must be finite and >= 0" % name)
-    converged = sec["converged"].strip().lower()
-    if converged not in ("yes", "no"):
-        raise FormatError("converged must be yes or no, got %r" % sec["converged"])
-    return ChannelSolve(
-        gains=gains,
-        offset_db=_parse(sec, "offset_db", float),
-        residual_db=residual,
-        iterations_used=_parse(sec, "iterations_used", int),
-        converged=converged == "yes",
-        capped_bands=tuple(int(i) for i in np.flatnonzero(gains >= G_MAX)),
-    )
 
 
 def loads_design(text: str) -> EqualisationDesign:
@@ -161,43 +125,54 @@ def loads_design(text: str) -> EqualisationDesign:
     except configparser.Error as exc:
         raise FormatError("not a design file: %s" % exc) from exc
 
-    if set(parser.sections()) != set(_SECTION_KEYS):
-        missing = set(_SECTION_KEYS) - set(parser.sections())
-        extra = set(parser.sections()) - set(_SECTION_KEYS)
+    if set(parser.sections()) != set(_TABLE):
+        missing = set(_TABLE) - set(parser.sections())
+        extra = set(parser.sections()) - set(_TABLE)
         raise FormatError(
             "design sections mismatch (missing %s, unexpected %s)"
             % (sorted(missing), sorted(extra))
         )
-    for name, keys in _SECTION_KEYS.items():
-        if set(parser[name]) != set(keys):
-            raise FormatError("unexpected keys in section [%s]" % name)
 
-    version = _parse_scalars(parser, "design")["format_version"]
+    # [filterbank] comes before every per-band row, so the bank is
+    # rebuilt as soon as it is read and the rows are counted against it
+    values = {}
+    spec = None
+    for name, keys in _TABLE.items():
+        sec = parser[name]
+        if set(sec) != set(keys):
+            raise FormatError("unexpected keys in section [%s]" % name)
+        values[name] = {}
+        for key, kind in keys.items():
+            try:
+                values[name][key] = _KINDS[kind][1](sec[key], spec and spec.num_bands)
+            except ValueError as exc:
+                raise FormatError("[%s] %s: %s" % (name, key, exc)) from None
+        if name == "filterbank":
+            spec = make_spec(**values[name])
+
+    version = values["design"]["format_version"]
     if version != FORMAT_VERSION:
         raise FormatError(
             "design format_version %d is not supported (expected %d)"
             % (version, FORMAT_VERSION)
         )
-    balance = _parse_scalars(parser, "balance")
-    for name, gain in balance.items():
-        # a zero or negative trim would mute or invert a loudspeaker
-        if not (np.isfinite(gain) and gain > 0):
-            raise FormatError("[balance] %s: %r is not finite and > 0" % (name, gain))
-
-    spec = make_spec(**_parse_scalars(parser, "filterbank"))
-    channels = {
-        name: _parse_channel(parser, name, spec.num_bands)
-        for name in _CHANNEL_SECTIONS
-    }
+    for name, gain in values["balance"].items():
+        # a zero trim would mute a loudspeaker, a negative one invert it
+        if not gain > 0:
+            raise FormatError("[balance] %s: %r is not > 0" % (name, gain))
+    channels = {}
+    for name in _CHANNEL_SECTIONS:
+        # a negative gain would invert the band's polarity
+        if np.any(values[name]["gains"] < 0):
+            raise FormatError("[%s] gains: every gain must be >= 0" % name)
+        channels[name] = ChannelSolve(**values[name])
     return EqualisationDesign(
         spec=spec,
         gains=BandGainSet(spec, channels["fill_left"], channels["fill_right"]),
-        front_gains=BandGainSet(
-            spec, channels["front_left"], channels["front_right"]
-        ),
-        target=TargetFunction(**_parse_scalars(parser, "target")),
-        balance_gains=balance,
-        chain=SupportChain(**_parse_scalars(parser, "render")),
+        front_gains=BandGainSet(spec, channels["front_left"], channels["front_right"]),
+        target=TargetFunction(**values["target"]),
+        balance_gains=values["balance"],
+        chain=SupportChain(**values["render"]),
     )
 
 

@@ -1,4 +1,6 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception and warning types shared across the toolkit, and the
+finiteness check its boundary types share."""
+import math
 
 
 class RoomfillError(Exception):
@@ -11,6 +13,15 @@ class FormatError(RoomfillError):
 
 class ContractError(RoomfillError, ValueError):
     """An argument violates a documented precondition."""
+
+
+def check_finite(owner, *names) -> None:
+    """ContractError naming the first of `owner`'s fields `names` that is
+    NaN or infinite: no comparison against a bound catches a NaN."""
+    for name in names:
+        value = getattr(owner, name)
+        if not math.isfinite(value):
+            raise ContractError("%s must be finite, got %r" % (name, value))
 
 
 class DegenerateMeasurementError(RoomfillError):

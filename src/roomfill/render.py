@@ -94,8 +94,8 @@ class SupportChain:
     precedence-effect window and one all-pass decorrelator per side.
 
     A chain the design cannot play is rejected here: a delay outside
-    DELAY_RANGE_MS, one seed for both sides, or a decorrelator length
-    design_decorrelator refuses.
+    DELAY_RANGE_MS, a negative seed or one seed for both sides, or a
+    decorrelator length design_decorrelator refuses.
     """
 
     delay_ms: float = DEFAULT_DELAY_MS
@@ -110,6 +110,8 @@ class SupportChain:
                 "delay_ms %.3f outside the precedence-effect window [%g, %g] ms"
                 % (self.delay_ms, lo, hi)
             )
+        if min(self.seed_left, self.seed_right) < 0:
+            raise ContractError("decorrelator seeds must be >= 0")
         if self.seed_left == self.seed_right:
             raise ContractError("left/right decorrelator seeds must differ")
         _check_decorrelator_len(self.decorrelator_len)

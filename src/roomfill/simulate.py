@@ -15,11 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .audio import AudioBuffer, ImpulseResponse
-from .errors import ContractError
-from .gammatone import _band_energy_meter
+from .errors import ContractError, check_finite
 from .rirs import RirSet
 from .render import EqualisationDesign, render
-from .target import band_targets
+from .solver import _anchored_targets, _chain_meter
 
 __all__ = [
     "SyntheticRirParams",
@@ -62,6 +61,7 @@ class SyntheticRirParams:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self, "length_ms", "t60_ms", "direct_amplitude", "direct_delay_ms")
         if self.sample_rate <= 0:
             raise ContractError("sample_rate must be positive")
         if self.t60_ms <= 0:
@@ -72,6 +72,8 @@ class SyntheticRirParams:
             raise ContractError("direct_amplitude must be positive")
         if self.direct_delay_ms < 0:
             raise ContractError("direct_delay_ms must be non-negative")
+        if self.seed < 0:
+            raise ContractError("seed must be >= 0")
         kind = self.coloration[0] if self.coloration else None
         if kind not in _COLORATION_KINDS:
             raise ContractError("coloration kind must be one of %s" % (_COLORATION_KINDS,))
@@ -81,6 +83,8 @@ class SyntheticRirParams:
             raise ContractError("lowpass coloration needs a cutoff frequency")
         if kind == "none" and len(self.coloration) != 1:
             raise ContractError("coloration 'none' takes no parameters")
+        if not all(map(math.isfinite, self.coloration[1:])):
+            raise ContractError("coloration parameters must be finite")
         if self.length_ms < 3.0 * self.t60_ms:
             warnings.warn(
                 "fixture length %.0f ms is under 3x t60 (%.0f ms); the decay "
@@ -260,17 +264,15 @@ def simulate_total(
     solve = getattr(design.gains, channel)
 
     spec = design.spec
+    # the rows already carry the EQ: the meter need only fit the total
     n = front.size + max(primary.size, support.size) - 1
-    meters = {} if meters is None else meters
-    if n not in meters:
-        meters[n] = _band_energy_meter(spec, n)
-    meter = meters[n]
+    meter = _chain_meter(spec, n, 0, meters)
     primary_path = meter.spectrum(front) * meter.spectrum(primary)
     fill_path = meter.spectrum(rear) * meter.spectrum(support)
     e_primary = meter.energies(primary_path)
     e_fill = meter.energies(fill_path)
     e_total = meter.energies(primary_path + fill_path)
-    targets = band_targets(design.target.with_offset(solve.offset_db), spec)
+    _, targets = _anchored_targets(design.target, spec, solve.offset_db)
 
     return VerificationReport.build(
         center_freqs=np.array(spec.center_freqs),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import ImpulseResponse
-from .errors import ContractError, UnfillableBandError
+from .errors import ContractError, UnfillableBandError, check_finite
 from .gammatone import EQ_IR_LEN, FilterbankSpec, _band_energy_meter, _check_rate, band_gain_eq
 from .target import TargetFunction, band_targets
 
@@ -33,6 +33,7 @@ class SolverConfig:
     anchor_mode: str = "percentile-95"
 
     def __post_init__(self):
+        check_finite(self, "tolerance_db", "damping")
         if self.tolerance_db <= 0:
             raise ContractError("tolerance_db must be > 0")
         if not 0 < self.damping <= 1:
@@ -58,8 +59,12 @@ class ChannelSolve:
     residual_db: np.ndarray
     iterations_used: int
     converged: bool
-    capped_bands: tuple = ()
     trace: tuple = ()
+
+    @property
+    def capped_bands(self) -> tuple:
+        """Indices of the bands whose gain sits at the G_MAX cap."""
+        return tuple(int(i) for i in np.flatnonzero(self.gains >= G_MAX))
 
 
 @dataclass
@@ -125,9 +130,9 @@ def initial_gains(
 
 
 def _chain_meter(spec, base_len, chain_len, meters=None):
-    """Band-energy meter for one solve, sized so that the coherent total
-    base + EQ * chain fits: the product of the EQ's and the chain's
-    spectra is then the spectrum of their linear convolution. The
+    """Band-energy meter for one solve or simulation, sized so that the
+    coherent total base + EQ * chain fits: the product of the EQ's and the
+    chain's spectra is then the spectrum of their linear convolution. The
     profiles are shorter and measure the same through it.
 
     `meters` maps a size to the meter built for it on this spec; a meter
@@ -147,9 +152,9 @@ def _measure_total(gains, spec, base, chain, meter):
     return meter.energies(base + meter.spectrum(eq.data) * chain)
 
 
-def _anchored_targets(primary_profile, target, spec, cfg, offset_db):
+def _anchored_targets(target, spec, offset_db, primary_profile=None, cfg=None):
     """Per-band energy targets and the offset (solved against the primary
-    profile unless given) that anchors them."""
+    profile by `cfg`'s anchor mode unless given) that anchors them."""
     shape = band_targets(target.with_offset(0.0), spec)
     if offset_db is None:
         offset_db = anchor_target(primary_profile, shape, cfg.anchor_mode)
@@ -216,7 +221,6 @@ def _solve(gains, spec, cfg, targets, offset_db, base, chain, meter, baseline, *
         gains = best_gains
         total = _measure_total(gains, spec, base, chain, meter)
 
-    capped = tuple(np.flatnonzero(gains >= G_MAX))
     residual = _profile_db(total) - _profile_db(targets)
     return ChannelSolve(
         gains=gains,
@@ -224,7 +228,6 @@ def _solve(gains, spec, cfg, targets, offset_db, base, chain, meter, baseline, *
         residual_db=residual,
         iterations_used=iterations,
         converged=converged,
-        capped_bands=capped,
         trace=tuple(trace),
     )
 
@@ -277,7 +280,7 @@ def solve_gains(
     primary = meter.spectrum(primary_ir.data)
     primary_profile = meter.energies(primary)
     support_profile = meter.energies(meter.spectrum(support_ir.data))
-    offset_db, targets = _anchored_targets(primary_profile, target, spec, cfg, offset_db)
+    offset_db, targets = _anchored_targets(target, spec, offset_db, primary_profile, cfg)
     gains = np.clip(
         initial_gains(primary_profile, support_profile, targets, spec), 0.0, G_MAX
     )
@@ -308,7 +311,7 @@ def solve_front_gains(
     meter = _chain_meter(spec, 0, primary_ir.data.size, meters)
     primary = meter.spectrum(primary_ir.data)
     primary_profile = meter.energies(primary)
-    offset_db, targets = _anchored_targets(primary_profile, target, spec, cfg, offset_db)
+    offset_db, targets = _anchored_targets(target, spec, offset_db, primary_profile, cfg)
     zeros = np.zeros(spec.num_bands)
     gains = np.clip(initial_gains(zeros, primary_profile, targets, spec), 0.0, G_MAX)
     return _solve(

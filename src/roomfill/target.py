@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_finite
 from .gammatone import FilterbankSpec, impulse_band_energies
 
 
@@ -23,6 +23,7 @@ class TargetFunction:
     offset_db: float = 0.0
 
     def __post_init__(self):
+        check_finite(self, "slope_db", "f_ref_low", "f_ref_high", "offset_db")
         if self.f_ref_low <= 0 or self.f_ref_high <= self.f_ref_low:
             raise ContractError("need 0 < f_ref_low < f_ref_high")
 

@@ -101,6 +101,26 @@ def test_synth_rir_rejects_malformed_notch(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "option, value, named",
+    [
+        ("--direct-amplitude", "nan", "direct_amplitude"),
+        ("--length-ms", "nan", "length_ms"),
+        ("--t60-ms", "inf", "t60_ms"),
+        ("--direct-delay-ms", "nan", "direct_delay_ms"),
+        ("--notch", "1000,nan,3", "coloration"),
+        ("--seed", "-1", "seed"),
+    ],
+)
+def test_synth_rir_rejects_unusable_number_exits_2(tmp_path, capsys, option, value, named):
+    out = tmp_path / "x.wav"
+    rc = main(["synth-rir", "-o", str(out), "--length-ms", "400", "--t60-ms", "120",
+               option, value])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_avg_rir_matches_library_average(workspace, tmp_path, capsys):
     out = tmp_path / "avg.wav"
     rc = main(["avg-rir", str(workspace / "pl.wav"), str(workspace / "pr.wav"),

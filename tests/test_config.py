@@ -55,6 +55,12 @@ def test_values_override_defaults(tmp_path):
         ("render", "seed_right = 5240"),
         ("render", "decorrelator_len = 1000"),
         ("target", "f_ref_low = 0"),
+        ("target", "slope_db = nan"),
+        ("target", "f_ref_low = nan"),
+        ("target", "f_ref_high = inf"),
+        ("solver", "tolerance_db = nan"),
+        ("solver", "tolerance_db = inf"),
+        ("render", "seed_left = -1"),
     ],
 )
 def test_out_of_range_value_fails_at_load_for_every_command(tmp_path, capsys, section, line):

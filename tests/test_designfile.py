@@ -118,15 +118,23 @@ def test_not_a_design_file_rejected():
         ("support_left", "0.0", "[balance] support_left"),
         ("sample_rate", "48k", "[filterbank] sample_rate"),
         ("decorrelator_len", "1024.5", "[render] decorrelator_len"),
+        ("offset_db", "nan", "[fill_left] offset_db"),
+        ("offset_db", "inf", "[front_right] offset_db"),
+        ("residual_db", "inf", "[fill_left] residual_db"),
+        ("residual_db", "nan", "[front_left] residual_db"),
+        ("converged", "maybe", "[fill_left] converged"),
+        ("slope_db", "nan", "[target] slope_db"),
+        ("delay_ms", "-inf", "[render] delay_ms"),
     ],
 )
 def test_unplayable_or_unparsable_value_rejected_naming_key(solved_design, key, value, named):
     text = dumps_design(solved_design)
-    head, _, rest = text.partition("\n%s = " % key)
-    # a gain list keeps its other entries, so only the edited value is wrong
-    tail = rest[rest.index("," if key == "gains" else "\n") :]
+    start = text.index(named[: named.index("]") + 1])
+    head, _, rest = text[start:].partition("\n%s = " % key)
+    # a per-band row keeps its other entries, so only the edited value is wrong
+    tail = rest[rest.index("," if key in ("gains", "residual_db") else "\n") :]
     with pytest.raises(FormatError, match=re.escape(named)):
-        loads_design("%s\n%s = %s%s" % (head, key, value, tail))
+        loads_design("%s%s\n%s = %s%s" % (text[:start], head, key, value, tail))
 
 
 @given(

@@ -312,6 +312,37 @@ def _room_ir(seed, rate=48000, length_ms=300.0, coloration=("none",)):
     )
 
 
+def _delayed(ir, d):
+    return ImpulseResponse(AudioBuffer(np.concatenate([np.zeros(d), ir.data]), ir.sample_rate))
+
+
+@settings(max_examples=4)
+@given(st.integers(1, 4801))
+@example(1)
+@example(4801)
+def test_solve_is_invariant_to_a_common_delay(spec48, d):
+    """A band energy does not depend on when a response starts, so
+    delaying primary and support by the same d samples leaves every gain
+    (within 1e-9 relative) and iteration count of the fill and front
+    solves."""
+    primary = _room_ir(71, coloration=("notch", 1000.0, 15.0, 3.0))
+    support = _room_ir(72)
+    chain = SupportChain()
+
+    def solves(p, s):
+        fill = solve_gains(
+            p, s, TargetFunction(), spec48, SolverConfig(),
+            decorrelator=chain.decorrelator("left"),
+            extra_delay=chain.delay_samples(48000),
+        )
+        return fill, solve_front_gains(p, TargetFunction(), spec48, SolverConfig())
+
+    delayed = solves(_delayed(primary, d), _delayed(support, d))
+    for got, want in zip(delayed, solves(primary, support)):
+        assert np.allclose(got.gains, want.gains, rtol=1e-9, atol=0.0)
+        assert got.iterations_used == want.iterations_used
+
+
 @pytest.mark.parametrize("measure", [
     pytest.param(lambda p, s, spec: band_energies(p, spec), id="band_energies"),
     pytest.param(
