@@ -2,10 +2,9 @@
 loudspeakers so the total response meets a sloped spectral target while
 the primary loudspeakers' direct sound stays untouched."""
 
-from .audio import AudioBuffer, ImpulseResponse, convolve, delay, read_wav, rms_energy, write_wav
+from .audio import AudioBuffer, ImpulseResponse, convolve, read_wav, rms_energy, write_wav
 from .gammatone import (
     FilterbankSpec,
-    analyze,
     band_energies,
     band_gain_eq,
     erb_of,
@@ -14,7 +13,7 @@ from .gammatone import (
     synthesize,
 )
 from .target import TargetFunction, band_targets, level_at
-from .rirs import RirSet, average_pair, balance_levels, channel_band_profile
+from .rirs import RirSet, average_pair, balance_levels
 from .solver import (
     BandGainSet,
     ChannelSolve,
@@ -33,7 +32,6 @@ from .render import (
     render,
 )
 from .simulate import (
-    FIXTURE_SUITE,
     SyntheticRirParams,
     VerificationReport,
     export_report,
@@ -51,12 +49,10 @@ __all__ = [
     "AudioBuffer",
     "ImpulseResponse",
     "convolve",
-    "delay",
     "read_wav",
     "rms_energy",
     "write_wav",
     "FilterbankSpec",
-    "analyze",
     "band_energies",
     "band_gain_eq",
     "erb_of",
@@ -69,7 +65,6 @@ __all__ = [
     "RirSet",
     "average_pair",
     "balance_levels",
-    "channel_band_profile",
     "BandGainSet",
     "ChannelSolve",
     "SolverConfig",
@@ -83,7 +78,6 @@ __all__ = [
     "SupportChain",
     "design_decorrelator",
     "render",
-    "FIXTURE_SUITE",
     "SyntheticRirParams",
     "VerificationReport",
     "export_report",

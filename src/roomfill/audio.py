@@ -77,21 +77,9 @@ def rms_energy(buffer: AudioBuffer) -> float:
     """Total energy, sum of squared samples over all channels.
 
     Uses exact (correctly rounded) summation so the value is invariant
-    under zero padding, e.g. rms_energy(delay(x, d)) == rms_energy(x).
+    under zero padding.
     """
     return math.fsum(np.square(buffer.samples, dtype=np.float64).ravel().tolist())
-
-
-def delay(buffer: AudioBuffer, delay_ms: float) -> AudioBuffer:
-    """Prepend round(delay_ms * rate / 1000) zero samples to every channel."""
-    if delay_ms < 0:
-        raise ContractError("delay_ms must be >= 0")
-    pad = int(round(delay_ms * buffer.sample_rate / 1000.0))
-    if pad == 0:
-        return AudioBuffer(buffer.samples.copy(), buffer.sample_rate)
-    out = np.zeros((buffer.num_channels, buffer.num_samples + pad))
-    out[:, pad:] = buffer.samples
-    return AudioBuffer(out, buffer.sample_rate)
 
 
 def _next_fast_len(n: int) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 from .audio import ImpulseResponse, read_wav
 from .errors import ConfigError, ContractError
-from .gammatone import FilterbankSpec, make_spec
+from .gammatone import FilterbankSpec, check_bank, make_spec
 from .render import SupportChain
 from .rirs import CHANNEL_NAMES, RirSet, average_pair
 from .solver import SolverConfig
@@ -118,6 +118,12 @@ def load_config(path) -> RunConfig:
             if key not in defaults:
                 raise ConfigError("unknown key %r in section [%s]" % (key, section))
             values[section][key] = _typed(section, key, raw, defaults[key])
+    # the bank's rate comes from the responses, so only its Nyquist
+    # check waits for the design
+    try:
+        check_bank(**values["filterbank"])
+    except ContractError as exc:
+        raise ConfigError("[filterbank] %s" % exc) from None
     for section, cls in _SECTION_TYPES.items():
         try:
             values[section] = cls(**values[section])

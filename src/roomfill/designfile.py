@@ -16,7 +16,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ContractError, FormatError
 from .gammatone import make_spec
 from .render import EqualisationDesign, SupportChain
 from .rirs import CHANNEL_NAMES
@@ -96,6 +96,11 @@ _TABLE = {
 }
 
 
+# The sections that stand for one value, and what builds it from their
+# keys; a value out of its range raises ContractError there.
+_BUILDERS = {"filterbank": make_spec, "target": TargetFunction, "render": SupportChain}
+
+
 def dumps_design(design: EqualisationDesign) -> str:
     sources = (
         {"format_version": FORMAT_VERSION}, design.spec, design.target, design.chain,
@@ -147,8 +152,13 @@ def loads_design(text: str) -> EqualisationDesign:
                 values[name][key] = _KINDS[kind][1](sec[key], spec and spec.num_bands)
             except ValueError as exc:
                 raise FormatError("[%s] %s: %s" % (name, key, exc)) from None
+        if name in _BUILDERS:
+            try:
+                values[name] = _BUILDERS[name](**values[name])
+            except ContractError as exc:
+                raise FormatError("[%s] %s" % (name, exc)) from None
         if name == "filterbank":
-            spec = make_spec(**values[name])
+            spec = values[name]
 
     version = values["design"]["format_version"]
     if version != FORMAT_VERSION:
@@ -170,9 +180,9 @@ def loads_design(text: str) -> EqualisationDesign:
         spec=spec,
         gains=BandGainSet(spec, channels["fill_left"], channels["fill_right"]),
         front_gains=BandGainSet(spec, channels["front_left"], channels["front_right"]),
-        target=TargetFunction(**values["target"]),
+        target=values["target"],
         balance_gains=values["balance"],
-        chain=SupportChain(**values["render"]),
+        chain=values["render"],
     )
 
 

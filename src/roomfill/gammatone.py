@@ -114,6 +114,21 @@ class FilterbankSpec:
         return len(self.center_freqs)
 
 
+def check_bank(f_low: float, f_high: float, bands_per_erb: float, order: int = 4) -> None:
+    """ContractError unless make_spec can lay out this bank at any rate
+    whose Nyquist frequency lies above f_high: finite values,
+    0 < f_low <= f_high, bands_per_erb > 0 and order >= 1."""
+    for name, value in (("f_low", f_low), ("f_high", f_high), ("bands_per_erb", bands_per_erb)):
+        if not math.isfinite(value):
+            raise ContractError("%s must be finite, got %r" % (name, value))
+    if f_low <= 0 or f_high < f_low:
+        raise ContractError("need 0 < f_low <= f_high")
+    if bands_per_erb <= 0:
+        raise ContractError("bands_per_erb must be positive")
+    if order < 1:
+        raise ContractError("order must be >= 1")
+
+
 def make_spec(
     sample_rate: int,
     f_low: float,
@@ -124,17 +139,10 @@ def make_spec(
     """Place band centres at uniform 1/bands_per_erb steps on the
     ERB-number scale, starting at f_low, up to and including f_high.
 
-    f_low == f_high degenerates to a single band.
+    f_low == f_high degenerates to a single band. The arguments must pass
+    check_bank, and f_high must lie below the Nyquist frequency.
     """
-    if f_low <= 0 or f_high < f_low:
-        raise ContractError("need 0 < f_low <= f_high")
-    if f_high >= sample_rate / 2:
-        raise ContractError("f_high must be below the Nyquist frequency")
-    if bands_per_erb <= 0:
-        raise ContractError("bands_per_erb must be positive")
-    if order < 1:
-        raise ContractError("order must be >= 1")
-
+    check_bank(f_low, f_high, bands_per_erb, order)
     lo = erb_number(f_low)
     span = erb_number(f_high) - lo
     step = 1.0 / bands_per_erb
@@ -195,6 +203,8 @@ def analyze(buffer: AudioBuffer, spec: FilterbankSpec) -> BandSignals:
     This is the time-domain filterbank. Band energies and the impulse
     bands of the resynthesis design are computed in closed form instead
     (see band_energies and _impulse_bands); this stays their reference.
+    It runs scipy.signal.lfilter, so it needs the [test] extra; no
+    command calls it.
     """
     from scipy.signal import lfilter
 

@@ -1,5 +1,5 @@
 """Measured impulse response handling: the four-speaker set, microphone
-pair averaging, level balancing and band profiles."""
+pair averaging and level balancing."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -8,7 +8,6 @@ import numpy as np
 
 from .audio import AudioBuffer, ImpulseResponse, rms_energy
 from .errors import ContractError, DegenerateMeasurementError
-from .gammatone import FilterbankSpec, band_energies
 
 CHANNEL_NAMES = ("primary_left", "primary_right", "support_left", "support_right")
 
@@ -103,9 +102,3 @@ def balance_levels(rirs: RirSet) -> RirSet:
         balance_gains=gains,
     )
 
-
-def channel_band_profile(rirs: RirSet, name: str, spec: FilterbankSpec) -> np.ndarray:
-    """Per-band energy profile of one balanced impulse response."""
-    if name not in CHANNEL_NAMES:
-        raise ContractError("unknown channel %r" % name)
-    return band_energies(rirs.balanced(name), spec)

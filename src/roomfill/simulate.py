@@ -18,7 +18,7 @@ from .audio import AudioBuffer, ImpulseResponse
 from .errors import ContractError, check_finite
 from .rirs import RirSet
 from .render import EqualisationDesign, render
-from .solver import _anchored_targets, _chain_meter
+from .solver import _anchored_targets, _chain_meter, _profile_db
 
 __all__ = [
     "SyntheticRirParams",
@@ -27,7 +27,6 @@ __all__ = [
     "simulate_total",
     "export_report",
     "read_report",
-    "FIXTURE_SUITE",
     "TAIL_LEVEL",
     "REPORT_HEADER",
 ]
@@ -120,13 +119,27 @@ def _lowpass(fc: float, rate: int):
     return b / a[0], a / a[0]
 
 
+def _biquad(b, a, x: np.ndarray) -> np.ndarray:
+    """One normalised biquad (a[0] == 1) over x, from rest, in direct form
+    II transposed. Each sum is taken in scipy.signal.lfilter's order, so
+    the output is bit-identical to lfilter(b, a, x)."""
+    b0, b1, b2 = b.tolist()
+    _, a1, a2 = a.tolist()
+    z1 = z2 = 0.0
+    y = []
+    for xi in x.tolist():
+        yi = z1 + b0 * xi
+        z1 = z2 + xi * b1 - yi * a1
+        z2 = xi * b2 - yi * a2
+        y.append(yi)
+    return np.array(y)
+
+
 def synth_rir(params: SyntheticRirParams) -> ImpulseResponse:
     """Generate a synthetic impulse response: a direct impulse followed by
     a seeded Gaussian tail with exponential 60 dB decay at t60, the whole
     thing shaped by the coloration filter. Deterministic per seed.
     """
-    from scipy.signal import lfilter
-
     rate = params.sample_rate
     n = int(round(params.length_ms * rate / 1000.0))
     d = int(round(params.direct_delay_ms * rate / 1000.0))
@@ -148,36 +161,12 @@ def synth_rir(params: SyntheticRirParams) -> ImpulseResponse:
     kind = params.coloration[0]
     if kind == "notch":
         b, a = _peaking_cut(*params.coloration[1:], rate=rate)
-        ir = lfilter(b, a, ir)
+        ir = _biquad(b, a, ir)
     elif kind == "lowpass":
         b, a = _lowpass(params.coloration[1], rate=rate)
-        ir = lfilter(b, a, ir)
+        ir = _biquad(b, a, ir)
 
     return ImpulseResponse(AudioBuffer(ir, rate), label="synthetic")
-
-
-#: Pinned fixture suite: flat, notched and lowpassed rooms at two decay
-#: times each, seeds fixed for reproducible runs.
-FIXTURE_SUITE = (
-    ("flat_t200", SyntheticRirParams(48000, 800.0, 200.0, seed=101)),
-    ("flat_t500", SyntheticRirParams(48000, 1600.0, 500.0, seed=102)),
-    (
-        "notch1k_t200",
-        SyntheticRirParams(48000, 800.0, 200.0, coloration=("notch", 1000.0, 15.0, 3.0), seed=103),
-    ),
-    (
-        "notch1k_t500",
-        SyntheticRirParams(48000, 1600.0, 500.0, coloration=("notch", 1000.0, 15.0, 3.0), seed=104),
-    ),
-    (
-        "lowpass8k_t200",
-        SyntheticRirParams(48000, 800.0, 200.0, coloration=("lowpass", 8000.0), seed=105),
-    ),
-    (
-        "lowpass8k_t500",
-        SyntheticRirParams(48000, 1600.0, 500.0, coloration=("lowpass", 8000.0), seed=106),
-    ),
-)
 
 
 @dataclass
@@ -220,11 +209,6 @@ class VerificationReport:
     @property
     def num_bands(self) -> int:
         return self.center_freqs.size
-
-
-def _db(x: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(x)
 
 
 def simulate_total(
@@ -276,10 +260,10 @@ def simulate_total(
 
     return VerificationReport.build(
         center_freqs=np.array(spec.center_freqs),
-        primary_db=_db(e_primary),
-        fill_db=_db(e_fill),
-        total_db=_db(e_total),
-        target_db=_db(targets),
+        primary_db=_profile_db(e_primary),
+        fill_db=_profile_db(e_fill),
+        total_db=_profile_db(e_total),
+        target_db=_profile_db(targets),
         filled=solve.gains > 0,
     )
 

@@ -11,6 +11,23 @@ from roomfill.target import TargetFunction
 
 NOTCH_1K = ("notch", 1000.0, 15.0, 3.0)
 
+#: Pinned fixture suite: flat, notched and lowpassed rooms at two decay
+#: times each, seeds fixed for reproducible runs.
+FIXTURE_SUITE = (
+    ("flat_t200", SyntheticRirParams(48000, 800.0, 200.0, seed=101)),
+    ("flat_t500", SyntheticRirParams(48000, 1600.0, 500.0, seed=102)),
+    ("notch1k_t200", SyntheticRirParams(48000, 800.0, 200.0, coloration=NOTCH_1K, seed=103)),
+    ("notch1k_t500", SyntheticRirParams(48000, 1600.0, 500.0, coloration=NOTCH_1K, seed=104)),
+    (
+        "lowpass8k_t200",
+        SyntheticRirParams(48000, 800.0, 200.0, coloration=("lowpass", 8000.0), seed=105),
+    ),
+    (
+        "lowpass8k_t500",
+        SyntheticRirParams(48000, 1600.0, 500.0, coloration=("lowpass", 8000.0), seed=106),
+    ),
+)
+
 # The same examples on every run, and no per-example time limit: a shared
 # CI runner's scheduling must not turn into a failure.
 settings.register_profile("roomfill", derandomize=True, deadline=None)

@@ -365,6 +365,57 @@ def test_report_non_finite_summary_exits_2_naming_line(tmp_path, capsys, key, va
     assert str(csv) in err and "line %d" % line in err and key in err
 
 
+# Every command in one fresh process that cannot import scipy: a finder
+# placed first on sys.meta_path refuses scipy and each of its modules. The
+# room is the pinned room at its full 1 s, whose solves all converge (the
+# 0.3 s cut's design exits 3), plus one lowpassed response for synth-rir.
+_SCIPY_BLOCKED = """
+import importlib.abc
+import json
+import sys
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError("scipy blocked: %s" % name)
+
+
+sys.meta_path.insert(0, NoScipy())
+
+import numpy as np
+from roomfill.audio import AudioBuffer, write_wav
+from roomfill.cli import main
+from roomfill.render import RENDER_MODES
+
+room = (
+    ("primary_left", "201", "--notch", "1000,15,3"),
+    ("primary_right", "202", "--notch", "1000,15,3"),
+    ("support_left", "203"),
+    ("support_right", "204"),
+    ("lowpassed", "205", "--lowpass", "8000"),
+)
+exits = [
+    main(["synth-rir", "-o", name + ".wav", "--direct-delay-ms", "3", "--seed", seed]
+         + coloration)
+    for name, seed, *coloration in room
+]
+with open("run.ini", "w") as fh:
+    fh.write("[io]\\n" + "".join("%s = %s.wav\\n" % (r[0], r[0]) for r in room[:4]))
+    fh.write("output_dir = out\\n")
+programme = np.random.default_rng(1).uniform(-0.5, 0.5, (2, 4800))
+write_wav("programme.wav", AudioBuffer(programme, 48000))
+exits.append(main(["design", "--config", "run.ini"]))
+exits.append(main(["simulate", "--design", "out/design.txt", "--config", "run.ini"]))
+for mode in RENDER_MODES:
+    exits.append(main(["render", "--design", "out/design.txt", "-i", "programme.wav",
+                       "-o", mode + ".wav", "--mode", mode]))
+exits.append(main(["report", "out/report_left.csv"]))
+scipy = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print(json.dumps({"exits": exits, "scipy": scipy}))
+"""
+
+
 _PLAYBACK = """
 import sys
 import numpy as np
@@ -424,6 +475,20 @@ def _src_env():
     src = os.path.dirname(os.path.dirname(roomfill.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    """numpy is roomfill's only runtime dependency: with scipy made
+    unimportable, a fresh process runs synth-rir (plain, notched and
+    lowpassed), design, simulate, render in every mode and report, each
+    exiting 0, and loads no scipy module."""
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_BLOCKED],
+        capture_output=True, text=True, env=_src_env(), timeout=120, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result == {"exits": [0] * (5 + 2 + len(RENDER_MODES) + 1), "scipy": []}
 
 
 def test_design_simulate_render_path_never_loads_scipy_signal(tmp_path):

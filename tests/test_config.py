@@ -61,6 +61,9 @@ def test_values_override_defaults(tmp_path):
         ("solver", "tolerance_db = nan"),
         ("solver", "tolerance_db = inf"),
         ("render", "seed_left = -1"),
+        ("filterbank", "f_low = nan"),
+        ("filterbank", "bands_per_erb = inf"),
+        ("filterbank", "f_low = 0"),
     ],
 )
 def test_out_of_range_value_fails_at_load_for_every_command(tmp_path, capsys, section, line):

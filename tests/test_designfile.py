@@ -125,6 +125,9 @@ def test_not_a_design_file_rejected():
         ("converged", "maybe", "[fill_left] converged"),
         ("slope_db", "nan", "[target] slope_db"),
         ("delay_ms", "-inf", "[render] delay_ms"),
+        ("f_ref_low", "0.0", "[target]"),
+        ("seed_left", "-3", "[render]"),
+        ("sample_rate", "0", "[filterbank]"),
     ],
 )
 def test_unplayable_or_unparsable_value_rejected_naming_key(solved_design, key, value, named):

@@ -25,7 +25,9 @@ from roomfill.gammatone import (
     synthesis_latency,
     synthesize,
 )
-from roomfill.simulate import FIXTURE_SUITE, SyntheticRirParams, synth_rir
+from roomfill.simulate import SyntheticRirParams, synth_rir
+
+from conftest import FIXTURE_SUITE
 
 
 def _impulse(n, rate=48000):
@@ -90,6 +92,9 @@ def test_make_spec_rejects_bad_arguments():
         make_spec(48000, 80.0, 16000.0, bands_per_erb=0.0)
     with pytest.raises(ContractError):
         make_spec(48000, 80.0, 30000.0)  # above Nyquist
+    for args in ((math.nan, 16000.0, 1.0), (80.0, math.inf, 1.0), (80.0, 16000.0, math.inf)):
+        with pytest.raises(ContractError, match="must be finite"):
+            make_spec(48000, *args)
 
 
 def test_analyze_shape_and_determinism(spec48, rng):

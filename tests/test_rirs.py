@@ -3,7 +3,7 @@ import pytest
 
 from roomfill.audio import AudioBuffer, ImpulseResponse, rms_energy
 from roomfill.errors import ContractError, DegenerateMeasurementError
-from roomfill.rirs import RirSet, average_pair, balance_levels, channel_band_profile
+from roomfill.rirs import RirSet, average_pair, balance_levels
 
 
 def _ir(data, rate=48000, label=""):
@@ -79,12 +79,3 @@ def test_rirset_rejects_non_finite_samples_naming_speaker(rng):
     bad[3] = np.nan
     with pytest.raises(ContractError, match="support_left"):
         RirSet(a, a, _ir(bad), a)
-
-
-def test_channel_band_profile_checks_name(rng, spec48):
-    balanced = balance_levels(_quad(rng))
-    prof = channel_band_profile(balanced, "support_left", spec48)
-    assert prof.shape == (37,)
-    assert np.all(prof > 0)
-    with pytest.raises(ContractError):
-        channel_band_profile(balanced, "centre", spec48)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import fftconvolve
+from scipy.signal import fftconvolve, lfilter
 
 from roomfill.audio import AudioBuffer, ImpulseResponse
 from roomfill.errors import ContractError
@@ -15,10 +15,11 @@ from roomfill.pipeline import solve_design
 from roomfill.render import DELAY_RANGE_MS, SupportChain, render
 from roomfill.rirs import RirSet
 from roomfill.simulate import (
-    FIXTURE_SUITE,
     REPORT_HEADER,
     SyntheticRirParams,
     VerificationReport,
+    _lowpass,
+    _peaking_cut,
     export_report,
     read_report,
     simulate_total,
@@ -26,6 +27,8 @@ from roomfill.simulate import (
 )
 from roomfill.solver import BandGainSet, SolverConfig
 from roomfill.target import TargetFunction
+
+from conftest import FIXTURE_SUITE
 
 
 def _params(**kw):
@@ -62,6 +65,33 @@ def test_synth_rir_deterministic_and_seed_sensitive():
     c = synth_rir(_params(seed=10))
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
+
+
+@settings(max_examples=20)
+@given(
+    rate=st.sampled_from((44100, 48000)),
+    seed=st.integers(0, 2**32 - 1),
+    coloration=st.one_of(
+        st.tuples(
+            st.just("notch"), st.floats(40.0, 16000.0), st.floats(0.0, 30.0), st.floats(0.3, 10.0)
+        ),
+        st.tuples(st.just("lowpass"), st.floats(40.0, 20000.0)),
+    ),
+)
+def test_coloration_is_lfilter_bit_for_bit(rate, seed, coloration):
+    """synth_rir runs its own biquad, not scipy's: the coloured response
+    is scipy.signal.lfilter of the uncoloured one with the same seed, to
+    the last bit."""
+    params = _params(
+        sample_rate=rate, length_ms=200.0, t60_ms=50.0, direct_delay_ms=1.0,
+        coloration=coloration, seed=seed,
+    )
+    flat = synth_rir(dataclasses.replace(params, coloration=("none",)))
+    if coloration[0] == "notch":
+        b, a = _peaking_cut(*coloration[1:], rate=rate)
+    else:
+        b, a = _lowpass(coloration[1], rate=rate)
+    assert synth_rir(params).data.tobytes() == lfilter(b, a, flat.data).tobytes()
 
 
 def test_direct_sound_placement():

@@ -7,7 +7,14 @@ from scipy.signal import fftconvolve
 from roomfill import solver
 from roomfill.audio import AudioBuffer, ImpulseResponse
 from roomfill.errors import ContractError, UnfillableBandError
-from roomfill.gammatone import _ring_tail, analyze, band_energies, band_gain_eq, make_spec
+from roomfill.gammatone import (
+    EQ_IR_LEN,
+    _ring_tail,
+    analyze,
+    band_energies,
+    band_gain_eq,
+    make_spec,
+)
 from roomfill.render import (
     DEFAULT_DECORRELATOR_LEN,
     DEFAULT_SEED_LEFT,
@@ -144,6 +151,16 @@ def test_spectral_measurement_matches_time_domain_chain(fixture_rirs, spec48):
         bands = analyze(AudioBuffer(total, 48000), spec48).data
         want = np.sum(bands.real**2 + bands.imag**2, axis=1)
         assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+def test_chain_meter_takes_the_whole_coherent_total(spec48):
+    """The fill EQ pushed through a chain is EQ_IR_LEN + chain_len - 1
+    samples long. The meter must take it and the base whole even when the
+    base and the chain are both shorter, or the total's tail would wrap."""
+    base_len, chain_len = 1000, 2000
+    meter = _chain_meter(spec48, base_len, chain_len)
+    for n in (EQ_IR_LEN + chain_len - 1, base_len):
+        meter.spectrum(np.zeros(n))
 
 
 def test_solve_matches_brute_force_oracle():
