@@ -62,9 +62,14 @@ class RunConfig:
     chain: SupportChain
 
     def filterbank(self, sample_rate: int) -> FilterbankSpec:
-        return make_spec(
-            sample_rate, self.f_low, self.f_high, bands_per_erb=self.bands_per_erb
-        )
+        """The configured bank at the responses' rate; its Nyquist check
+        is the one [filterbank] check that needs the rate."""
+        try:
+            return make_spec(
+                sample_rate, self.f_low, self.f_high, bands_per_erb=self.bands_per_erb
+            )
+        except ContractError as exc:
+            raise ConfigError("[filterbank] %s" % exc) from None
 
     def load_rirs(self) -> RirSet:
         """Read the configured WAVs, averaging microphone pairs."""

@@ -41,8 +41,10 @@ def solve_design(
         )
     balanced = balance_levels(rirs)
 
-    # Left and right share each band-energy meter: the fill and the front
-    # solves need one size each when the sides' responses are equally long.
+    # Every solve measures through the smallest band-energy meter in
+    # `meters` that fits it. The fill solve's chain is the longer one, so
+    # with equally long responses the first fill solve builds the only
+    # meter and the other three solves reuse it.
     meters = {}
     fill = {}
     front = {}

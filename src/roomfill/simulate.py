@@ -225,9 +225,10 @@ def simulate_total(
     trim digitally.
 
     `meters` maps a size to the band-energy meter built for it on the
-    design's spec. Simulations of both channels can share it: a meter of
-    the size needed is taken from it, or built and added to it. Without
-    it the simulation builds its own.
+    design's spec. Simulations of both channels can share it: the
+    smallest meter in it that fits the total is taken, and one is built
+    and added only when none fits (see solver._chain_meter). Without it
+    the simulation builds its own.
     """
     if channel not in ("left", "right"):
         raise ContractError("channel must be 'left' or 'right'")

@@ -135,13 +135,17 @@ def _chain_meter(spec, base_len, chain_len, meters=None):
     chain's spectra is then the spectrum of their linear convolution. The
     profiles are shorter and measure the same through it.
 
-    `meters` maps a size to the meter built for it on this spec; a meter
-    of the size needed is taken from it, or built and added to it."""
+    `meters` maps a size to the meter built for it on this spec. The
+    smallest meter in it that fits is taken, since a larger one measures
+    the same to rounding; only when none fits is one of the size needed
+    built and added to it."""
     n = max(base_len, EQ_IR_LEN + chain_len - 1)
     meters = {} if meters is None else meters
-    if n not in meters:
+    fits = [size for size in meters if size >= n]
+    if not fits:
         meters[n] = _band_energy_meter(spec, n)
-    return meters[n]
+        fits = [n]
+    return meters[min(fits)]
 
 
 def _measure_total(gains, spec, base, chain, meter):
@@ -264,8 +268,10 @@ def solve_gains(
     returned flagged non-converged. Never raises for non-convergence;
     unfillable bands propagate from initial_gains.
 
-    `meters` is a dict of band-energy meters by size that solves on the
-    same spec share (see _chain_meter); without it the solve builds its
+    `meters` is a dict of band-energy meters by size that the solves and
+    simulations of one command on the same spec share: the solve measures
+    through the smallest one that fits its chain, and adds a meter only
+    when none does (see _chain_meter). Without it the solve builds its
     own.
     """
     if primary_ir.sample_rate != support_ir.sample_rate:
@@ -305,7 +311,9 @@ def solve_front_gains(
     quantity to match is the full per-band target, not a deficit on top
     of an untouched primary: achieved_b = band energy of EQ through the
     primary response, driven to T_b. Bands above target get cut (g < 1);
-    no band is ever muted. `meters` is shared as in solve_gains.
+    no band is ever muted. `meters` is shared as in solve_gains: after
+    a fill solve on the same responses, whose chain is longer, the front
+    solve measures through the fill solve's meter and builds none.
     """
     _check_rate(primary_ir, spec)
     meter = _chain_meter(spec, 0, primary_ir.data.size, meters)

@@ -63,6 +63,8 @@ def test_values_override_defaults(tmp_path):
         ("render", "seed_left = -1"),
         ("filterbank", "f_low = nan"),
         ("filterbank", "bands_per_erb = inf"),
+        ("filterbank", "bands_per_erb = 4.5"),
+        ("filterbank", "bands_per_erb = 1000"),
         ("filterbank", "f_low = 0"),
     ],
 )
@@ -200,3 +202,11 @@ def test_filterbank_accessor_builds_spec(tmp_path):
     assert spec.center_freqs[0] == 100.0
     assert spec.center_freqs[-1] <= 8000.0
     assert cfg.target.slope_db == 5.0
+
+
+@pytest.mark.parametrize("value", ("1.0", "2.0", "4"))
+def test_bands_per_erb_up_to_the_cap_loads(tmp_path, value):
+    """The cap leaves the default density and twice it valid; only the
+    layout is checked, no bank is fitted."""
+    cfg = load_config(_write(tmp_path, MINIMAL_IO + "\n[filterbank]\nbands_per_erb = %s\n" % value))
+    assert cfg.bands_per_erb == float(value)

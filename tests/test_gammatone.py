@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 from scipy.special import gammainccinv
 
-from roomfill.audio import AudioBuffer, ImpulseResponse
+from roomfill.audio import AudioBuffer, ImpulseResponse, _next_fast_len
 from roomfill.errors import ContractError
 from roomfill.gammatone import (
     DESIGN_LEN,
     EQ_IR_LEN,
+    MAX_BANDS_PER_ERB,
     BandSignals,
     _band_energy_meter,
     _gamma_upper_quantile,
     _impulse_bands,
+    _meter_weights,
     _pole_coefficients,
+    _inverse_power,
     _refined_lstsq,
     _ring_tail,
     analyze,
@@ -95,6 +98,15 @@ def test_make_spec_rejects_bad_arguments():
     for args in ((math.nan, 16000.0, 1.0), (80.0, math.inf, 1.0), (80.0, 16000.0, math.inf)):
         with pytest.raises(ContractError, match="must be finite"):
             make_spec(48000, *args)
+    for dense in (4.5, 1000.0, 1e9):
+        with pytest.raises(ContractError, match="bands_per_erb must be in"):
+            make_spec(48000, 80.0, 16000.0, bands_per_erb=dense)
+
+
+@pytest.mark.parametrize("bands_per_erb, count", ((1.0, 37), (2.0, 74), (MAX_BANDS_PER_ERB, 147)))
+def test_make_spec_lays_out_banks_up_to_the_density_cap(bands_per_erb, count):
+    """Only the layout is built here: no fit, no meter."""
+    assert make_spec(48000, 80.0, 16000.0, bands_per_erb=bands_per_erb).num_bands == count
 
 
 def test_analyze_shape_and_determinism(spec48, rng):
@@ -372,3 +384,47 @@ def test_meter_does_not_depend_on_its_size(spec48, rng):
     )
     with pytest.raises(ContractError):
         _band_energy_meter(spec48, x.size - 1).spectrum(x)
+
+
+def test_inverse_power_of_any_order():
+    """Powers of these bases are exact, so only the final reciprocal
+    rounds, as it does in 1.0 / base**order."""
+    base = np.array([2.0, -3.0, 0.5, 1.5])
+    for order in range(1, 10):
+        out = np.empty_like(base)
+        _inverse_power(out, base.copy(), order)
+        assert np.array_equal(out, 1.0 / base**order)
+
+
+def _power_reference_weights(spec, m):
+    """The meter weights with each term taken as den ** -order."""
+    lam, theta, norm = _pole_coefficients(spec)
+    half_w = math.pi * np.arange(m // 2 + 1) / m
+    sin_w, cos_w = np.sin(half_w), np.cos(half_w)
+    weights = np.zeros((spec.num_bands, half_w.size))
+    for k in range(spec.num_bands):
+        a = sin_w * math.cos(0.5 * theta[k])
+        b = cos_w * math.sin(0.5 * theta[k])
+        for den in (a - b, a + b):
+            den *= den
+            den *= 4.0 * lam[k]
+            den += (1.0 - lam[k]) ** 2
+            weights[k] += den ** -spec.order
+        weights[k] *= norm[k] ** 2 / m
+    weights[:, 0] *= 0.5
+    if m % 2 == 0:
+        weights[:, -1] *= 0.5
+    return weights
+
+
+@pytest.mark.parametrize("order", (1, 2, 3, 4))
+@pytest.mark.parametrize("rate", (44100, 48000))
+def test_meter_weights_match_the_power_they_replace(rate, order):
+    """The weights raise each band's denominator to -order by squarings
+    and one reciprocal instead of a power: equal to 1e-15 relative, for
+    the meter of a 1 s response (even m) and an odd m."""
+    spec = make_spec(rate, 80.0, 16000.0, order=order)
+    for m in (_next_fast_len(rate + _ring_tail(spec)), 30375):
+        want = _power_reference_weights(spec, m)
+        got = _meter_weights(spec, m)
+        assert np.max(np.abs(got - want) / want) <= 1e-15

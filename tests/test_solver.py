@@ -403,19 +403,8 @@ def _assert_same_solve(got, want):
     assert (got.capped_bands, got.trace) == (want.capped_bands, want.trace)
 
 
-def test_design_shares_meters_by_size_only(spec48, monkeypatch):
-    """With 0.30 s responses on the left and 0.35 s on the right no two
-    solves need a meter of the same size, so solve_design builds four,
-    and each of its solves equals the same solve run on its own, bit for
-    bit."""
-    notch = ("notch", 1000.0, 15.0, 3.0)
-    rirs = RirSet(
-        primary_left=_room_ir(81, coloration=notch),
-        primary_right=_room_ir(82, length_ms=350.0, coloration=notch),
-        support_left=_room_ir(83),
-        support_right=_room_ir(84, length_ms=350.0),
-    )
-    target, cfg, chain = TargetFunction(), SolverConfig(), SupportChain()
+def _count_builds(monkeypatch):
+    """The sizes of the meters the solver builds from now on, in order."""
     sizes = []
     build = solver._band_energy_meter
 
@@ -424,16 +413,54 @@ def test_design_shares_meters_by_size_only(spec48, monkeypatch):
         return build(spec, n)
 
     monkeypatch.setattr(solver, "_band_energy_meter", counted)
+    return sizes
+
+
+def test_design_shares_meters_by_size_only(spec48, monkeypatch):
+    """With 0.30 s responses on the left and 0.35 s on the right, each
+    side's front solve reuses its fill solve's meter, and the right fill
+    solve needs a larger one than the left's, so solve_design builds two.
+    Each of its solves equals the public solve run in the same order
+    through one shared dict, bit for bit."""
+    notch = ("notch", 1000.0, 15.0, 3.0)
+    rirs = RirSet(
+        primary_left=_room_ir(81, coloration=notch),
+        primary_right=_room_ir(82, length_ms=350.0, coloration=notch),
+        support_left=_room_ir(83),
+        support_right=_room_ir(84, length_ms=350.0),
+    )
+    target, cfg, chain = TargetFunction(), SolverConfig(), SupportChain()
+    sizes = _count_builds(monkeypatch)
     design = solve_design(rirs, spec48, target, cfg, chain)
-    assert len(sizes) == len(set(sizes)) == 4
+    assert len(sizes) == len(set(sizes)) == 2
 
     balanced = balance_levels(rirs)
+    meters = {}
     for side in ("left", "right"):
         primary = balanced.balanced("primary_" + side)
         fill = solve_gains(
             primary, balanced.balanced("support_" + side), target, spec48, cfg,
             decorrelator=chain.decorrelator(side), extra_delay=chain.delay_samples(48000),
+            meters=meters,
         )
         _assert_same_solve(getattr(design.gains, side), fill)
-        front = solve_front_gains(primary, target, spec48, cfg)
+        front = solve_front_gains(primary, target, spec48, cfg, meters=meters)
         _assert_same_solve(getattr(design.front_gains, side), front)
+    assert sizes[2:] == sizes[:2]
+
+
+def test_chain_meter_reuses_a_larger_meter_never_a_smaller_one(spec48, monkeypatch):
+    """A meter measures every signal up to its size, so _chain_meter
+    takes the smallest meter in the dict that fits and builds one only
+    when none does."""
+    sizes = _count_builds(monkeypatch)
+    meters = {}
+    mid = _chain_meter(spec48, 30000, 0, meters)
+    assert _chain_meter(spec48, 20000, 0, meters) is mid
+    assert sizes == [30000]
+    big = _chain_meter(spec48, 30001, 0, meters)
+    assert sizes == [30000, 30001] and big is not mid
+    assert _chain_meter(spec48, 0, 20000 - EQ_IR_LEN + 1, meters) is mid
+    assert _chain_meter(spec48, 30001, 0, meters) is big
+    assert sizes == [30000, 30001]
+    big.spectrum(np.zeros(30001))
