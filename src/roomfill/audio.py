@@ -58,7 +58,6 @@ class ImpulseResponse:
     """A single-channel measured or synthesised impulse response."""
 
     buffer: AudioBuffer
-    label: str = ""
 
     def __post_init__(self):
         if self.buffer.num_channels != 1:

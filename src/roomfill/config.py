@@ -75,14 +75,8 @@ class RunConfig:
         """Read the configured WAVs, averaging microphone pairs."""
         loaded = {}
         for name, paths in self.rir_paths.items():
-            captures = [
-                ImpulseResponse(read_wav(p), label=name) for p in paths
-            ]
-            loaded[name] = (
-                captures[0]
-                if len(captures) == 1
-                else average_pair(captures[0], captures[1])
-            )
+            captures = [ImpulseResponse(read_wav(p)) for p in paths]
+            loaded[name] = captures[0] if len(captures) == 1 else average_pair(*captures)
         return RirSet(**loaded)
 
 

@@ -7,6 +7,7 @@ consumer measures through the same chain the renderer will play through.
 """
 from __future__ import annotations
 
+from .audio import AudioBuffer, ImpulseResponse
 from .errors import ContractError
 from .gammatone import FilterbankSpec
 from .render import EqualisationDesign, SupportChain
@@ -24,10 +25,11 @@ def solve_design(
 ) -> EqualisationDesign:
     """Solve both channels against the target and assemble the design.
 
-    Levels are balanced first and every solve runs on the balanced
-    responses. The fill solve for each side measures through that side's
-    decorrelator and the bulk delay from `chain`, so the solved gains describe
-    the playback chain, not an idealised one. The front-feed gains are
+    Levels are balanced first: every solve runs on the responses scaled by
+    their balance gains, and the design stores those gains for the
+    renderer. The fill solve for each side measures through that side's
+    decorrelator and the bulk delay from `chain`, so the solved gains
+    describe the playback chain, not an idealised one. The front-feed gains are
     solved as well so the design supports front_eq rendering without
     another measurement pass.
 
@@ -39,7 +41,7 @@ def solve_design(
             "filterbank sample rate %d does not match the responses (%d)"
             % (spec.sample_rate, rirs.sample_rate)
         )
-    balanced = balance_levels(rirs)
+    balance = balance_levels(rirs)
 
     # Every solve measures through the smallest band-energy meter in
     # `meters` that fits it. The fill solve's chain is the longer one, so
@@ -49,8 +51,10 @@ def solve_design(
     fill = {}
     front = {}
     for side in ("left", "right"):
-        primary = balanced.balanced("primary_" + side)
-        support = balanced.balanced("support_" + side)
+        primary, support = (
+            ImpulseResponse(AudioBuffer(getattr(rirs, name).data * balance[name], rirs.sample_rate))
+            for name in ("primary_" + side, "support_" + side)
+        )
         fill[side] = solve_gains(
             primary,
             support,
@@ -68,6 +72,6 @@ def solve_design(
         gains=BandGainSet(spec, fill["left"], fill["right"]),
         front_gains=BandGainSet(spec, front["left"], front["right"]),
         target=target,
-        balance_gains=dict(balanced.balance_gains),
+        balance_gains=balance,
         chain=chain,
     )

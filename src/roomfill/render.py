@@ -57,7 +57,6 @@ class DecorrelatorFilter:
     """Random-phase all-pass FIR: unit magnitude at every design bin."""
 
     taps: np.ndarray
-    seed: int
 
     @property
     def group_delay_centroid(self) -> float:
@@ -85,7 +84,7 @@ def design_decorrelator(length: int, seed: int) -> DecorrelatorFilter:
     spectrum = np.ones(length // 2 + 1, dtype=np.complex128)
     spectrum[1:-1] = np.exp(1j * phases)
     taps = np.fft.irfft(spectrum, n=length)
-    return DecorrelatorFilter(taps=taps, seed=int(seed))
+    return DecorrelatorFilter(taps=taps)
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,6 @@ class RenderResult:
     """4-channel output (FL, FR, SL, SR) plus per-channel chain latency."""
 
     buffer: AudioBuffer
-    mode: str
     latency_samples: dict
 
 
@@ -293,6 +291,5 @@ def render(buffer: AudioBuffer, design: EqualisationDesign, mode: str) -> Render
         pos += block.shape[1]
     return RenderResult(
         buffer=AudioBuffer(out, buffer.sample_rate),
-        mode=mode,
         latency_samples=stream.latency_samples,
     )

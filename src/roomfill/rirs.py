@@ -1,8 +1,8 @@
 """Measured impulse response handling: the four-speaker set, microphone
-pair averaging and level balancing."""
+pair averaging and the level-balance gains."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,14 +17,12 @@ REFERENCE_CHANNEL = "primary_left"
 
 @dataclass
 class RirSet:
-    """One impulse response per loudspeaker, plus balance gains once
-    balance_levels has run."""
+    """One impulse response per loudspeaker, as measured."""
 
     primary_left: ImpulseResponse
     primary_right: ImpulseResponse
     support_left: ImpulseResponse
     support_right: ImpulseResponse
-    balance_gains: dict = field(default_factory=dict)
 
     def __post_init__(self):
         rates = {ir.sample_rate for ir in self.responses.values()}
@@ -36,26 +34,11 @@ class RirSet:
 
     @property
     def responses(self) -> dict:
-        return {
-            "primary_left": self.primary_left,
-            "primary_right": self.primary_right,
-            "support_left": self.support_left,
-            "support_right": self.support_right,
-        }
+        return {name: getattr(self, name) for name in CHANNEL_NAMES}
 
     @property
     def sample_rate(self) -> int:
         return self.primary_left.sample_rate
-
-    def balanced(self, name: str) -> ImpulseResponse:
-        """The named response scaled by its balance gain."""
-        if not self.balance_gains:
-            raise ContractError("run balance_levels first")
-        ir = self.responses[name]
-        g = self.balance_gains[name]
-        return ImpulseResponse(
-            AudioBuffer(ir.data * g, ir.sample_rate), label=ir.label
-        )
 
 
 def average_pair(a: ImpulseResponse, b: ImpulseResponse) -> ImpulseResponse:
@@ -70,13 +53,12 @@ def average_pair(a: ImpulseResponse, b: ImpulseResponse) -> ImpulseResponse:
     out[: a.data.size] += a.data
     out[: b.data.size] += b.data
     out *= 0.5
-    label = a.label or b.label
-    return ImpulseResponse(AudioBuffer(out, a.sample_rate), label=label)
+    return ImpulseResponse(AudioBuffer(out, a.sample_rate))
 
 
-def balance_levels(rirs: RirSet) -> RirSet:
-    """Solve per-speaker gains that equalise total energy to the
-    primary-left reference, emulating the level calibration a real
+def balance_levels(rirs: RirSet) -> dict:
+    """Per-speaker gains, {channel: gain}, that equalise total energy to
+    the primary-left reference, emulating the level calibration a real
     installation does with amplifier trims.
 
     gain_k = sqrt(E_ref / E_k); the reference gain is exactly 1.0.
@@ -94,11 +76,4 @@ def balance_levels(rirs: RirSet) -> RirSet:
     ref = energies[REFERENCE_CHANNEL]
     gains = {name: float(np.sqrt(ref / e)) for name, e in energies.items()}
     gains[REFERENCE_CHANNEL] = 1.0
-    return RirSet(
-        primary_left=rirs.primary_left,
-        primary_right=rirs.primary_right,
-        support_left=rirs.support_left,
-        support_right=rirs.support_right,
-        balance_gains=gains,
-    )
-
+    return gains

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -166,7 +165,7 @@ def synth_rir(params: SyntheticRirParams) -> ImpulseResponse:
         b, a = _lowpass(params.coloration[1], rate=rate)
         ir = _biquad(b, a, ir)
 
-    return ImpulseResponse(AudioBuffer(ir, rate), label="synthetic")
+    return ImpulseResponse(AudioBuffer(ir, rate))
 
 
 @dataclass
@@ -182,7 +181,6 @@ class VerificationReport:
     max_abs_deviation_filled_bands_db: float
     rms_deviation_db: float
     unfilled_band_count: int
-    filled: Optional[np.ndarray] = None
 
     @classmethod
     def build(cls, center_freqs, primary_db, fill_db, total_db, target_db, filled):
@@ -203,7 +201,6 @@ class VerificationReport:
             max_abs_deviation_filled_bands_db=max_dev,
             rms_deviation_db=rms,
             unfilled_band_count=int(np.count_nonzero(~filled)),
-            filled=filled,
         )
 
     @property
@@ -360,5 +357,4 @@ def read_report(path) -> VerificationReport:
         max_abs_deviation_filled_bands_db=figure("max_abs_deviation_filled_bands_db", float),
         rms_deviation_db=figure("rms_deviation_db", float),
         unfilled_band_count=figure("unfilled_band_count", int),
-        filled=None,
     )

@@ -63,6 +63,7 @@ def test_values_override_defaults(tmp_path):
         ("render", "seed_left = -1"),
         ("filterbank", "f_low = nan"),
         ("filterbank", "bands_per_erb = inf"),
+        ("filterbank", "bands_per_erb = 0.5"),
         ("filterbank", "bands_per_erb = 4.5"),
         ("filterbank", "bands_per_erb = 1000"),
         ("filterbank", "f_low = 0"),
@@ -192,7 +193,6 @@ def test_microphone_pairs_average_on_load(tmp_path, rng):
         a.astype(np.float32).astype(np.float64) + b.astype(np.float32).astype(np.float64)
     )
     assert np.array_equal(rirs.support_right.data, want)
-    assert rirs.primary_left.label == "primary_left"
 
 
 def test_filterbank_accessor_builds_spec(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from roomfill.designfile import dumps_design, load_design, loads_design, save_design
 from roomfill.errors import FormatError
+from roomfill.gammatone import MAX_BANDS_PER_ERB, MIN_BANDS_PER_ERB, make_spec
 from roomfill.render import DELAY_RANGE_MS, EqualisationDesign, SupportChain
 from roomfill.rirs import CHANNEL_NAMES
 from roomfill.solver import G_MAX, BandGainSet, ChannelSolve
@@ -15,6 +16,14 @@ from roomfill.target import TargetFunction
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 SEEDS = st.integers(0, 2**63 - 1)
+SPECS = st.builds(
+    make_spec,
+    st.sampled_from((44100, 48000)),
+    st.just(80.0),
+    st.just(16000.0),
+    st.floats(MIN_BANDS_PER_ERB, MAX_BANDS_PER_ERB),
+    st.integers(1, 4),
+)
 
 
 @st.composite
@@ -142,12 +151,13 @@ def test_unplayable_or_unparsable_value_rejected_naming_key(solved_design, key, 
 
 @given(
     data=st.data(),
+    spec=SPECS,
     chain=chains(),
     target=targets(),
     balance=st.lists(st.floats(1e-6, 1e6), min_size=4, max_size=4),
 )
-def test_round_trip_of_drawn_designs(spec48, data, chain, target, balance):
-    n = spec48.num_bands
+def test_round_trip_of_drawn_designs(data, spec, chain, target, balance):
+    n = spec.num_bands
 
     def solve():
         return ChannelSolve(
@@ -160,9 +170,9 @@ def test_round_trip_of_drawn_designs(spec48, data, chain, target, balance):
 
     solves = [solve() for _ in range(4)]
     design = EqualisationDesign(
-        spec=spec48,
-        gains=BandGainSet(spec48, solves[0], solves[1]),
-        front_gains=BandGainSet(spec48, solves[2], solves[3]),
+        spec=spec,
+        gains=BandGainSet(spec, solves[0], solves[1]),
+        front_gains=BandGainSet(spec, solves[2], solves[3]),
         target=target,
         balance_gains=dict(zip(CHANNEL_NAMES, balance)),
         chain=chain,
@@ -170,6 +180,7 @@ def test_round_trip_of_drawn_designs(spec48, data, chain, target, balance):
     text = dumps_design(design)
     back = loads_design(text)
     assert dumps_design(back) == text
+    assert back.spec == design.spec
     assert back.chain == chain
     assert back.target == target
     assert back.balance_gains == design.balance_gains

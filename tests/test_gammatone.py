@@ -11,6 +11,7 @@ from roomfill.gammatone import (
     EQ_IR_LEN,
     MAX_BANDS_PER_ERB,
     BandSignals,
+    FilterbankSpec,
     _band_energy_meter,
     _gamma_upper_quantile,
     _impulse_bands,
@@ -80,6 +81,16 @@ def test_band_density_doubles_band_count(spec48):
     assert dense.num_bands == 74
 
 
+def test_spec_layout_cannot_be_supplied(spec48):
+    """A bank is its parameters: a caller cannot hand it a layout that
+    differs from the one they determine."""
+    layout = (spec48.center_freqs, spec48.bandwidths)
+    with pytest.raises(TypeError):
+        FilterbankSpec(48000, 80.0, 16000.0, 1.0, 4, *layout)
+    with pytest.raises(TypeError):
+        FilterbankSpec(48000, 80.0, 16000.0, center_freqs=layout[0])
+
+
 def test_degenerate_span_gives_single_band():
     spec = make_spec(48000, 1000.0, 1000.0)
     assert spec.num_bands == 1
@@ -93,12 +104,13 @@ def test_make_spec_rejects_bad_arguments():
         make_spec(48000, 16000.0, 80.0)
     with pytest.raises(ContractError):
         make_spec(48000, 80.0, 16000.0, bands_per_erb=0.0)
-    with pytest.raises(ContractError):
-        make_spec(48000, 80.0, 30000.0)  # above Nyquist
+    for rate in (48000, 0, -48000):  # at or above Nyquist, or no rate
+        with pytest.raises(ContractError, match="Nyquist"):
+            make_spec(rate, 80.0, 30000.0 if rate > 0 else 16000.0)
     for args in ((math.nan, 16000.0, 1.0), (80.0, math.inf, 1.0), (80.0, 16000.0, math.inf)):
         with pytest.raises(ContractError, match="must be finite"):
             make_spec(48000, *args)
-    for dense in (4.5, 1000.0, 1e9):
+    for dense in (0.5, 4.5, 1000.0, 1e9):
         with pytest.raises(ContractError, match="bands_per_erb must be in"):
             make_spec(48000, 80.0, 16000.0, bands_per_erb=dense)
 

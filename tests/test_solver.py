@@ -39,6 +39,16 @@ from roomfill.target import TargetFunction, band_targets
 from oracle import oracle_single_band
 
 
+def _balanced(rirs):
+    """The four responses scaled by their balance gains, as solve_design
+    scales them before it solves."""
+    gains = balance_levels(rirs)
+    return {
+        name: ImpulseResponse(AudioBuffer(ir.data * gains[name], ir.sample_rate))
+        for name, ir in rirs.responses.items()
+    }
+
+
 def _short(seed, coloration=("none",)):
     # 450 ms = 3x t60: the shortest fixture with an untruncated tail
     return synth_rir(
@@ -248,12 +258,12 @@ def test_pinned_pair_fill_solve(solved_design):
 def test_leakage_covered_bands_are_muted(solved_design, fixture_rirs, spec48):
     """A band whose deficit ends up covered by neighbouring fill has its
     gain driven to exactly zero instead of hovering at a tiny value."""
-    balanced = balance_levels(fixture_rirs)
+    balanced = _balanced(fixture_rirs)
     for side, solve in (
         ("left", solved_design.gains.left),
         ("right", solved_design.gains.right),
     ):
-        primary = band_energies(balanced.balanced("primary_" + side), spec48)
+        primary = band_energies(balanced["primary_" + side], spec48)
         targets = band_targets(
             TargetFunction().with_offset(solve.offset_db), spec48
         )
@@ -434,12 +444,12 @@ def test_design_shares_meters_by_size_only(spec48, monkeypatch):
     design = solve_design(rirs, spec48, target, cfg, chain)
     assert len(sizes) == len(set(sizes)) == 2
 
-    balanced = balance_levels(rirs)
+    balanced = _balanced(rirs)
     meters = {}
     for side in ("left", "right"):
-        primary = balanced.balanced("primary_" + side)
+        primary = balanced["primary_" + side]
         fill = solve_gains(
-            primary, balanced.balanced("support_" + side), target, spec48, cfg,
+            primary, balanced["support_" + side], target, spec48, cfg,
             decorrelator=chain.decorrelator(side), extra_delay=chain.delay_samples(48000),
             meters=meters,
         )
