@@ -6,7 +6,7 @@ unity gain at f_c. Resynthesis delays, phase-rotates and weights the band
 signals so their summed real parts reconstruct a broadband impulse with a
 flat magnitude response. Band energies come from the cascade's closed-form
 response by Parseval, and the resynthesis design from its closed-form
-impulse response, without running the filters.
+impulse response and spectrum, without running the filters.
 """
 from __future__ import annotations
 
@@ -27,15 +27,14 @@ _ERB_RATE = 4.37  # per kHz
 #: Common latency the resynthesis aligns band envelopes to, seconds.
 ALIGN_LATENCY_S = 0.004
 
-#: Window length (samples) used to design the resynthesis and to measure
-#: the impulse reference energies. Long enough that even the lowest band
-#: has fully decayed.
+#: DFT length (points) whose bins the resynthesis fit reads, and the length
+#: of the unit impulse whose band energies are the reference energies.
 DESIGN_LEN = 16384
 
 #: Length of the FIR built by band_gain_eq; ~85 ms at 48 kHz, long enough
 #: for the lowest band's ringing to decay well below the energy tolerances.
-#: The bank is causal, so the first EQ_IR_LEN samples of the DESIGN_LEN
-#: impulse bands are exactly the impulse bands of an EQ_IR_LEN impulse.
+#: It is also as many samples of the impulse bands as the resynthesis fit
+#: builds.
 EQ_IR_LEN = 4096
 
 
@@ -100,7 +99,7 @@ def check_bank(f_low: float, f_high: float, bands_per_erb: float, order: int = 4
     """ContractError unless FilterbankSpec can lay out this bank at any
     rate whose Nyquist frequency lies above f_high: finite values,
     0 < f_low <= f_high, MIN_BANDS_PER_ERB <= bands_per_erb <=
-    MAX_BANDS_PER_ERB and order >= 1."""
+    MAX_BANDS_PER_ERB and a whole order >= 1."""
     for name, value in (("f_low", f_low), ("f_high", f_high), ("bands_per_erb", bands_per_erb)):
         if not math.isfinite(value):
             raise ContractError("%s must be finite, got %r" % (name, value))
@@ -111,8 +110,8 @@ def check_bank(f_low: float, f_high: float, bands_per_erb: float, order: int = 4
             "bands_per_erb must be in [%g, %g], got %r"
             % (MIN_BANDS_PER_ERB, MAX_BANDS_PER_ERB, bands_per_erb)
         )
-    if order < 1:
-        raise ContractError("order must be >= 1")
+    if not math.isfinite(order) or order != int(order) or order < 1:
+        raise ContractError("order must be a whole number >= 1, got %r" % (order,))
 
 
 @dataclass(frozen=True)
@@ -121,8 +120,9 @@ class FilterbankSpec:
     and the band layout they determine. Band centres sit at uniform
     1/bands_per_erb steps on the ERB-number scale from f_low up to and
     including f_high (one band if they are equal), each band as wide as the
-    ERB at its centre. The parameters must pass check_bank, and f_high
-    must lie below the Nyquist frequency (so sample_rate is positive).
+    ERB at its centre. The parameters must pass check_bank, sample_rate
+    must be a whole number of Hz, and f_high must lie below the Nyquist
+    frequency (so sample_rate is positive).
     """
 
     sample_rate: int
@@ -135,6 +135,9 @@ class FilterbankSpec:
 
     def __post_init__(self):
         check_bank(self.f_low, self.f_high, self.bands_per_erb, self.order)
+        rate = self.sample_rate
+        if not math.isfinite(rate) or rate != int(rate):
+            raise ContractError("sample_rate must be a whole number of Hz, got %r" % (rate,))
         for name, kind in (("sample_rate", int), ("f_low", float), ("f_high", float),
                            ("bands_per_erb", float), ("order", int)):
             object.__setattr__(self, name, kind(getattr(self, name)))
@@ -240,13 +243,14 @@ def _impulse_bands(spec: FilterbankSpec, n: int) -> np.ndarray:
     return (norm[:, None] * binom) * np.exp(np.log(poles)[:, None] * t)
 
 
-def _refined_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _refined_lstsq(a: np.ndarray, b: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Least-squares solution of a x = b for a tall, well-conditioned a:
     the normal equations plus one step of iterative refinement (Bjorck
     1996, section 2.9). The step takes the normal equations' error from
     about cond(a)**2 ulps down to the cond(a) ulps an SVD solve reaches.
+    gram is a.T @ a, passed in so that right-hand sides that share a
+    share it.
     """
-    gram = a.T @ a
     x = np.linalg.solve(gram, a.T @ b)
     x += np.linalg.solve(gram, a.T @ (b - a @ x))
     return x
@@ -259,6 +263,61 @@ def _add_band(out: np.ndarray, band: np.ndarray, delay: int, phase: float, gain:
     its delay adds nothing."""
     kept = band[: max(band.size - delay, 0)]
     out[delay:] += gain * (kept * np.exp(1j * phase)).real
+
+
+def _fit_grid(spec: FilterbankSpec):
+    """The DESIGN_LEN-point DFT bins the resynthesis fit reads: one
+    crossover bin per pair of adjacent bands (the ERB-scale midpoint of
+    their centres), the magnitude-fit bins (slightly wider than the
+    guaranteed-flat region) and the fit's base weight per fit bin."""
+    fs = spec.sample_rate
+    freqs = np.fft.rfftfreq(DESIGN_LEN, 1.0 / fs)
+    centers = np.asarray(spec.center_freqs)
+    mids = [
+        erb_number_inverse(0.5 * (erb_number(lo) + erb_number(hi)))
+        for lo, hi in zip(centers[:-1], centers[1:])
+    ]
+    cross_bins = np.clip(
+        np.round(np.array(mids) / (fs / DESIGN_LEN)).astype(int), 0, freqs.size - 1
+    )
+    fit_lo = 1.125 * spec.f_low
+    fit_hi = 0.9 * spec.f_high
+    if fit_hi <= fit_lo:
+        fit_lo = 0.8 * centers[0]
+        fit_hi = min(1.25 * centers[-1], 0.49 * fs)
+    fit_bins = np.flatnonzero((freqs >= fit_lo) & (freqs <= fit_hi))
+    if fit_bins.size == 0:
+        fit_bins = np.array([np.argmin(np.abs(freqs - centers[0]))])
+    f = np.maximum(freqs[fit_bins], 1.0)
+    base_w = 1.0 / np.sqrt(_ERB_SCALE * (_ERB_RATE * f / 1000.0 + 1.0))
+    return cross_bins, fit_bins, base_w
+
+
+@lru_cache(maxsize=1)
+def _dft_roots() -> np.ndarray:
+    """exp(-2 pi i k / DESIGN_LEN) for k = 0 .. DESIGN_LEN - 1."""
+    return np.exp(-2j * math.pi / DESIGN_LEN * np.arange(DESIGN_LEN))
+
+
+def _dft_phasors(bins: np.ndarray, delays) -> np.ndarray:
+    """exp(-2 pi i bin d / DESIGN_LEN) per delay d (rows) and bin, the
+    product reduced modulo DESIGN_LEN first so the angle stays exact."""
+    return _dft_roots()[(np.asarray(delays)[:, None] * bins) % DESIGN_LEN]
+
+
+def _band_spectra(spec: FilterbankSpec, bins: np.ndarray) -> np.ndarray:
+    """DESIGN_LEN-point DFT of each undelayed impulse band at the given
+    bins, in closed form: norm / (1 - p e^{-iw})**order at
+    w = 2 pi bin / DESIGN_LEN, with p the pole as _poles rounds it (and
+    _impulse_bands uses). That is the band's whole spectrum; an FFT of a
+    DESIGN_LEN window equals it once the band has rung out inside the
+    window, and a delay d multiplies it by _dft_phasors(bins, [d])."""
+    poles, norm = _poles(spec)
+    den = 1.0 - poles[:, None] * _dft_phasors(bins, [1])
+    power = den
+    for _ in range(spec.order - 1):
+        power = power * den
+    return norm[:, None] / power
 
 
 #: What _synthesis_design computes once per spec; see there.
@@ -282,72 +341,56 @@ def _synthesis_design(spec: FilterbankSpec) -> _SynthesisDesign:
     magnitude flat (a linear-phase target is unreachable for the
     undelayable low bands, but only the magnitude matters). Gains come
     from an iteratively reweighted least-squares fit of |summed response|
-    to unity. The delayed bands are then nudged together until the
-    reconstruction peak lands on the 4 ms sample itself.
+    to unity on the DESIGN_LEN-point DFT bins of _fit_grid. The delayed
+    bands are then nudged together until the reconstruction peak lands on
+    the 4 ms sample itself.
+
+    The fit reads only those bins of the band spectra, so it takes them
+    in closed form (_band_spectra), and only the first EQ_IR_LEN samples
+    of the impulse bands. A band's envelope rises to its peak and then
+    decays, so a prefix that holds the 4 ms sample finds every peak that
+    sets a delay.
     """
-    fs = spec.sample_rate
     n_bands = spec.num_bands
-    target_latency = int(round(ALIGN_LATENCY_S * fs))
-    bands = _impulse_bands(spec, DESIGN_LEN)
+    target_latency = int(round(ALIGN_LATENCY_S * spec.sample_rate))
+    bands = _impulse_bands(spec, max(EQ_IR_LEN, target_latency + 1))
     peaks = np.argmax(np.abs(bands), axis=1)
     delays = np.maximum(0, target_latency - peaks).astype(int)
 
-    freqs = np.fft.rfftfreq(DESIGN_LEN, 1.0 / fs)
-    half = freqs.size
-    bin_hz = fs / DESIGN_LEN
-
-    # crossover frequencies: midpoints between centers on the ERB scale
-    centers = np.asarray(spec.center_freqs)
-    cross_bins = np.empty(0, dtype=int)
-    if n_bands > 1:
-        mids = [
-            erb_number_inverse(0.5 * (erb_number(centers[i]) + erb_number(centers[i + 1])))
-            for i in range(n_bands - 1)
-        ]
-        cross_bins = np.clip(np.round(np.array(mids) / bin_hz).astype(int), 0, half - 1)
-
-    # magnitude-fit grid, slightly wider than the guaranteed-flat region
-    fit_lo = 1.125 * spec.f_low
-    fit_hi = 0.9 * spec.f_high
-    if fit_hi <= fit_lo:
-        fit_lo = 0.8 * centers[0]
-        fit_hi = min(1.25 * centers[-1], 0.49 * fs)
-    sel = (freqs >= fit_lo) & (freqs <= fit_hi)
-    if not np.any(sel):
-        first = int(np.argmin(np.abs(freqs - centers[0])))
-        sel = np.zeros(half, dtype=bool)
-        sel[first] = True
-    base_w = 1.0 / np.sqrt(_ERB_SCALE * (_ERB_RATE * np.maximum(freqs[sel], 1.0) / 1000.0 + 1.0))
+    cross_bins, fit_bins, base_w = _fit_grid(spec)
+    fit_spectra = _band_spectra(spec, fit_bins)
+    cross_spectra = _band_spectra(spec, cross_bins)
+    pairs = np.arange(n_bands - 1)
 
     def build(cur_delays):
-        shifted = np.zeros_like(bands)
-        for b, d in enumerate(cur_delays):
-            shifted[b, d:] = bands[b, : DESIGN_LEN - d]
-        spectra = np.fft.fft(shifted, axis=1)[:, :half]
+        cross = cross_spectra * _dft_phasors(cross_bins, cur_delays)
+        angles = np.angle(cross)
+        first = target_latency - cur_delays[0]
+        steps = angles[pairs, pairs] - angles[pairs + 1, pairs]
+        phase0 = -np.angle(bands[0, first]) if first >= 0 else 0.0
+        phases = np.cumsum(np.concatenate([[phase0], steps]))
 
-        phases = np.zeros(n_bands)
-        phases[0] = -np.angle(shifted[0, target_latency])
-        for i in range(n_bands - 1):
-            step = np.angle(spectra[i, cross_bins[i]]) - np.angle(
-                spectra[i + 1, cross_bins[i]]
-            )
-            phases[i + 1] = phases[i] + step
-
-        # real-part synthesis response ~ half the analytic sum
-        a_mat = 0.5 * (spectra[:, sel] * np.exp(1j * phases)[:, None]).T
-        a_stack = np.concatenate([a_mat.real, a_mat.imag])
+        # real-part synthesis response ~ half the analytic sum; the real
+        # and imaginary parts of bin j's response are columns j and
+        # j + len(fit_bins), so a weight scales along each row
+        rotated = fit_spectra * _dft_phasors(fit_bins, cur_delays)
+        rotated *= 0.5 * np.exp(1j * phases)[:, None]
+        a_t = np.concatenate([rotated.real, rotated.imag], axis=1)
         gains = np.ones(n_bands)
         w = base_w
+        scaled = a_t * np.concatenate([w, w])
+        gram = scaled @ scaled.T  # steps 0-3 keep the base weights
         for k in range(16):
-            resp = a_mat @ gains
-            mag_err = np.abs(np.abs(resp) - 1.0)
+            re, im = np.split(gains @ a_t, 2)
+            mag = np.hypot(re, im)
             if k > 3:
+                mag_err = np.abs(mag - 1.0)
                 w = base_w * (1.0 + 4.0 * mag_err / max(mag_err.max(), 1e-12))
-            rhs = resp / np.maximum(np.abs(resp), 1e-12) * w
-            # each weight scales the real and the imaginary row of its bin
-            rows_w = np.concatenate([w, w])[:, None]
-            gains = _refined_lstsq(a_stack * rows_w, np.concatenate([rhs.real, rhs.imag]))
-        recon = np.zeros(DESIGN_LEN)
+                scaled = a_t * np.concatenate([w, w])
+                gram = scaled @ scaled.T
+            scale = w / np.maximum(mag, 1e-12)
+            gains = _refined_lstsq(scaled.T, np.concatenate([re * scale, im * scale]), gram)
+        recon = np.zeros(bands.shape[1])
         for b, d in enumerate(cur_delays):
             _add_band(recon, bands[b], d, phases[b], gains[b])
         return phases, gains, int(np.argmax(np.abs(recon)))

@@ -113,6 +113,14 @@ def test_make_spec_rejects_bad_arguments():
     for dense in (0.5, 4.5, 1000.0, 1e9):
         with pytest.raises(ContractError, match="bands_per_erb must be in"):
             make_spec(48000, 80.0, 16000.0, bands_per_erb=dense)
+    # a fractional order or rate is refused, not truncated to another bank
+    for order in (2.5, 0, math.nan, math.inf):
+        with pytest.raises(ContractError, match="order must be a whole number"):
+            make_spec(48000, 80.0, 16000.0, 1.0, order)
+    for rate in (48000.7, math.nan, math.inf):
+        with pytest.raises(ContractError, match="sample_rate must be a whole number"):
+            make_spec(rate, 80.0, 16000.0)
+    assert make_spec(48000.0, 80.0, 16000.0, 1.0, 4.0) == make_spec(48000, 80.0, 16000.0)
 
 
 @pytest.mark.parametrize("bands_per_erb, count", ((1.0, 37), (2.0, 74), (MAX_BANDS_PER_ERB, 147)))
@@ -239,9 +247,9 @@ def test_impulse_band_energies_reference(spec48):
 
 
 def test_eq_matches_fresh_impulse_resynthesis(spec48, rng):
-    """band_gain_eq is a product with a basis built from a prefix of the
-    design's long impulse bands; it must equal resynthesising the bands of
-    a fresh EQ_IR_LEN impulse. Each one-band EQ, a row of the basis, is
+    """band_gain_eq is a product with a basis built from the design's
+    impulse bands; it must equal resynthesising the bands of a fresh
+    EQ_IR_LEN impulse. Each one-band EQ, a row of the basis, is
     equal exactly. Any other g sums 37 rows in another order than
     synthesize does: the rows' absolute values add up to under twice the
     EQ's peak, so the two agree within a few ulps of it.
@@ -291,7 +299,11 @@ def test_refined_normal_equations_match_svd_least_squares(cond):
     for seed in range(3):
         a, b = _tall_system(cond, seed)
         want = np.linalg.lstsq(a, b, rcond=None)[0]
-        got = _refined_lstsq(a, b)
+        got = _refined_lstsq(a, b, a.T @ a)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # as the resynthesis fit calls it: a stored as the rows of a.T
+        a_t = np.ascontiguousarray(a.T)
+        got = _refined_lstsq(a_t.T, b, a_t @ a_t.T)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
