@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 from .audio import ImpulseResponse, read_wav
 from .errors import ConfigError, ContractError
-from .gammatone import FilterbankSpec, check_bank, make_spec
+from .gammatone import FilterbankSpec, check_bank, make_spec, min_response_length
 from .render import SupportChain
 from .rirs import CHANNEL_NAMES, RirSet, average_pair
 from .solver import SolverConfig
@@ -27,8 +27,7 @@ from .target import TargetFunction
 
 
 # [target], [solver] and [render] are these dataclasses' own fields and
-# defaults, validated by their constructors; the target's offset_db is
-# solved, never configured.
+# defaults, validated by their constructors.
 _SECTION_TYPES = {
     "target": TargetFunction,
     "solver": SolverConfig,
@@ -38,7 +37,7 @@ _SECTION_TYPES = {
 _DEFAULTS = {
     "filterbank": {"f_low": 80.0, "f_high": 16000.0, "bands_per_erb": 1.0},
     **{
-        name: {f.name: f.default for f in fields(cls) if f.name != "offset_db"}
+        name: {f.name: f.default for f in fields(cls)}
         for name, cls in _SECTION_TYPES.items()
     },
 }
@@ -72,12 +71,26 @@ class RunConfig:
             raise ConfigError("[filterbank] %s" % exc) from None
 
     def load_rirs(self) -> RirSet:
-        """Read the configured WAVs, averaging microphone pairs."""
+        """Read the configured WAVs, averaging microphone pairs, and refuse
+        a response shorter than the configured bank needs at their rate
+        (gammatone.min_response_length)."""
         loaded = {}
         for name, paths in self.rir_paths.items():
             captures = [ImpulseResponse(read_wav(p)) for p in paths]
             loaded[name] = captures[0] if len(captures) == 1 else average_pair(*captures)
-        return RirSet(**loaded)
+        rirs = RirSet(**loaded)
+        rate = rirs.sample_rate
+        need = min_response_length(self.filterbank(rate))
+        for name, ir in rirs.responses.items():
+            if ir.data.size < need:
+                raise ConfigError(
+                    "[io] %s: %s has %d samples (%.1f ms at %d Hz); the lowest "
+                    "band of [filterbank] needs at least %d (%.1f ms)"
+                    % (name, " + ".join(map(os.path.basename, self.rir_paths[name])),
+                       ir.data.size, 1000.0 * ir.data.size / rate, rate,
+                       need, 1000.0 * need / rate)
+                )
+        return rirs
 
 
 def _typed(section: str, key: str, raw: str, like) -> object:

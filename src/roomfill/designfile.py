@@ -1,11 +1,14 @@
 """Plain-text serialization of an equalisation design.
 
 The file is an INI document with a leading [design] section carrying
-format_version. Floats are written with repr so a value survives the
-round trip bit-exactly and identical designs produce byte-identical
-files. The filterbank is stored by its parameters, not its derived
-centre frequencies; the loader rebuilds it and therefore cannot drift
-from the code that made it.
+format_version, which is checked before anything else, so a file of
+another version is refused by its version rather than by the first key
+that changed. There is no reader for an older version; `design` rebuilds
+the file. Floats are written with repr so a value survives the round trip
+bit-exactly and identical designs produce byte-identical files. The
+filterbank is stored by its parameters, not its derived centre
+frequencies; the loader rebuilds it and therefore cannot drift from the
+code that made it.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from .rirs import CHANNEL_NAMES
 from .solver import BandGainSet, ChannelSolve
 from .target import TargetFunction
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _field_types(cls) -> dict:
@@ -78,7 +81,6 @@ _TABLE = {
         "f_low": float,
         "f_high": float,
         "bands_per_erb": float,
-        "order": int,
     },
     "target": _field_types(TargetFunction),
     "render": _field_types(SupportChain),
@@ -130,6 +132,18 @@ def loads_design(text: str) -> EqualisationDesign:
     except configparser.Error as exc:
         raise FormatError("not a design file: %s" % exc) from exc
 
+    try:
+        version = int(parser["design"]["format_version"])
+    except (KeyError, ValueError):
+        raise FormatError(
+            "not a design file: no whole-number [design] format_version"
+        ) from None
+    if version != FORMAT_VERSION:
+        raise FormatError(
+            "design format_version %d is not supported (expected %d): "
+            "run `design` again to rebuild it" % (version, FORMAT_VERSION)
+        )
+
     if set(parser.sections()) != set(_TABLE):
         missing = set(_TABLE) - set(parser.sections())
         extra = set(parser.sections()) - set(_TABLE)
@@ -160,12 +174,6 @@ def loads_design(text: str) -> EqualisationDesign:
         if name == "filterbank":
             spec = values[name]
 
-    version = values["design"]["format_version"]
-    if version != FORMAT_VERSION:
-        raise FormatError(
-            "design format_version %d is not supported (expected %d)"
-            % (version, FORMAT_VERSION)
-        )
     for name, gain in values["balance"].items():
         # a zero trim would mute a loudspeaker, a negative one invert it
         if not gain > 0:

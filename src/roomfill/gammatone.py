@@ -1,8 +1,8 @@
 """Complex one-pole gammatone filterbank: analysis, resynthesis, band energies.
 
-Each band is a cascade of `order` identical complex one-pole sections with
-pole a = lambda * exp(i*2*pi*f_c/f_s). The cascade is peak-normalised to
-unity gain at f_c. Resynthesis delays, phase-rotates and weights the band
+Each band is a cascade of ORDER = 4 identical complex one-pole sections
+with pole a = lambda * exp(i*2*pi*f_c/f_s). The cascade is peak-normalised
+to unity gain at f_c. Resynthesis delays, phase-rotates and weights the band
 signals so their summed real parts reconstruct a broadband impulse with a
 flat magnitude response. Band energies come from the cascade's closed-form
 response by Parseval, and the resynthesis design from its closed-form
@@ -19,6 +19,9 @@ import numpy as np
 
 from .audio import AudioBuffer, ImpulseResponse, _next_fast_len
 from .errors import ContractError
+
+#: Sections per band: a 4th-order gammatone (Hohmann 2002).
+ORDER = 4
 
 # Glasberg & Moore equivalent rectangular bandwidth constants.
 _ERB_SCALE = 24.7
@@ -62,23 +65,17 @@ def erb_number_inverse(n: float) -> float:
     return math.expm1(n / c) * 1000.0 / _ERB_RATE
 
 
-def bandwidth_factor(order: int) -> float:
-    """Decay-rate multiplier that makes a cascade's rectangular bandwidth
-    equal the nominal bandwidth.
-
-    For an order-n gammatone the equivalent rectangular bandwidth is
-    pi*(2n-2)! * 2**-(2n-2) / ((n-1)!)**2 times the decay parameter, so
-    the multiplier is the reciprocal of that; 3.2/pi for order 4.
-    """
-    if order < 1:
-        raise ContractError("order must be >= 1")
-    a = (
-        math.pi
-        * math.factorial(2 * order - 2)
-        * 2.0 ** -(2 * order - 2)
-        / math.factorial(order - 1) ** 2
-    )
-    return 1.0 / a
+#: Decay-rate multiplier that makes a cascade's rectangular bandwidth equal
+#: the nominal bandwidth. For an order-n gammatone the equivalent
+#: rectangular bandwidth is pi*(2n-2)! * 2**-(2n-2) / ((n-1)!)**2 times the
+#: decay parameter, so the multiplier is the reciprocal of that; 3.2/pi at
+#: ORDER.
+_BANDWIDTH_FACTOR = 1.0 / (
+    math.pi
+    * math.factorial(2 * ORDER - 2)
+    * 2.0 ** -(2 * ORDER - 2)
+    / math.factorial(ORDER - 1) ** 2
+)
 
 
 #: Densest bank check_bank accepts. Adjacent bands overlap more as the
@@ -95,11 +92,11 @@ MAX_BANDS_PER_ERB = 4.0
 MIN_BANDS_PER_ERB = 1.0
 
 
-def check_bank(f_low: float, f_high: float, bands_per_erb: float, order: int = 4) -> None:
+def check_bank(f_low: float, f_high: float, bands_per_erb: float) -> None:
     """ContractError unless FilterbankSpec can lay out this bank at any
     rate whose Nyquist frequency lies above f_high: finite values,
-    0 < f_low <= f_high, MIN_BANDS_PER_ERB <= bands_per_erb <=
-    MAX_BANDS_PER_ERB and a whole order >= 1."""
+    0 < f_low <= f_high and MIN_BANDS_PER_ERB <= bands_per_erb <=
+    MAX_BANDS_PER_ERB."""
     for name, value in (("f_low", f_low), ("f_high", f_high), ("bands_per_erb", bands_per_erb)):
         if not math.isfinite(value):
             raise ContractError("%s must be finite, got %r" % (name, value))
@@ -110,8 +107,6 @@ def check_bank(f_low: float, f_high: float, bands_per_erb: float, order: int = 4
             "bands_per_erb must be in [%g, %g], got %r"
             % (MIN_BANDS_PER_ERB, MAX_BANDS_PER_ERB, bands_per_erb)
         )
-    if not math.isfinite(order) or order != int(order) or order < 1:
-        raise ContractError("order must be a whole number >= 1, got %r" % (order,))
 
 
 @dataclass(frozen=True)
@@ -129,17 +124,16 @@ class FilterbankSpec:
     f_low: float
     f_high: float
     bands_per_erb: float = 1.0
-    order: int = 4
     center_freqs: tuple = field(init=False)
     bandwidths: tuple = field(init=False)
 
     def __post_init__(self):
-        check_bank(self.f_low, self.f_high, self.bands_per_erb, self.order)
+        check_bank(self.f_low, self.f_high, self.bands_per_erb)
         rate = self.sample_rate
         if not math.isfinite(rate) or rate != int(rate):
             raise ContractError("sample_rate must be a whole number of Hz, got %r" % (rate,))
         for name, kind in (("sample_rate", int), ("f_low", float), ("f_high", float),
-                           ("bands_per_erb", float), ("order", int)):
+                           ("bands_per_erb", float)):
             object.__setattr__(self, name, kind(getattr(self, name)))
         if self.f_high >= self.sample_rate / 2:
             raise ContractError(
@@ -184,12 +178,11 @@ class BandSignals:
 def _pole_coefficients(spec: FilterbankSpec):
     """Per-band pole radius lam and angle theta (the pole is
     lam * exp(i*theta)) and the peak-normalisation factor."""
-    beta = bandwidth_factor(spec.order)
     fc = np.asarray(spec.center_freqs)
     bw = np.asarray(spec.bandwidths)
-    lam = np.exp(-2.0 * math.pi * beta * bw / spec.sample_rate)
+    lam = np.exp(-2.0 * math.pi * _BANDWIDTH_FACTOR * bw / spec.sample_rate)
     theta = 2.0 * math.pi * fc / spec.sample_rate
-    norm = (1.0 - lam) ** spec.order
+    norm = (1.0 - lam) ** ORDER
     return lam, theta, norm
 
 
@@ -219,7 +212,7 @@ def analyze(buffer: AudioBuffer, spec: FilterbankSpec) -> BandSignals:
     for b in range(spec.num_bands):
         y = x
         den = np.array([1.0, -poles[b]])
-        for _ in range(spec.order):
+        for _ in range(ORDER):
             y = lfilter([1.0], den, y)
         out[b] = y * norm[b]
     return BandSignals(spec, out)
@@ -228,8 +221,8 @@ def analyze(buffer: AudioBuffer, spec: FilterbankSpec) -> BandSignals:
 def _impulse_bands(spec: FilterbankSpec, n: int) -> np.ndarray:
     """analyze of an n-sample unit impulse, in closed form.
 
-    A cascade of `order` sections norm**(1/order) / (1 - p z^-1) has the
-    impulse response norm * C(t + order - 1, order - 1) * p**t (Hohmann
+    A cascade of ORDER sections norm**(1/ORDER) / (1 - p z^-1) has the
+    impulse response norm * C(t + ORDER - 1, ORDER - 1) * p**t (Hohmann
     2002). p is the pole as analyze rounds it, so the two agree to a few
     ulps of each band's peak; with the exact pole they would drift apart
     by t ulps. Each sample depends on t alone, so the first k samples for
@@ -238,7 +231,7 @@ def _impulse_bands(spec: FilterbankSpec, n: int) -> np.ndarray:
     poles, norm = _poles(spec)
     t = np.arange(n, dtype=np.float64)
     binom = np.ones(n)
-    for j in range(1, spec.order):
+    for j in range(1, ORDER):
         binom = binom * (t + j) / j
     return (norm[:, None] * binom) * np.exp(np.log(poles)[:, None] * t)
 
@@ -307,7 +300,7 @@ def _dft_phasors(bins: np.ndarray, delays) -> np.ndarray:
 
 def _band_spectra(spec: FilterbankSpec, bins: np.ndarray) -> np.ndarray:
     """DESIGN_LEN-point DFT of each undelayed impulse band at the given
-    bins, in closed form: norm / (1 - p e^{-iw})**order at
+    bins, in closed form: norm / (1 - p e^{-iw})**ORDER at
     w = 2 pi bin / DESIGN_LEN, with p the pole as _poles rounds it (and
     _impulse_bands uses). That is the band's whole spectrum; an FFT of a
     DESIGN_LEN window equals it once the band has rung out inside the
@@ -315,7 +308,7 @@ def _band_spectra(spec: FilterbankSpec, bins: np.ndarray) -> np.ndarray:
     poles, norm = _poles(spec)
     den = 1.0 - poles[:, None] * _dft_phasors(bins, [1])
     power = den
-    for _ in range(spec.order - 1):
+    for _ in range(ORDER - 1):
         power = power * den
     return norm[:, None] / power
 
@@ -476,41 +469,43 @@ def _gamma_upper_quantile(a: int, q: float) -> float:
     return x
 
 
-def _ring_tail(spec: FilterbankSpec) -> int:
-    """Samples of zero padding after a signal that let the slowest band
-    ring out: less than 1e-30 of its energy lies beyond them, so what
-    wraps around a Parseval FFT stays below 1e-15 relative.
+def _ring_length(spec: FilterbankSpec, q: float) -> int:
+    """Samples after which the slowest band's impulse response keeps less
+    than q of its energy.
 
-    The squared envelope n**(2*order-2) * lam**(2n) of a cascade is a
-    gamma density, so the tail is its upper quantile
-    (_gamma_upper_quantile). DESIGN_LEN covers 44.1 and 48 kHz; higher
-    rates need more.
+    The squared envelope n**(2*ORDER-2) * lam**(2n) of a cascade is a
+    gamma density, so the length is its upper quantile
+    (_gamma_upper_quantile) over the decay rate.
     """
     lam = _pole_coefficients(spec)[0]
     rate = -2.0 * math.log(float(lam.max()))
-    quantile = _gamma_upper_quantile(2 * spec.order - 1, 1e-30)
-    return max(DESIGN_LEN, math.ceil(quantile / rate))
+    return math.ceil(_gamma_upper_quantile(2 * ORDER - 1, q) / rate)
+
+
+def _ring_tail(spec: FilterbankSpec) -> int:
+    """Samples of zero padding after a signal that let the slowest band
+    ring out: less than 1e-30 of its energy lies beyond them, so what
+    wraps around a Parseval FFT stays below 1e-15 relative. DESIGN_LEN
+    covers 44.1 and 48 kHz; higher rates need more.
+    """
+    return max(DESIGN_LEN, _ring_length(spec, 1e-30))
+
+
+#: Share of the slowest band's impulse energy a response may leave past
+#: its end; see min_response_length.
+RESPONSE_TAIL_Q = 1e-3
+
+
+def min_response_length(spec: FilterbankSpec) -> int:
+    """Fewest samples a measured response needs on this bank: as many as
+    the slowest band takes to ring down to RESPONSE_TAIL_Q of its impulse
+    energy (2032 samples, 42.3 ms, for the default bank at 48 kHz). A
+    shorter response measures that band's own ringing, not the room."""
+    return _ring_length(spec, RESPONSE_TAIL_Q)
 
 
 #: The two halves of a band-energy meter; see _band_energy_meter.
 _Meter = namedtuple("_Meter", "spectrum energies")
-
-
-def _inverse_power(out: np.ndarray, base: np.ndarray, order: int) -> None:
-    """out = base ** -order for an integer order >= 1, by repeated
-    squaring and one reciprocal: a fraction of the cost of a power, and
-    the reciprocal taken last rounds fewer times than squaring it. base
-    is left overwritten."""
-    while not order & 1:
-        base *= base
-        order >>= 1
-    np.copyto(out, base)
-    while order > 1:
-        order >>= 1
-        base *= base
-        if order & 1:
-            out *= base
-    np.reciprocal(out, out=out)
 
 
 def _meter_weights(spec: FilterbankSpec, m: int) -> np.ndarray:
@@ -526,7 +521,10 @@ def _meter_weights(spec: FilterbankSpec, m: int) -> np.ndarray:
         # |1 - lam e^{id}|**2 = (1 - lam)**2 + 4 lam sin(d/2)**2 has no
         # cancellation near the pole, unlike 1 + lam**2 - 2 lam cos(d).
         # For d = w - theta (positive f) and w + theta (negative f) the
-        # half-angle sines come from the angle-sum identity.
+        # half-angle sines come from the angle-sum identity. Its power
+        # -ORDER is two squarings and one reciprocal: a fraction of the
+        # cost of a power, and the reciprocal taken last rounds fewer
+        # times than squaring it.
         np.multiply(sin_w, math.cos(0.5 * theta[k]), out=a)
         np.multiply(cos_w, math.sin(0.5 * theta[k]), out=b)
         for sign, out in ((np.subtract, weights[k]), (np.add, a)):
@@ -534,7 +532,9 @@ def _meter_weights(spec: FilterbankSpec, m: int) -> np.ndarray:
             den *= den
             den *= 4.0 * lam[k]
             den += (1.0 - lam[k]) ** 2
-            _inverse_power(out, den, spec.order)
+            den *= den
+            den *= den
+            np.reciprocal(den, out=out)
         weights[k] += a
         weights[k] *= norm[k] ** 2 / m
     weights[:, 0] *= 0.5
@@ -549,7 +549,7 @@ def _band_energy_meter(spec: FilterbankSpec, n: int) -> _Meter:
     the band energies analyze gives for x zero-padded by _ring_tail(spec)
     (to rounding), without running the filterbank.
 
-    Band k is norm_k / (1 - p_k z^-1)**order, so by Parseval its energy
+    Band k is norm_k / (1 - p_k z^-1)**ORDER, so by Parseval its energy
     is sum_f |H_k(f)|**2 |X(f)|**2 / m over an m-point FFT of the padded
     signal. The filters are complex, so |H_k(f)|**2 and |H_k(-f)|**2 are
     folded onto the rfft bins (DC and Nyquist once). Zero padding leaves

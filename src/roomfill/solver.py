@@ -106,7 +106,7 @@ def initial_gains(
     primary_profile: np.ndarray,
     support_profile: np.ndarray,
     targets: np.ndarray,
-    spec: FilterbankSpec = None,
+    spec: FilterbankSpec,
 ) -> np.ndarray:
     """Closed-form solve ignoring band overlap:
     g_b = sqrt(max(0, T_b - E^P_b) / E^S_b)."""
@@ -117,12 +117,7 @@ def initial_gains(
     bad = (deficits > 0) & (support_profile < SUPPORT_ENERGY_FLOOR)
     if np.any(bad):
         idx = np.flatnonzero(bad)
-        freqs = (
-            [spec.center_freqs[i] for i in idx]
-            if spec is not None
-            else [float("nan")] * idx.size
-        )
-        raise UnfillableBandError(idx, freqs)
+        raise UnfillableBandError(idx, [spec.center_freqs[i] for i in idx])
     out = np.zeros_like(deficits)
     fill = deficits > 0
     out[fill] = np.sqrt(deficits[fill] / support_profile[fill])
@@ -159,7 +154,7 @@ def _measure_total(gains, spec, base, chain, meter):
 def _anchored_targets(target, spec, offset_db, primary_profile=None, cfg=None):
     """Per-band energy targets and the offset (solved against the primary
     profile by `cfg`'s anchor mode unless given) that anchors them."""
-    shape = band_targets(target.with_offset(0.0), spec)
+    shape = band_targets(target, spec)
     if offset_db is None:
         offset_db = anchor_target(primary_profile, shape, cfg.anchor_mode)
     return float(offset_db), shape * 10.0 ** (offset_db / 10.0)

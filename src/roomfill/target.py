@@ -10,47 +10,42 @@ import numpy as np
 from .errors import ContractError, check_finite
 from .gammatone import FilterbankSpec, impulse_band_energies
 
+#: The reference span: the target falls by slope_db from F_REF_LOW to
+#: F_REF_HIGH.
+F_REF_LOW = 20.0
+F_REF_HIGH = 20000.0
+
 
 @dataclass(frozen=True)
 class TargetFunction:
-    """Level falls linearly in log2(f) by slope_db across the reference
-    span. offset_db anchors the absolute level and is usually solved
-    against a measured profile rather than chosen by hand."""
+    """Level falls linearly in log2(f), by slope_db from F_REF_LOW to
+    F_REF_HIGH. The absolute level is solved against a measured profile
+    (solver.anchor_target), so the slope is all a design chooses."""
 
     slope_db: float = 5.0
-    f_ref_low: float = 20.0
-    f_ref_high: float = 20000.0
-    offset_db: float = 0.0
 
     def __post_init__(self):
-        check_finite(self, "slope_db", "f_ref_low", "f_ref_high", "offset_db")
-        if self.f_ref_low <= 0 or self.f_ref_high <= self.f_ref_low:
-            raise ContractError("need 0 < f_ref_low < f_ref_high")
-
-    def with_offset(self, offset_db: float) -> "TargetFunction":
-        return TargetFunction(
-            self.slope_db, self.f_ref_low, self.f_ref_high, float(offset_db)
-        )
+        check_finite(self, "slope_db")
 
 
 def level_at(target: TargetFunction, freq_hz: float) -> float:
-    """Target level in dB at one frequency.
+    """Target level in dB at one frequency, before anchoring.
 
-    level(f_ref_low) == offset_db and the drop across the full reference
-    span is exactly slope_db.
+    level(F_REF_LOW) == 0 and the drop across the full reference span is
+    exactly slope_db.
     """
     if freq_hz <= 0:
         raise ContractError("frequency must be positive")
-    span = math.log2(target.f_ref_high / target.f_ref_low)
-    return target.offset_db - target.slope_db * math.log2(freq_hz / target.f_ref_low) / span
+    span = math.log2(F_REF_HIGH / F_REF_LOW)
+    return -target.slope_db * math.log2(freq_hz / F_REF_LOW) / span
 
 
 def band_targets(target: TargetFunction, spec: FilterbankSpec) -> np.ndarray:
-    """Per-band energy goals.
+    """Per-band energy goals before anchoring.
 
     The shape comes from sampling the sloped line at each band centre and
     the absolute scale from the bank's own unit-impulse band energies, so
-    a flat bank response at offset 0 dB would meet the target exactly.
+    a flat bank response would meet a flat target exactly.
     """
     ref = impulse_band_energies(spec)
     levels = np.array([level_at(target, f) for f in spec.center_freqs])

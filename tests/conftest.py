@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from roomfill import gammatone
 from roomfill.gammatone import make_spec
 from roomfill.pipeline import solve_design
 from roomfill.rirs import RirSet
@@ -32,6 +35,27 @@ FIXTURE_SUITE = (
 # CI runner's scheduling must not turn into a failure.
 settings.register_profile("roomfill", derandomize=True, deadline=None)
 settings.load_profile("roomfill")
+
+
+@pytest.fixture
+def order(request, monkeypatch):
+    """Runs a test on banks of order request.param (used as an indirect
+    parameter). The bank is always gammatone.ORDER = 4, but the closed
+    forms (_impulse_bands, _band_spectra, _ring_tail) and analyze are
+    written for any order, and orders 1-3 check the binomial factor and
+    the powers that order 4 alone could get right by accident. ORDER and
+    its bandwidth factor are swapped for the test; _meter_weights stays at
+    order 4, so such a test must not read band energies, and must leave
+    the cached _synthesis_design alone."""
+    n = request.param
+    factor = 1.0 / (
+        math.pi * math.factorial(2 * n - 2) * 2.0 ** -(2 * n - 2) / math.factorial(n - 1) ** 2
+    )
+    if n == gammatone.ORDER:
+        assert factor == gammatone._BANDWIDTH_FACTOR
+    monkeypatch.setattr(gammatone, "ORDER", n)
+    monkeypatch.setattr(gammatone, "_BANDWIDTH_FACTOR", factor)
+    return n
 
 
 @pytest.fixture(scope="session")

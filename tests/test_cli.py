@@ -213,6 +213,24 @@ def test_design_f_high_past_nyquist_exits_2_naming_section_and_rate(tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+def test_responses_too_short_for_the_bank_exit_2(designed, tmp_path, capsys):
+    """Four 5 ms responses (240 samples) would measure the 80 Hz band's own
+    ringing, not the room: design and simulate refuse them, naming the
+    [io] key, the file's length and the 2032 samples the default bank
+    needs at 48 kHz."""
+    for name, seed in (("pl", 1), ("pr", 2), ("sl", 3), ("sr", 4)):
+        ir = synth_rir(SyntheticRirParams(48000, 5.0, 1.5, seed=seed))
+        write_wav(tmp_path / ("%s.wav" % name), ir.buffer)
+    ini = str(tmp_path / "run.ini")
+    (tmp_path / "run.ini").write_text(RUN_INI)
+    for argv in (["design", "--config", ini], ["simulate", "--design", str(designed), "--config", ini]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [io] primary_left: pl.wav has 240 samples (5.0 ms at 48000 Hz)")
+        assert "needs at least 2032 (42.3 ms)" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_design_unfillable_exits_4_naming_bands(workspace, capsys):
     unfill = workspace / "unfill.ini"
     unfill.write_text(
@@ -270,6 +288,24 @@ def test_render_rejects_unplayable_design_naming_key(designed, tmp_path, capsys)
     assert rc == 2
     assert "[balance] support_left" in capsys.readouterr().err
     assert not (tmp_path / "x.wav").exists()
+
+
+def test_version_1_design_exits_2_naming_version(workspace, tmp_path, capsys):
+    """A design file of format version 1 (design_v1.txt) is refused by
+    render and simulate alike, by its version, with the way to a new one."""
+    v1 = os.path.join(os.path.dirname(__file__), "design_v1.txt")
+    stereo = tmp_path / "in.wav"
+    write_wav(stereo, AudioBuffer(np.zeros((2, 64)), 48000))
+    for argv in (
+        ["render", "--design", v1, "-i", str(stereo), "-o", str(tmp_path / "x.wav")],
+        ["simulate", "--design", v1, "--config", str(workspace / "run.ini"),
+         "-o", str(tmp_path / "r.csv")],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "format_version 1 is not supported (expected 2): run `design` again" in err
+    assert not (tmp_path / "x.wav").exists()
+    assert not (tmp_path / "r_left.csv").exists()
 
 
 def test_simulate_writes_per_channel_reports(workspace, designed, tmp_path, capsys):

@@ -7,6 +7,7 @@ from roomfill.audio import AudioBuffer, write_wav
 from roomfill.cli import main
 from roomfill.config import _DEFAULTS, _IO_KEYS, load_config
 from roomfill.errors import ConfigError
+from roomfill.target import TargetFunction
 
 MINIMAL_IO = """[io]
 primary_left = pl.wav
@@ -27,9 +28,7 @@ def test_defaults_fill_every_tunable(tmp_path):
     assert cfg.f_low == 80.0
     assert cfg.f_high == 16000.0
     assert cfg.bands_per_erb == 1.0
-    assert cfg.target.slope_db == 5.0
-    assert cfg.target.f_ref_low == 20.0
-    assert cfg.target.f_ref_high == 20000.0
+    assert cfg.target == TargetFunction(slope_db=5.0)
     assert cfg.solver.tolerance_db == 0.5
     assert cfg.solver.max_iterations == 50
     assert cfg.solver.damping == 0.7
@@ -54,10 +53,7 @@ def test_values_override_defaults(tmp_path):
         ("render", "delay_ms = 1"),
         ("render", "seed_right = 5240"),
         ("render", "decorrelator_len = 1000"),
-        ("target", "f_ref_low = 0"),
         ("target", "slope_db = nan"),
-        ("target", "f_ref_low = nan"),
-        ("target", "f_ref_high = inf"),
         ("solver", "tolerance_db = nan"),
         ("solver", "tolerance_db = inf"),
         ("render", "seed_left = -1"),
@@ -82,6 +78,14 @@ def test_out_of_range_value_fails_at_load_for_every_command(tmp_path, capsys, se
 def test_unknown_section_is_fatal(tmp_path):
     with pytest.raises(ConfigError, match="speakers"):
         load_config(_write(tmp_path, MINIMAL_IO + "\n[speakers]\ncount = 4\n"))
+
+
+@pytest.mark.parametrize("key", ("f_ref_low", "f_ref_high", "offset_db"))
+def test_dropped_target_keys_are_refused_by_name(tmp_path, key):
+    """[target] is slope_db alone: a config that still sets a reference
+    span or an offset is refused rather than read as another design."""
+    with pytest.raises(ConfigError, match="unknown key '%s' in section \\[target\\]" % key):
+        load_config(_write(tmp_path, MINIMAL_IO + "\n[target]\n%s = 20.0\n" % key))
 
 
 def test_unknown_key_is_fatal_and_named(tmp_path):
@@ -178,8 +182,8 @@ def test_paths_resolve_relative_to_config_file(tmp_path):
 
 
 def test_microphone_pairs_average_on_load(tmp_path, rng):
-    a = rng.standard_normal(300) * 0.2
-    b = rng.standard_normal(300) * 0.2
+    a = rng.standard_normal(2400) * 0.2
+    b = rng.standard_normal(2400) * 0.2
     write_wav(tmp_path / "a.wav", AudioBuffer(a, 48000))
     write_wav(tmp_path / "b.wav", AudioBuffer(b, 48000))
     for name in ("pl", "pr", "sl"):
@@ -193,6 +197,28 @@ def test_microphone_pairs_average_on_load(tmp_path, rng):
         a.astype(np.float32).astype(np.float64) + b.astype(np.float32).astype(np.float64)
     )
     assert np.array_equal(rirs.support_right.data, want)
+
+
+@pytest.mark.parametrize("rate, need", ((44100, 1867), (48000, 2032)))
+def test_response_shorter_than_the_bank_needs_is_refused(tmp_path, rate, need):
+    """load_rirs refuses a response whose last sample comes before the
+    configured bank's lowest band has rung down to 1e-3 of its energy,
+    naming the [io] key, the file and both lengths; one sample more
+    loads."""
+    full = np.full(need, 0.1)
+    for name in ("pl", "pr", "sl"):
+        write_wav(tmp_path / ("%s.wav" % name), AudioBuffer(full, rate))
+    cfg = load_config(_write(tmp_path, MINIMAL_IO))
+    write_wav(tmp_path / "sr.wav", AudioBuffer(full[1:], rate))
+    with pytest.raises(ConfigError, match=r"^\[io\] support_right: sr.wav has %d samples "
+                       r".*needs at least %d " % (need - 1, need)):
+        cfg.load_rirs()
+    write_wav(tmp_path / "sr.wav", AudioBuffer(full, rate))
+    assert cfg.load_rirs().support_right.data.size == need
+    # the bank is the configured one: a higher f_low rings down sooner
+    narrow = load_config(_write(tmp_path, MINIMAL_IO + "\n[filterbank]\nf_low = 1000.0\n"))
+    write_wav(tmp_path / "sr.wav", AudioBuffer(full[: need // 2], rate))
+    assert narrow.load_rirs().support_right.data.size == need // 2
 
 
 def test_filterbank_accessor_builds_spec(tmp_path):

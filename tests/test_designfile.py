@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -6,7 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from roomfill.designfile import dumps_design, load_design, loads_design, save_design
+from roomfill.designfile import (
+    FORMAT_VERSION,
+    dumps_design,
+    load_design,
+    loads_design,
+    save_design,
+)
 from roomfill.errors import FormatError
 from roomfill.gammatone import MAX_BANDS_PER_ERB, MIN_BANDS_PER_ERB, make_spec
 from roomfill.render import DELAY_RANGE_MS, EqualisationDesign, SupportChain
@@ -22,8 +29,11 @@ SPECS = st.builds(
     st.just(80.0),
     st.just(16000.0),
     st.floats(MIN_BANDS_PER_ERB, MAX_BANDS_PER_ERB),
-    st.integers(1, 4),
 )
+TARGETS = st.builds(TargetFunction, FINITE)
+
+#: What dumps_design wrote in format version 1, for a two-band bank.
+V1_DESIGN = os.path.join(os.path.dirname(__file__), "design_v1.txt")
 
 
 @st.composite
@@ -34,17 +44,6 @@ def chains(draw):
         decorrelator_len=2 ** draw(st.integers(8, 16)),
         seed_left=seed_left,
         seed_right=draw(SEEDS.filter(lambda s: s != seed_left)),
-    )
-
-
-@st.composite
-def targets(draw):
-    f_ref_low = draw(st.floats(1e-3, 1e5))
-    return TargetFunction(
-        slope_db=draw(FINITE),
-        f_ref_low=f_ref_low,
-        f_ref_high=draw(st.floats(f_ref_low, 1e6, exclude_min=True)),
-        offset_db=draw(FINITE),
     )
 
 
@@ -76,9 +75,25 @@ def test_redump_of_loaded_design_is_byte_identical(solved_design):
 
 
 def test_unsupported_version_rejected(solved_design):
-    text = dumps_design(solved_design).replace("format_version = 1", "format_version = 99")
-    with pytest.raises(FormatError):
+    text = dumps_design(solved_design).replace("format_version = 2", "format_version = 99")
+    with pytest.raises(FormatError, match="format_version 99 is not supported"):
         loads_design(text)
+
+
+def test_version_1_file_refused_by_its_version():
+    """A version-1 file is named by its version before any of its keys
+    that version 2 dropped are read, and there is no fallback reader: its
+    gains must be solved again."""
+    assert FORMAT_VERSION == 2
+    with open(V1_DESIGN, encoding="ascii") as fh:
+        text = fh.read()
+    assert "order = 4" in text and "f_ref_low = 20.0" in text
+    with pytest.raises(FormatError, match=r"format_version 1 is not supported \(expected 2\): "
+                       r"run `design` again"):
+        loads_design(text)
+    with pytest.raises(FormatError, match="format_version 1"):
+        load_design(V1_DESIGN)
+
 
 
 def test_missing_section_rejected(solved_design):
@@ -111,7 +126,10 @@ def test_not_a_design_file_rejected():
     with pytest.raises(FormatError):
         loads_design("just some prose, no sections at all")
     with pytest.raises(FormatError):
-        loads_design("[design]\nformat_version = 1\n")  # sections missing
+        loads_design("[design]\nformat_version = 2\n")  # sections missing
+    for text in ("[filterbank]\nf_low = 80.0\n", "[design]\nformat_version = two\n"):
+        with pytest.raises(FormatError, match=r"no whole-number \[design\] format_version"):
+            loads_design(text)
 
 
 @pytest.mark.parametrize(
@@ -134,7 +152,6 @@ def test_not_a_design_file_rejected():
         ("converged", "maybe", "[fill_left] converged"),
         ("slope_db", "nan", "[target] slope_db"),
         ("delay_ms", "-inf", "[render] delay_ms"),
-        ("f_ref_low", "0.0", "[target]"),
         ("seed_left", "-3", "[render]"),
         ("sample_rate", "0", "[filterbank]"),
     ],
@@ -153,7 +170,7 @@ def test_unplayable_or_unparsable_value_rejected_naming_key(solved_design, key, 
     data=st.data(),
     spec=SPECS,
     chain=chains(),
-    target=targets(),
+    target=TARGETS,
     balance=st.lists(st.floats(1e-6, 1e6), min_size=4, max_size=4),
 )
 def test_round_trip_of_drawn_designs(data, spec, chain, target, balance):

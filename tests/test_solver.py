@@ -26,6 +26,7 @@ from roomfill.rirs import RirSet, balance_levels
 from roomfill.solver import (
     G_MAX,
     SolverConfig,
+    _anchored_targets,
     _chain_meter,
     _measure_total,
     anchor_target,
@@ -85,9 +86,9 @@ def test_anchor_offset_modes():
         anchor_target(np.array([0.0, 1.0, 1.0]), shape, "mean-fit")
 
 
-def test_initial_gains_closed_form():
+def test_initial_gains_closed_form(spec48):
     g = initial_gains(
-        np.array([4.0, 1.0]), np.array([1.0, 4.0]), np.array([8.0, 1.0])
+        np.array([4.0, 1.0]), np.array([1.0, 4.0]), np.array([8.0, 1.0]), spec48
     )
     assert np.array_equal(g, [2.0, 0.0])
 
@@ -115,7 +116,7 @@ def test_target_below_primary_needs_no_fill(spec48):
     assert solve.trace == ()
     assert solve.capped_bands == ()
     # with no fill the total is the primary alone
-    targets = band_targets(TargetFunction().with_offset(-100.0), spec48)
+    _, targets = _anchored_targets(TargetFunction(), spec48, -100.0)
     floor = 10.0 * np.log10(band_energies(primary, spec48) / targets)
     assert np.max(np.abs(solve.residual_db - floor)) <= 1e-9
 
@@ -127,7 +128,7 @@ def _single_band_case(f0, seed):
     offset = (
         anchor_target(
             band_energies(primary, spec),
-            band_targets(TargetFunction().with_offset(0.0), spec),
+            band_targets(TargetFunction(), spec),
             "mean-fit",
         )
         + 5.0
@@ -179,7 +180,7 @@ def test_solve_matches_brute_force_oracle():
     spec, primary, support, offset = _single_band_case(1200.0, 21)
     cfg = SolverConfig(tolerance_db=0.01, max_iterations=200)
     solve = solve_gains(primary, support, TargetFunction(), spec, cfg, offset_db=offset)
-    target_e = band_targets(TargetFunction().with_offset(offset), spec)[0]
+    target_e = _anchored_targets(TargetFunction(), spec, offset)[1][0]
     g_ref = oracle_single_band(primary, support, target_e, 0, spec)
     assert solve.converged
     assert abs(solve.gains[0] - g_ref) <= 1e-2 * g_ref
@@ -264,9 +265,7 @@ def test_leakage_covered_bands_are_muted(solved_design, fixture_rirs, spec48):
         ("right", solved_design.gains.right),
     ):
         primary = band_energies(balanced["primary_" + side], spec48)
-        targets = band_targets(
-            TargetFunction().with_offset(solve.offset_db), spec48
-        )
+        _, targets = _anchored_targets(TargetFunction(), spec48, solve.offset_db)
         deficit = targets > primary
         retired = deficit & (solve.gains == 0.0)
         assert retired.any()
@@ -282,7 +281,7 @@ def test_gain_cap_is_respected():
     offset = (
         anchor_target(
             band_energies(primary, spec),
-            band_targets(TargetFunction().with_offset(0.0), spec),
+            band_targets(TargetFunction(), spec),
             "percentile-95",
         )
         + 25.0
