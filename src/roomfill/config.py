@@ -95,16 +95,12 @@ class RunConfig:
 
 def _typed(section: str, key: str, raw: str, like) -> object:
     try:
-        if isinstance(like, int):
-            return int(raw)
-        if isinstance(like, float):
-            return float(raw)
+        return type(like)(raw)
     except ValueError:
         raise ConfigError(
             "[%s] %s: %r is not a valid %s"
             % (section, key, raw, type(like).__name__)
         ) from None
-    return raw
 
 
 def load_config(path) -> RunConfig:

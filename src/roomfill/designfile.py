@@ -19,6 +19,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from .audio import FILE_SAMPLE_RATES
 from .errors import ContractError, FormatError
 from .gammatone import make_spec
 from .render import EqualisationDesign, SupportChain
@@ -26,7 +27,7 @@ from .rirs import CHANNEL_NAMES
 from .solver import BandGainSet, ChannelSolve
 from .target import TargetFunction
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _field_types(cls) -> dict:
@@ -166,6 +167,12 @@ def loads_design(text: str) -> EqualisationDesign:
                 values[name][key] = _KINDS[kind][1](sec[key], spec and spec.num_bands)
             except ValueError as exc:
                 raise FormatError("[%s] %s: %s" % (name, key, exc)) from None
+        if name == "filterbank" and values[name]["sample_rate"] not in FILE_SAMPLE_RATES:
+            # no WAV input could be rendered or simulated at another rate
+            raise FormatError(
+                "[filterbank] sample_rate: %d Hz is not a WAV rate, expected one of %s"
+                % (values[name]["sample_rate"], list(FILE_SAMPLE_RATES))
+            )
         if name in _BUILDERS:
             try:
                 values[name] = _BUILDERS[name](**values[name])

@@ -41,9 +41,9 @@ DEFAULT_DELAY_MS = 10.0
 
 DEFAULT_DECORRELATOR_LEN = 1024
 
-# Default decorrelator seeds, pinned after a numeric search so the shipped
-# pair meets the cross-correlation and latency-metadata contracts with
-# margin (see tests).
+# The decorrelator seeds every design plays, pinned after a numeric search
+# so the pair meets the cross-correlation and latency-metadata contracts
+# with margin (see tests).
 DEFAULT_SEED_LEFT = 5240
 DEFAULT_SEED_RIGHT = 12002
 
@@ -65,11 +65,6 @@ class DecorrelatorFilter:
         return float(np.dot(np.arange(self.taps.size), h2) / np.sum(h2))
 
 
-def _check_decorrelator_len(length: int) -> None:
-    if length < 256 or length & (length - 1):
-        raise ContractError("decorrelator length must be a power of two >= 256")
-
-
 def design_decorrelator(length: int, seed: int) -> DecorrelatorFilter:
     """Build an all-pass FIR by inverse-transforming unit-magnitude bins
     with seeded uniform random phase in (-pi, pi].
@@ -77,7 +72,8 @@ def design_decorrelator(length: int, seed: int) -> DecorrelatorFilter:
     DC and Nyquist stay at phase 0 so the taps are real. length must be a
     power of two >= 256.
     """
-    _check_decorrelator_len(length)
+    if length < 256 or length & (length - 1):
+        raise ContractError("decorrelator length must be a power of two >= 256")
     rng = np.random.default_rng(seed)
     # uniform() samples a half-open [lo, hi); negate for (-pi, pi]
     phases = -rng.uniform(-math.pi, math.pi, size=length // 2 - 1)
@@ -89,18 +85,13 @@ def design_decorrelator(length: int, seed: int) -> DecorrelatorFilter:
 
 @dataclass(frozen=True)
 class SupportChain:
-    """The supporting path's playback parameters: a bulk delay inside the
-    precedence-effect window and one all-pass decorrelator per side.
-
-    A chain the design cannot play is rejected here: a delay outside
-    DELAY_RANGE_MS, a negative seed or one seed for both sides, or a
-    decorrelator length design_decorrelator refuses.
+    """The supporting path's one playback parameter: a bulk delay inside
+    the precedence-effect window, rejected here if outside DELAY_RANGE_MS.
+    Every chain plays the pinned decorrelator pair (DEFAULT_DECORRELATOR_LEN
+    taps, seeds DEFAULT_SEED_LEFT and DEFAULT_SEED_RIGHT).
     """
 
     delay_ms: float = DEFAULT_DELAY_MS
-    decorrelator_len: int = DEFAULT_DECORRELATOR_LEN
-    seed_left: int = DEFAULT_SEED_LEFT
-    seed_right: int = DEFAULT_SEED_RIGHT
 
     def __post_init__(self):
         lo, hi = DELAY_RANGE_MS
@@ -109,15 +100,10 @@ class SupportChain:
                 "delay_ms %.3f outside the precedence-effect window [%g, %g] ms"
                 % (self.delay_ms, lo, hi)
             )
-        if min(self.seed_left, self.seed_right) < 0:
-            raise ContractError("decorrelator seeds must be >= 0")
-        if self.seed_left == self.seed_right:
-            raise ContractError("left/right decorrelator seeds must differ")
-        _check_decorrelator_len(self.decorrelator_len)
 
     def decorrelator(self, side: str) -> DecorrelatorFilter:
-        seed = self.seed_left if side == "left" else self.seed_right
-        return design_decorrelator(self.decorrelator_len, seed)
+        seed = DEFAULT_SEED_LEFT if side == "left" else DEFAULT_SEED_RIGHT
+        return design_decorrelator(DEFAULT_DECORRELATOR_LEN, seed)
 
     def delay_samples(self, sample_rate: int) -> int:
         """The bulk delay in whole samples. The solve, the renderer and the

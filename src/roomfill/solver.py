@@ -22,28 +22,21 @@ G_MAX = 10.0
 #: Support-profile energies below this are treated as no energy at all.
 SUPPORT_ENERGY_FLOOR = 1e-12
 
-ANCHOR_MODES = ("mean-fit", "percentile-95")
+#: Damping of the multiplicative update (see solve_gains).
+DAMPING = 0.7
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     tolerance_db: float = 0.5
     max_iterations: int = 50
-    damping: float = 0.7
-    anchor_mode: str = "percentile-95"
 
     def __post_init__(self):
-        check_finite(self, "tolerance_db", "damping")
+        check_finite(self, "tolerance_db")
         if self.tolerance_db <= 0:
             raise ContractError("tolerance_db must be > 0")
-        if not 0 < self.damping <= 1:
-            raise ContractError("damping must be in (0, 1]")
         if self.max_iterations < 1:
             raise ContractError("max_iterations must be >= 1")
-        if self.anchor_mode not in ANCHOR_MODES:
-            raise ContractError(
-                "anchor_mode must be one of %s" % (ANCHOR_MODES,)
-            )
 
 
 @dataclass
@@ -81,11 +74,9 @@ def _profile_db(profile: np.ndarray) -> np.ndarray:
         return 10.0 * np.log10(profile)
 
 
-def anchor_target(primary_profile: np.ndarray, shape: np.ndarray, mode: str) -> float:
-    """Solve the target's absolute level against a measured profile.
-
-    mean-fit: offset = mean(primary_dB - shape_dB). percentile-95: the
-    95th percentile of the same differences, so the target hugs the
+def anchor_target(primary_profile: np.ndarray, shape: np.ndarray) -> float:
+    """Solve the target's absolute level against a measured profile: the
+    95th percentile of primary_dB - shape_dB, so the target hugs the
     primary's upper envelope and the fill stays a correction.
     """
     primary_profile = np.asarray(primary_profile, dtype=np.float64)
@@ -95,11 +86,7 @@ def anchor_target(primary_profile: np.ndarray, shape: np.ndarray, mode: str) -> 
     if np.any(primary_profile <= 0) or np.any(shape <= 0):
         raise ContractError("profiles must be strictly positive")
     diffs = _profile_db(primary_profile) - _profile_db(shape)
-    if mode == "mean-fit":
-        return float(np.mean(diffs))
-    if mode == "percentile-95":
-        return float(np.percentile(diffs, 95.0))
-    raise ContractError("anchor_mode must be one of %s" % (ANCHOR_MODES,))
+    return float(np.percentile(diffs, 95.0))
 
 
 def initial_gains(
@@ -151,12 +138,12 @@ def _measure_total(gains, spec, base, chain, meter):
     return meter.energies(base + meter.spectrum(eq.data) * chain)
 
 
-def _anchored_targets(target, spec, offset_db, primary_profile=None, cfg=None):
+def _anchored_targets(target, spec, offset_db, primary_profile=None):
     """Per-band energy targets and the offset (solved against the primary
-    profile by `cfg`'s anchor mode unless given) that anchors them."""
+    profile by anchor_target unless given) that anchors them."""
     shape = band_targets(target, spec)
     if offset_db is None:
-        offset_db = anchor_target(primary_profile, shape, cfg.anchor_mode)
+        offset_db = anchor_target(primary_profile, shape)
     return float(offset_db), shape * 10.0 ** (offset_db / 10.0)
 
 
@@ -202,7 +189,7 @@ def _solve(gains, spec, cfg, targets, offset_db, base, chain, meter, baseline, *
         achieved = total - baseline
         ratio = np.ones_like(gains)
         ratio[live] = deficits[live] / np.maximum(achieved[live], 1e-300)
-        gains = gains * ratio ** (cfg.damping / 2.0)
+        gains = gains * ratio ** (DAMPING / 2.0)
         gains = np.clip(gains, 0.0, G_MAX)
         gains[~active] = 0.0
         if retire:
@@ -250,7 +237,7 @@ def solve_gains(
     coherent total (primary response plus EQ convolved with the support
     response, through `decorrelator` and `extra_delay` when given so the
     measurement chain matches playback), and applies the damped
-    multiplicative update g_b <- g_b * (deficit_b / achieved_b)^(damping/2)
+    multiplicative update g_b <- g_b * (deficit_b / achieved_b)^(DAMPING/2)
     where achieved_b is the fill the chain actually contributed,
     total_b - primary_b. Matching the total rather than the fill alone
     keeps the primary/fill cross-term, which band-energy bookkeeping
@@ -281,7 +268,7 @@ def solve_gains(
     primary = meter.spectrum(primary_ir.data)
     primary_profile = meter.energies(primary)
     support_profile = meter.energies(meter.spectrum(support_ir.data))
-    offset_db, targets = _anchored_targets(target, spec, offset_db, primary_profile, cfg)
+    offset_db, targets = _anchored_targets(target, spec, offset_db, primary_profile)
     gains = np.clip(
         initial_gains(primary_profile, support_profile, targets, spec), 0.0, G_MAX
     )
@@ -314,7 +301,7 @@ def solve_front_gains(
     meter = _chain_meter(spec, 0, primary_ir.data.size, meters)
     primary = meter.spectrum(primary_ir.data)
     primary_profile = meter.energies(primary)
-    offset_db, targets = _anchored_targets(target, spec, offset_db, primary_profile, cfg)
+    offset_db, targets = _anchored_targets(target, spec, offset_db, primary_profile)
     zeros = np.zeros(spec.num_bands)
     gains = np.clip(initial_gains(zeros, primary_profile, targets, spec), 0.0, G_MAX)
     return _solve(

@@ -158,7 +158,6 @@ def test_a03_solved_gain_matches_oracle_on_randomized_single_band_rooms():
         offset = anchor_target(
             band_energies(primary, spec),
             band_targets(TargetFunction(), spec),
-            "mean-fit",
         ) + float(rng.uniform(2.0, 8.0))
         solve = solve_gains(
             primary, support, TargetFunction(), spec, cfg, offset_db=offset

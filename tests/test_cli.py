@@ -149,22 +149,14 @@ def test_design_reruns_byte_identical(workspace, designed):
 
 def test_design_file_carries_configured_chain_and_target(workspace, tmp_path):
     cfg = workspace / "chain.ini"
-    cfg.write_text(
-        RUN_INI
-        + "\n[render]\ndelay_ms = 12.5\ndecorrelator_len = 2048\n"
-        "seed_left = 7\nseed_right = 9\n\n[target]\nslope_db = 3.5\n"
-    )
+    cfg.write_text(RUN_INI + "\n[render]\ndelay_ms = 12.5\n\n[target]\nslope_db = 3.5\n")
     out = tmp_path / "chain.txt"
     assert main(["design", "--config", str(cfg), "-o", str(out)]) == 0
     text = out.read_text()
-    assert (
-        "[render]\ndelay_ms = 12.5\ndecorrelator_len = 2048\nseed_left = 7\nseed_right = 9\n"
-    ) in text
+    assert "[render]\ndelay_ms = 12.5\n\n[balance]\n" in text
     assert "[target]\nslope_db = 3.5\n" in text
     design = load_design(out)
-    assert design.chain == SupportChain(
-        delay_ms=12.5, decorrelator_len=2048, seed_left=7, seed_right=9
-    )
+    assert design.chain == SupportChain(delay_ms=12.5)
     assert design.target.slope_db == 3.5
 
 
@@ -290,20 +282,39 @@ def test_render_rejects_unplayable_design_naming_key(designed, tmp_path, capsys)
     assert not (tmp_path / "x.wav").exists()
 
 
-def test_version_1_design_exits_2_naming_version(workspace, tmp_path, capsys):
-    """A design file of format version 1 (design_v1.txt) is refused by
-    render and simulate alike, by its version, with the way to a new one."""
-    v1 = os.path.join(os.path.dirname(__file__), "design_v1.txt")
+def test_render_refuses_a_design_rate_no_wav_has(designed, tmp_path, capsys):
+    """A design at 96 kHz can never meet its input, since every WAV is
+    44.1 or 48 kHz: render refuses it by the design's rate, before it fits
+    a 96 kHz bank or reads the input."""
+    bad = tmp_path / "fast.txt"
+    bad.write_text(designed.read_text().replace("sample_rate = 48000", "sample_rate = 96000"))
     stereo = tmp_path / "in.wav"
     write_wav(stereo, AudioBuffer(np.zeros((2, 64)), 48000))
-    for argv in (
-        ["render", "--design", v1, "-i", str(stereo), "-o", str(tmp_path / "x.wav")],
-        ["simulate", "--design", v1, "--config", str(workspace / "run.ini"),
-         "-o", str(tmp_path / "r.csv")],
-    ):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "format_version 1 is not supported (expected 2): run `design` again" in err
+    rc = main(["render", "--design", str(bad), "-i", str(stereo), "-o", str(tmp_path / "x.wav")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "[filterbank] sample_rate: 96000 Hz is not a WAV rate" in err
+    assert "[44100, 48000]" in err
+    assert not (tmp_path / "x.wav").exists()
+
+
+def test_version_1_design_exits_2_naming_version(workspace, tmp_path, capsys):
+    """A design file of an older format version (design_v1.txt,
+    design_v2.txt) is refused by render and simulate alike, by its
+    version, with the way to a new one."""
+    stereo = tmp_path / "in.wav"
+    write_wav(stereo, AudioBuffer(np.zeros((2, 64)), 48000))
+    for version in (1, 2):
+        old = os.path.join(os.path.dirname(__file__), "design_v%d.txt" % version)
+        for argv in (
+            ["render", "--design", old, "-i", str(stereo), "-o", str(tmp_path / "x.wav")],
+            ["simulate", "--design", old, "--config", str(workspace / "run.ini"),
+             "-o", str(tmp_path / "r.csv")],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert ("format_version %d is not supported (expected 3): run `design` again"
+                    % version) in err
     assert not (tmp_path / "x.wav").exists()
     assert not (tmp_path / "r_left.csv").exists()
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from roomfill.audio import AudioBuffer, write_wav
 from roomfill.cli import main
 from roomfill.config import _DEFAULTS, _IO_KEYS, load_config
 from roomfill.errors import ConfigError
+from roomfill.render import SupportChain
+from roomfill.solver import SolverConfig
 from roomfill.target import TargetFunction
 
 MINIMAL_IO = """[io]
@@ -29,34 +33,26 @@ def test_defaults_fill_every_tunable(tmp_path):
     assert cfg.f_high == 16000.0
     assert cfg.bands_per_erb == 1.0
     assert cfg.target == TargetFunction(slope_db=5.0)
-    assert cfg.solver.tolerance_db == 0.5
-    assert cfg.solver.max_iterations == 50
-    assert cfg.solver.damping == 0.7
-    assert cfg.solver.anchor_mode == "percentile-95"
-    assert cfg.chain.delay_ms == 10.0
-    assert cfg.chain.decorrelator_len == 1024
-    assert cfg.chain.seed_left != cfg.chain.seed_right
+    assert cfg.solver == SolverConfig(tolerance_db=0.5, max_iterations=50)
+    assert cfg.chain == SupportChain(delay_ms=10.0)
+    assert sum(map(len, _DEFAULTS.values())) == 7
 
 
 def test_values_override_defaults(tmp_path):
-    text = MINIMAL_IO + "\n[solver]\ntolerance_db = 0.25\nmax_iterations = 80\n"
+    text = MINIMAL_IO + "\n[solver]\ntolerance_db = 0.25\n\n[render]\ndelay_ms = 12.5\n"
     cfg = load_config(_write(tmp_path, text))
     assert cfg.solver.tolerance_db == 0.25
-    assert cfg.solver.max_iterations == 80
-    assert cfg.solver.damping == 0.7  # untouched default
+    assert cfg.solver.max_iterations == 50  # untouched default
+    assert cfg.chain.delay_ms == 12.5
 
 
 @pytest.mark.parametrize(
     "section, line",
     [
-        ("solver", "damping = 2"),
         ("render", "delay_ms = 1"),
-        ("render", "seed_right = 5240"),
-        ("render", "decorrelator_len = 1000"),
         ("target", "slope_db = nan"),
         ("solver", "tolerance_db = nan"),
         ("solver", "tolerance_db = inf"),
-        ("render", "seed_left = -1"),
         ("filterbank", "f_low = nan"),
         ("filterbank", "bands_per_erb = inf"),
         ("filterbank", "bands_per_erb = 0.5"),
@@ -80,12 +76,36 @@ def test_unknown_section_is_fatal(tmp_path):
         load_config(_write(tmp_path, MINIMAL_IO + "\n[speakers]\ncount = 4\n"))
 
 
-@pytest.mark.parametrize("key", ("f_ref_low", "f_ref_high", "offset_db"))
-def test_dropped_target_keys_are_refused_by_name(tmp_path, key):
-    """[target] is slope_db alone: a config that still sets a reference
-    span or an offset is refused rather than read as another design."""
-    with pytest.raises(ConfigError, match="unknown key '%s' in section \\[target\\]" % key):
-        load_config(_write(tmp_path, MINIMAL_IO + "\n[target]\n%s = 20.0\n" % key))
+# Keys that earlier configs could set and that no longer exist, with the
+# section and a value they took: [target]'s reference span and offset,
+# which changed no design but the slope, and the solver's damping and
+# anchor mode and the decorrelator pair, which are now constants.
+_DROPPED_KEYS = {
+    "f_ref_low": ("target", "20.0"),
+    "f_ref_high": ("target", "20000.0"),
+    "offset_db": ("target", "0.0"),
+    "damping": ("solver", "0.7"),
+    "anchor_mode": ("solver", "percentile-95"),
+    "decorrelator_len": ("render", "1024"),
+    "seed_left": ("render", "5240"),
+    "seed_right": ("render", "12002"),
+}
+
+
+@pytest.mark.parametrize("key", _DROPPED_KEYS)
+def test_dropped_target_keys_are_refused_by_name(tmp_path, capsys, key):
+    """A config that still sets a dropped key, even to the value every run
+    now uses, is refused by name rather than read as another design:
+    load_config raises, and design and simulate exit 2."""
+    section, value = _DROPPED_KEYS[key]
+    path = _write(tmp_path, MINIMAL_IO + "\n[%s]\n%s = %s\n" % (section, key, value))
+    named = "unknown key '%s' in section [%s]" % (key, section)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        load_config(path)
+    for argv in (["design", "--config", str(path)],
+                 ["simulate", "--design", str(tmp_path / "none.txt"), "--config", str(path)]):
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
 
 
 def test_unknown_key_is_fatal_and_named(tmp_path):
@@ -156,7 +176,7 @@ def test_missing_channel_is_fatal(tmp_path):
 
 def test_missing_io_section_is_fatal(tmp_path):
     with pytest.raises(ConfigError, match="io"):
-        load_config(_write(tmp_path, "[solver]\ndamping = 0.5\n"))
+        load_config(_write(tmp_path, "[solver]\ntolerance_db = 0.25\n"))
 
 
 def test_single_path_and_pair_are_mutually_exclusive(tmp_path):

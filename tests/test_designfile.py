@@ -22,7 +22,6 @@ from roomfill.solver import G_MAX, BandGainSet, ChannelSolve
 from roomfill.target import TargetFunction
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-SEEDS = st.integers(0, 2**63 - 1)
 SPECS = st.builds(
     make_spec,
     st.sampled_from((44100, 48000)),
@@ -32,19 +31,15 @@ SPECS = st.builds(
 )
 TARGETS = st.builds(TargetFunction, FINITE)
 
-#: What dumps_design wrote in format version 1, for a two-band bank.
-V1_DESIGN = os.path.join(os.path.dirname(__file__), "design_v1.txt")
-
-
-@st.composite
-def chains(draw):
-    seed_left = draw(SEEDS)
-    return SupportChain(
-        delay_ms=draw(st.floats(*DELAY_RANGE_MS)),
-        decorrelator_len=2 ** draw(st.integers(8, 16)),
-        seed_left=seed_left,
-        seed_right=draw(SEEDS.filter(lambda s: s != seed_left)),
-    )
+#: What dumps_design wrote in format versions 1 and 2, for one two-band
+#: design: version 2 dropped [filterbank] order and [target] f_ref_low,
+#: f_ref_high and offset_db, version 3 [render] decorrelator_len,
+#: seed_left and seed_right.
+OLD_DESIGNS = {
+    version: os.path.join(os.path.dirname(__file__), "design_v%d.txt" % version)
+    for version in (1, 2)
+}
+CHAINS = st.builds(SupportChain, st.floats(*DELAY_RANGE_MS))
 
 
 def test_save_load_round_trip(tmp_path, solved_design):
@@ -75,25 +70,41 @@ def test_redump_of_loaded_design_is_byte_identical(solved_design):
 
 
 def test_unsupported_version_rejected(solved_design):
-    text = dumps_design(solved_design).replace("format_version = 2", "format_version = 99")
+    text = dumps_design(solved_design).replace("format_version = 3", "format_version = 99")
     with pytest.raises(FormatError, match="format_version 99 is not supported"):
         loads_design(text)
 
 
 def test_version_1_file_refused_by_its_version():
-    """A version-1 file is named by its version before any of its keys
-    that version 2 dropped are read, and there is no fallback reader: its
+    """An older file is named by its version before any of its keys that
+    version 3 dropped are read, and there is no fallback reader: its
     gains must be solved again."""
-    assert FORMAT_VERSION == 2
-    with open(V1_DESIGN, encoding="ascii") as fh:
-        text = fh.read()
-    assert "order = 4" in text and "f_ref_low = 20.0" in text
-    with pytest.raises(FormatError, match=r"format_version 1 is not supported \(expected 2\): "
-                       r"run `design` again"):
-        loads_design(text)
-    with pytest.raises(FormatError, match="format_version 1"):
-        load_design(V1_DESIGN)
+    assert FORMAT_VERSION == 3
+    dropped = {1: ("order = 4", "f_ref_low = 20.0"), 2: ("seed_left = 5240",)}
+    for version, path in OLD_DESIGNS.items():
+        with open(path, encoding="ascii") as fh:
+            text = fh.read()
+        assert "format_version = %d\n" % version in text
+        assert all(line in text for line in dropped[version])
+        with pytest.raises(FormatError, match=r"format_version %d is not supported "
+                           r"\(expected 3\): run `design` again" % version):
+            loads_design(text)
+        with pytest.raises(FormatError, match="format_version %d" % version):
+            load_design(path)
 
+
+@pytest.mark.parametrize("rate", (96000, 32000))
+def test_design_rate_must_be_a_wav_rate(solved_design, tmp_path, rate):
+    """Every WAV a design renders or simulates is 44.1 or 48 kHz, so a
+    design at another rate is refused on load, naming the key and both
+    rates."""
+    path = tmp_path / "design.txt"
+    path.write_text(dumps_design(solved_design).replace(
+        "sample_rate = 48000", "sample_rate = %d" % rate))
+    with pytest.raises(FormatError, match=re.escape(
+            "[filterbank] sample_rate: %d Hz is not a WAV rate, expected one of "
+            "[44100, 48000]" % rate)):
+        load_design(path)
 
 
 def test_missing_section_rejected(solved_design):
@@ -126,7 +137,7 @@ def test_not_a_design_file_rejected():
     with pytest.raises(FormatError):
         loads_design("just some prose, no sections at all")
     with pytest.raises(FormatError):
-        loads_design("[design]\nformat_version = 2\n")  # sections missing
+        loads_design("[design]\nformat_version = 3\n")  # sections missing
     for text in ("[filterbank]\nf_low = 80.0\n", "[design]\nformat_version = two\n"):
         with pytest.raises(FormatError, match=r"no whole-number \[design\] format_version"):
             loads_design(text)
@@ -144,7 +155,6 @@ def test_not_a_design_file_rejected():
         ("support_left", "nan", "[balance] support_left"),
         ("support_left", "0.0", "[balance] support_left"),
         ("sample_rate", "48k", "[filterbank] sample_rate"),
-        ("decorrelator_len", "1024.5", "[render] decorrelator_len"),
         ("offset_db", "nan", "[fill_left] offset_db"),
         ("offset_db", "inf", "[front_right] offset_db"),
         ("residual_db", "inf", "[fill_left] residual_db"),
@@ -152,7 +162,6 @@ def test_not_a_design_file_rejected():
         ("converged", "maybe", "[fill_left] converged"),
         ("slope_db", "nan", "[target] slope_db"),
         ("delay_ms", "-inf", "[render] delay_ms"),
-        ("seed_left", "-3", "[render]"),
         ("sample_rate", "0", "[filterbank]"),
     ],
 )
@@ -169,7 +178,7 @@ def test_unplayable_or_unparsable_value_rejected_naming_key(solved_design, key, 
 @given(
     data=st.data(),
     spec=SPECS,
-    chain=chains(),
+    chain=CHAINS,
     target=TARGETS,
     balance=st.lists(st.floats(1e-6, 1e6), min_size=4, max_size=4),
 )

@@ -93,9 +93,15 @@ def test_design_validates_delay_window(spec48):
     _design(spec48, chain=SupportChain(delay_ms=50.0))
 
 
-def test_design_rejects_equal_seeds(spec48):
-    with pytest.raises(ContractError):
-        _design(spec48, chain=SupportChain(seed_left=9, seed_right=9))
+def test_every_chain_plays_the_pinned_decorrelator_pair(spec48):
+    """The decorrelators are not a setting: at any delay each side plays
+    the pinned filter of its seed, the pair whose cross-correlation
+    test_default_seed_pair_is_decorrelated bounds."""
+    for delay_ms in (2.0, 10.0, 50.0):
+        design = _design(spec48, chain=SupportChain(delay_ms=delay_ms))
+        for side, seed in (("left", DEFAULT_SEED_LEFT), ("right", DEFAULT_SEED_RIGHT)):
+            want = design_decorrelator(DEFAULT_DECORRELATOR_LEN, seed).taps
+            assert np.array_equal(design.decorrelator(side).taps, want)
 
 
 def test_solve_design_rejects_bad_chain_before_solving(monkeypatch, fixture_rirs, spec48):
@@ -104,10 +110,10 @@ def test_solve_design_rejects_bad_chain_before_solving(monkeypatch, fixture_rirs
 
     monkeypatch.setattr(pipeline, "solve_gains", no_solve)
     monkeypatch.setattr(pipeline, "solve_front_gains", no_solve)
-    for bad in ({"delay_ms": 1.0}, {"seed_left": 9, "seed_right": 9}):
+    for bad in (1.0, 50.5):
         with pytest.raises(ContractError):
             pipeline.solve_design(
-                fixture_rirs, spec48, TargetFunction(), SolverConfig(), SupportChain(**bad)
+                fixture_rirs, spec48, TargetFunction(), SolverConfig(), SupportChain(bad)
             )
 
 
