@@ -35,7 +35,7 @@ _SECTION_TYPES = {
 }
 
 _DEFAULTS = {
-    "filterbank": {"f_low": 80.0, "f_high": 16000.0, "bands_per_erb": 1.0},
+    "filterbank": {"f_low": 80.0, "f_high": 16000.0},
     **{
         name: {f.name: f.default for f in fields(cls)}
         for name, cls in _SECTION_TYPES.items()
@@ -55,7 +55,6 @@ class RunConfig:
     output_dir: str
     f_low: float
     f_high: float
-    bands_per_erb: float
     target: TargetFunction
     solver: SolverConfig
     chain: SupportChain
@@ -64,9 +63,7 @@ class RunConfig:
         """The configured bank at the responses' rate; its Nyquist check
         is the one [filterbank] check that needs the rate."""
         try:
-            return make_spec(
-                sample_rate, self.f_low, self.f_high, bands_per_erb=self.bands_per_erb
-            )
+            return make_spec(sample_rate, self.f_low, self.f_high)
         except ContractError as exc:
             raise ConfigError("[filterbank] %s" % exc) from None
 

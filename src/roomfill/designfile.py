@@ -27,7 +27,7 @@ from .rirs import CHANNEL_NAMES
 from .solver import BandGainSet, ChannelSolve
 from .target import TargetFunction
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def _field_types(cls) -> dict:
@@ -77,12 +77,7 @@ _CHANNEL_SECTIONS = ("fill_left", "fill_right", "front_left", "front_right")
 # less the iteration trace.
 _TABLE = {
     "design": {"format_version": int},
-    "filterbank": {
-        "sample_rate": int,
-        "f_low": float,
-        "f_high": float,
-        "bands_per_erb": float,
-    },
+    "filterbank": {"sample_rate": int, "f_low": float, "f_high": float},
     "target": _field_types(TargetFunction),
     "render": _field_types(SupportChain),
     "balance": dict.fromkeys(CHANNEL_NAMES, float),

@@ -78,73 +78,54 @@ _BANDWIDTH_FACTOR = 1.0 / (
 )
 
 
-#: Densest bank check_bank accepts. Adjacent bands overlap more as the
-#: density rises, and the resynthesis fit solves normal equations, whose
-#: error grows as cond**2 of its matrix. At 48 kHz over 80-16000 Hz that
-#: cond is 6.6 at 1 band per ERB, 72 at 2, 6.0e3 at 4, 1.2e6 at 6 and
-#: 1.1e8 at 8, where cond**2 passes 1 / eps and the fit breaks down.
-MAX_BANDS_PER_ERB = 4.0
-
-#: Sparsest bank check_bank accepts: sparser bands do not sum flat. The
-#: unity EQ's largest deviation from flat over 1.125 f_low to 0.9 f_high is
-#: 5.0 dB at 0.5 bands per ERB, 1.6-1.7 dB at 0.75, 0.79 dB at 0.9,
-#: 0.52-0.54 dB at 1 and 0.05 dB at 2 (44.1 and 48 kHz).
-MIN_BANDS_PER_ERB = 1.0
-
-
-def check_bank(f_low: float, f_high: float, bands_per_erb: float) -> None:
+def check_bank(f_low: float, f_high: float) -> None:
     """ContractError unless FilterbankSpec can lay out this bank at any
-    rate whose Nyquist frequency lies above f_high: finite values,
-    0 < f_low <= f_high and MIN_BANDS_PER_ERB <= bands_per_erb <=
-    MAX_BANDS_PER_ERB."""
-    for name, value in (("f_low", f_low), ("f_high", f_high), ("bands_per_erb", bands_per_erb)):
+    rate whose Nyquist frequency lies above f_high: finite values and
+    0 < f_low <= f_high."""
+    for name, value in (("f_low", f_low), ("f_high", f_high)):
         if not math.isfinite(value):
             raise ContractError("%s must be finite, got %r" % (name, value))
     if f_low <= 0 or f_high < f_low:
         raise ContractError("need 0 < f_low <= f_high")
-    if not MIN_BANDS_PER_ERB <= bands_per_erb <= MAX_BANDS_PER_ERB:
-        raise ContractError(
-            "bands_per_erb must be in [%g, %g], got %r"
-            % (MIN_BANDS_PER_ERB, MAX_BANDS_PER_ERB, bands_per_erb)
-        )
 
 
 @dataclass(frozen=True)
 class FilterbankSpec:
     """Frozen description of one analysis/resynthesis bank: its parameters
-    and the band layout they determine. Band centres sit at uniform
-    1/bands_per_erb steps on the ERB-number scale from f_low up to and
-    including f_high (one band if they are equal), each band as wide as the
-    ERB at its centre. The parameters must pass check_bank, sample_rate
-    must be a whole number of Hz, and f_high must lie below the Nyquist
-    frequency (so sample_rate is positive).
+    and the band layout they determine. Band centres sit one ERB apart
+    (unit steps on the ERB-number scale) from f_low up to and including
+    f_high (one band if they are equal), each band as wide as the ERB at
+    its centre. The parameters must pass check_bank, sample_rate must be
+    a whole number of Hz, and f_high must lie below the Nyquist frequency
+    (so sample_rate is positive).
     """
 
     sample_rate: int
     f_low: float
     f_high: float
-    bands_per_erb: float = 1.0
     center_freqs: tuple = field(init=False)
     bandwidths: tuple = field(init=False)
 
     def __post_init__(self):
-        check_bank(self.f_low, self.f_high, self.bands_per_erb)
+        check_bank(self.f_low, self.f_high)
         rate = self.sample_rate
         if not math.isfinite(rate) or rate != int(rate):
             raise ContractError("sample_rate must be a whole number of Hz, got %r" % (rate,))
-        for name, kind in (("sample_rate", int), ("f_low", float), ("f_high", float),
-                           ("bands_per_erb", float)):
+        for name, kind in (("sample_rate", int), ("f_low", float), ("f_high", float)):
             object.__setattr__(self, name, kind(getattr(self, name)))
         if self.f_high >= self.sample_rate / 2:
             raise ContractError(
                 "f_high %g Hz must be below the Nyquist frequency, %g Hz at %d Hz"
                 % (self.f_high, self.sample_rate / 2, self.sample_rate)
             )
+        # One band per ERB. Sparser banks do not sum flat: the unity EQ
+        # strays 0.79 dB from flat at 0.9 bands per ERB and 5.0 dB at 0.5.
+        # Denser ones overlap more: the resynthesis fit's gains turn negative
+        # at 3-4 bands per ERB, and at 2 most solves on a notched room hit
+        # the iteration cap.
         lo = erb_number(self.f_low)
-        span = erb_number(self.f_high) - lo
-        step = 1.0 / self.bands_per_erb
-        count = int(math.floor(span / step + 1e-9)) + 1
-        centers = [erb_number_inverse(lo + k * step) for k in range(count)]
+        count = int(math.floor(erb_number(self.f_high) - lo + 1e-9)) + 1
+        centers = [erb_number_inverse(lo + k) for k in range(count)]
         centers[0] = self.f_low  # exact endpoints, no round-trip noise
         if count > 1 and abs(centers[-1] - self.f_high) < 1e-6 * self.f_high:
             centers[-1] = self.f_high

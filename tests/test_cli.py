@@ -299,12 +299,12 @@ def test_render_refuses_a_design_rate_no_wav_has(designed, tmp_path, capsys):
 
 
 def test_version_1_design_exits_2_naming_version(workspace, tmp_path, capsys):
-    """A design file of an older format version (design_v1.txt,
-    design_v2.txt) is refused by render and simulate alike, by its
+    """A design file of an older format version (design_v1.txt to
+    design_v3.txt) is refused by render and simulate alike, by its
     version, with the way to a new one."""
     stereo = tmp_path / "in.wav"
     write_wav(stereo, AudioBuffer(np.zeros((2, 64)), 48000))
-    for version in (1, 2):
+    for version in (1, 2, 3):
         old = os.path.join(os.path.dirname(__file__), "design_v%d.txt" % version)
         for argv in (
             ["render", "--design", old, "-i", str(stereo), "-o", str(tmp_path / "x.wav")],
@@ -313,7 +313,7 @@ def test_version_1_design_exits_2_naming_version(workspace, tmp_path, capsys):
         ):
             assert main(argv) == 2
             err = capsys.readouterr().err
-            assert ("format_version %d is not supported (expected 3): run `design` again"
+            assert ("format_version %d is not supported (expected 4): run `design` again"
                     % version) in err
     assert not (tmp_path / "x.wav").exists()
     assert not (tmp_path / "r_left.csv").exists()

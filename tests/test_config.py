@@ -31,11 +31,10 @@ def test_defaults_fill_every_tunable(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL_IO))
     assert cfg.f_low == 80.0
     assert cfg.f_high == 16000.0
-    assert cfg.bands_per_erb == 1.0
     assert cfg.target == TargetFunction(slope_db=5.0)
     assert cfg.solver == SolverConfig(tolerance_db=0.5, max_iterations=50)
     assert cfg.chain == SupportChain(delay_ms=10.0)
-    assert sum(map(len, _DEFAULTS.values())) == 7
+    assert sum(map(len, _DEFAULTS.values())) == 6
 
 
 def test_values_override_defaults(tmp_path):
@@ -54,10 +53,6 @@ def test_values_override_defaults(tmp_path):
         ("solver", "tolerance_db = nan"),
         ("solver", "tolerance_db = inf"),
         ("filterbank", "f_low = nan"),
-        ("filterbank", "bands_per_erb = inf"),
-        ("filterbank", "bands_per_erb = 0.5"),
-        ("filterbank", "bands_per_erb = 4.5"),
-        ("filterbank", "bands_per_erb = 1000"),
         ("filterbank", "f_low = 0"),
     ],
 )
@@ -79,7 +74,8 @@ def test_unknown_section_is_fatal(tmp_path):
 # Keys that earlier configs could set and that no longer exist, with the
 # section and a value they took: [target]'s reference span and offset,
 # which changed no design but the slope, and the solver's damping and
-# anchor mode and the decorrelator pair, which are now constants.
+# anchor mode, the decorrelator pair and the bank's bands per ERB, which
+# are now constants.
 _DROPPED_KEYS = {
     "f_ref_low": ("target", "20.0"),
     "f_ref_high": ("target", "20000.0"),
@@ -89,6 +85,7 @@ _DROPPED_KEYS = {
     "decorrelator_len": ("render", "1024"),
     "seed_left": ("render", "5240"),
     "seed_right": ("render", "12002"),
+    "bands_per_erb": ("filterbank", "1.0"),
 }
 
 
@@ -249,10 +246,3 @@ def test_filterbank_accessor_builds_spec(tmp_path):
     assert spec.center_freqs[-1] <= 8000.0
     assert cfg.target.slope_db == 5.0
 
-
-@pytest.mark.parametrize("value", ("1.0", "2.0", "4"))
-def test_bands_per_erb_up_to_the_cap_loads(tmp_path, value):
-    """The cap leaves the default density and twice it valid; only the
-    layout is checked, no bank is fitted."""
-    cfg = load_config(_write(tmp_path, MINIMAL_IO + "\n[filterbank]\nbands_per_erb = %s\n" % value))
-    assert cfg.bands_per_erb == float(value)

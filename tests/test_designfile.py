@@ -15,29 +15,35 @@ from roomfill.designfile import (
     save_design,
 )
 from roomfill.errors import FormatError
-from roomfill.gammatone import MAX_BANDS_PER_ERB, MIN_BANDS_PER_ERB, make_spec
+from roomfill.gammatone import make_spec
 from roomfill.render import DELAY_RANGE_MS, EqualisationDesign, SupportChain
 from roomfill.rirs import CHANNEL_NAMES
 from roomfill.solver import G_MAX, BandGainSet, ChannelSolve
 from roomfill.target import TargetFunction
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-SPECS = st.builds(
-    make_spec,
-    st.sampled_from((44100, 48000)),
-    st.just(80.0),
-    st.just(16000.0),
-    st.floats(MIN_BANDS_PER_ERB, MAX_BANDS_PER_ERB),
-)
+
+
+@st.composite
+def _specs(draw):
+    """A bank at a WAV rate over a drawn span: f_low in [20, 1000] Hz and
+    f_high in [f_low, 16000] Hz. make_spec runs check_bank and the Nyquist
+    check, so a drawn span that either refused would fail the test."""
+    f_low = draw(st.floats(20.0, 1000.0))
+    f_high = draw(st.floats(f_low, 16000.0))
+    return make_spec(draw(st.sampled_from((44100, 48000))), f_low, f_high)
+
+
+SPECS = _specs()
 TARGETS = st.builds(TargetFunction, FINITE)
 
-#: What dumps_design wrote in format versions 1 and 2, for one two-band
+#: What dumps_design wrote in format versions 1 to 3, for one two-band
 #: design: version 2 dropped [filterbank] order and [target] f_ref_low,
 #: f_ref_high and offset_db, version 3 [render] decorrelator_len,
-#: seed_left and seed_right.
+#: seed_left and seed_right, and version 4 [filterbank] bands_per_erb.
 OLD_DESIGNS = {
     version: os.path.join(os.path.dirname(__file__), "design_v%d.txt" % version)
-    for version in (1, 2)
+    for version in (1, 2, 3)
 }
 CHAINS = st.builds(SupportChain, st.floats(*DELAY_RANGE_MS))
 
@@ -70,24 +76,28 @@ def test_redump_of_loaded_design_is_byte_identical(solved_design):
 
 
 def test_unsupported_version_rejected(solved_design):
-    text = dumps_design(solved_design).replace("format_version = 3", "format_version = 99")
+    text = dumps_design(solved_design).replace("format_version = 4", "format_version = 99")
     with pytest.raises(FormatError, match="format_version 99 is not supported"):
         loads_design(text)
 
 
 def test_version_1_file_refused_by_its_version():
     """An older file is named by its version before any of its keys that
-    version 3 dropped are read, and there is no fallback reader: its
+    later versions dropped are read, and there is no fallback reader: its
     gains must be solved again."""
-    assert FORMAT_VERSION == 3
-    dropped = {1: ("order = 4", "f_ref_low = 20.0"), 2: ("seed_left = 5240",)}
+    assert FORMAT_VERSION == 4
+    dropped = {
+        1: ("order = 4", "f_ref_low = 20.0"),
+        2: ("seed_left = 5240",),
+        3: ("bands_per_erb = 1.0",),
+    }
     for version, path in OLD_DESIGNS.items():
         with open(path, encoding="ascii") as fh:
             text = fh.read()
         assert "format_version = %d\n" % version in text
         assert all(line in text for line in dropped[version])
         with pytest.raises(FormatError, match=r"format_version %d is not supported "
-                           r"\(expected 3\): run `design` again" % version):
+                           r"\(expected 4\): run `design` again" % version):
             loads_design(text)
         with pytest.raises(FormatError, match="format_version %d" % version):
             load_design(path)
@@ -137,7 +147,7 @@ def test_not_a_design_file_rejected():
     with pytest.raises(FormatError):
         loads_design("just some prose, no sections at all")
     with pytest.raises(FormatError):
-        loads_design("[design]\nformat_version = 3\n")  # sections missing
+        loads_design("[design]\nformat_version = 4\n")  # sections missing
     for text in ("[filterbank]\nf_low = 80.0\n", "[design]\nformat_version = two\n"):
         with pytest.raises(FormatError, match=r"no whole-number \[design\] format_version"):
             loads_design(text)

@@ -9,7 +9,6 @@ from roomfill.errors import ContractError
 from roomfill.gammatone import (
     DESIGN_LEN,
     EQ_IR_LEN,
-    MAX_BANDS_PER_ERB,
     ORDER,
     RESPONSE_TAIL_Q,
     BandSignals,
@@ -24,6 +23,7 @@ from roomfill.gammatone import (
     analyze,
     band_energies,
     band_gain_eq,
+    erb_number,
     erb_of,
     impulse_band_energies,
     make_spec,
@@ -78,17 +78,12 @@ def test_default_spec_band_layout(spec48):
     assert spec48.bandwidths[0] == pytest.approx(erb_of(80.0), abs=1e-12)
 
 
-def test_band_density_doubles_band_count(spec48):
-    dense = make_spec(48000, 80.0, 16000.0, bands_per_erb=2.0)
-    assert dense.num_bands == 74
-
-
 def test_spec_layout_cannot_be_supplied(spec48):
     """A bank is its parameters: a caller cannot hand it a layout that
     differs from the one they determine."""
     layout = (spec48.center_freqs, spec48.bandwidths)
     with pytest.raises(TypeError):
-        FilterbankSpec(48000, 80.0, 16000.0, 1.0, 4, *layout)
+        FilterbankSpec(48000, 80.0, 16000.0, *layout)
     with pytest.raises(TypeError):
         FilterbankSpec(48000, 80.0, 16000.0, center_freqs=layout[0])
 
@@ -104,28 +99,25 @@ def test_make_spec_rejects_bad_arguments():
         make_spec(48000, 0.0, 16000.0)
     with pytest.raises(ContractError):
         make_spec(48000, 16000.0, 80.0)
-    with pytest.raises(ContractError):
-        make_spec(48000, 80.0, 16000.0, bands_per_erb=0.0)
     for rate in (48000, 0, -48000):  # at or above Nyquist, or no rate
         with pytest.raises(ContractError, match="Nyquist"):
             make_spec(rate, 80.0, 30000.0 if rate > 0 else 16000.0)
-    for args in ((math.nan, 16000.0, 1.0), (80.0, math.inf, 1.0), (80.0, 16000.0, math.inf)):
+    for args in ((math.nan, 16000.0), (80.0, math.inf)):
         with pytest.raises(ContractError, match="must be finite"):
             make_spec(48000, *args)
-    for dense in (0.5, 4.5, 1000.0, 1e9):
-        with pytest.raises(ContractError, match="bands_per_erb must be in"):
-            make_spec(48000, 80.0, 16000.0, bands_per_erb=dense)
     # a fractional rate is refused, not truncated to another bank
     for rate in (48000.7, math.nan, math.inf):
         with pytest.raises(ContractError, match="sample_rate must be a whole number"):
             make_spec(rate, 80.0, 16000.0)
-    assert make_spec(48000.0, 80.0, 16000.0, 1.0) == make_spec(48000, 80.0, 16000.0)
+    assert make_spec(48000.0, 80.0, 16000.0) == make_spec(48000, 80.0, 16000.0)
 
 
-@pytest.mark.parametrize("bands_per_erb, count", ((1.0, 37), (2.0, 74), (MAX_BANDS_PER_ERB, 147)))
-def test_make_spec_lays_out_banks_up_to_the_density_cap(bands_per_erb, count):
+def test_make_spec_lays_out_one_band_per_erb():
     """Only the layout is built here: no fit, no meter."""
-    assert make_spec(48000, 80.0, 16000.0, bands_per_erb=bands_per_erb).num_bands == count
+    spec = make_spec(48000, 80.0, 16000.0)
+    assert spec.num_bands == 37
+    steps = np.diff([erb_number(f) for f in spec.center_freqs])
+    assert np.allclose(steps, 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_analyze_shape_and_determinism(spec48, rng):
@@ -172,14 +164,6 @@ def test_reconstruction_flat_at_44100():
     assert db.max() <= 1.0
 
 
-def test_dense_bank_reconstruction_nearly_exact():
-    spec = make_spec(48000, 80.0, 16000.0, bands_per_erb=2.0)
-    rec = synthesize(analyze(_impulse(16384), spec)).mono
-    db = _magnitude_db(rec, 48000)
-    assert db.min() >= -0.1
-    assert db.max() <= 0.1
-
-
 def test_reconstruction_peaks_at_alignment_latency(spec48):
     assert synthesis_latency(spec48) == 192  # 4 ms at 48 kHz
     assert synthesis_latency(make_spec(44100, 80.0, 16000.0)) == 176
@@ -217,7 +201,7 @@ def test_eq_is_linear_in_gains(spec48, rng):
 def test_single_band_boost_measured_through_band_energies(spec48):
     """Doubling one mid band's amplitude raises that band's measured
     energy by 4.06 dB, not the 6.02 dB a leak-free bank would show:
-    neighbouring bands overlap at this density and their unity-gain
+    neighbouring bands overlap at one per ERB and their unity-gain
     spill dilutes the boost. Pinned measurement."""
     g = np.ones(37)
     g[14] = 2.0
@@ -365,17 +349,16 @@ def test_gamma_upper_quantile_matches_scipy(a):
 
 
 def test_ring_tail_matches_scipy_quantile():
-    """_ring_tail is unchanged from its scipy-based form on 27 specs:
-    three rates, 1/2/3 bands per ERB and three f_low."""
+    """_ring_tail is unchanged from its scipy-based form on 9 specs:
+    three rates and three f_low."""
     for rate in (44100, 48000, 96000):
-        for density in (1.0, 2.0, 3.0):
-            for f_low in (20.0, 80.0, 200.0):
-                spec = make_spec(rate, f_low, 16000.0, density)
-                lam = _pole_coefficients(spec)[0]
-                rate_per_sample = -2.0 * math.log(float(lam.max()))
-                quantile = float(gammainccinv(2 * ORDER - 1, 1e-30))
-                want = max(DESIGN_LEN, math.ceil(quantile / rate_per_sample))
-                assert _ring_tail(spec) == want, (rate, density, f_low)
+        for f_low in (20.0, 80.0, 200.0):
+            spec = make_spec(rate, f_low, 16000.0)
+            lam = _pole_coefficients(spec)[0]
+            rate_per_sample = -2.0 * math.log(float(lam.max()))
+            quantile = float(gammainccinv(2 * ORDER - 1, 1e-30))
+            want = max(DESIGN_LEN, math.ceil(quantile / rate_per_sample))
+            assert _ring_tail(spec) == want, (rate, f_low)
 
 
 def test_min_response_length_leaves_q_of_the_slowest_band():

@@ -26,11 +26,11 @@ from roomfill.gammatone import (
 from reference_fit import fft_synthesis_design
 
 #: Largest relative difference allowed between the two fits' gains (2-norm)
-#: and EQ bases (largest entry) at each band density, fixed before the
-#: closed-form fit was written. The fit solves normal equations, so a
-#: rounding-level change in its matrix moves the gains by up to about
-#: cond**2 ulps, and cond grows from about 7 at 1 band per ERB to 6e3 at 4.
-FIT_TOLERANCE = {1.0: 2e-12, 2.0: 7e-12, 4.0: 1e-8}
+#: and EQ bases (largest entry), fixed before the closed-form fit was
+#: written. The fit solves normal equations, so a rounding-level change in
+#: its matrix moves the gains by up to about cond**2 ulps; cond is about 7
+#: at one band per ERB.
+FIT_TOLERANCE = 2e-12
 
 
 def _window_tails(spec, delays, order):
@@ -50,17 +50,16 @@ def _window_tails(spec, delays, order):
     return tails
 
 
-@pytest.mark.parametrize("bands_per_erb", (1.0, 2.0, 4.0))
 @pytest.mark.parametrize("order", (1, 2, 3, 4), indirect=True)
 @pytest.mark.parametrize("rate", (44100, 48000, 96000))
-def test_closed_form_fit_matches_the_fft_fit(rate, order, bands_per_erb):
+def test_closed_form_fit_matches_the_fft_fit(rate, order):
     """Delays and latency are equal exactly. The closed-form spectra match
     the reference's FFT bins to 1e-12 of the band's peak, plus what the
     reference's DESIGN_LEN window drops of a band that rings past it.
     Gains and EQ basis match within FIT_TOLERANCE, plus ten times that
     dropped tail: a fit this well conditioned moves by a small multiple
     of a change in its spectra (at most 2.2 times, measured)."""
-    spec = make_spec(rate, 80.0, 16000.0, bands_per_erb)
+    spec = make_spec(rate, 80.0, 16000.0)
     new = _synthesis_design.__wrapped__(spec)  # leaves the cache to the other tests
     ref = fft_synthesis_design(spec)
     assert np.array_equal(new.delays, ref.delays)
@@ -76,7 +75,7 @@ def test_closed_form_fit_matches_the_fft_fit(rate, order, bands_per_erb):
     peak = np.abs(ref.spectra).max(axis=1)
     assert np.all(np.abs(closed - fft).max(axis=1) <= 1e-12 * peak + tails)
 
-    tol = FIT_TOLERANCE[bands_per_erb] + 10.0 * tails.max()
+    tol = FIT_TOLERANCE + 10.0 * tails.max()
     assert np.linalg.norm(new.gains - ref.gains) <= tol * np.linalg.norm(ref.gains)
     eq_error = np.abs(new.eq_basis - ref.eq_basis).max()
     assert eq_error <= tol * np.abs(ref.eq_basis).max()
