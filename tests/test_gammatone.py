@@ -112,12 +112,14 @@ def test_make_spec_rejects_bad_arguments():
     assert make_spec(48000.0, 80.0, 16000.0) == make_spec(48000, 80.0, 16000.0)
 
 
-def test_make_spec_lays_out_one_band_per_erb():
-    """Only the layout is built here: no fit, no meter."""
+@pytest.mark.parametrize("bands_per_erb, count", ((1.0, 37),))
+def test_make_spec_lays_out_banks_up_to_the_density_cap(bands_per_erb, count):
+    """Only the layout is built here: no fit, no meter. The density is
+    fixed at one band per ERB, which is also its cap."""
     spec = make_spec(48000, 80.0, 16000.0)
-    assert spec.num_bands == 37
+    assert spec.num_bands == count
     steps = np.diff([erb_number(f) for f in spec.center_freqs])
-    assert np.allclose(steps, 1.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(steps, 1.0 / bands_per_erb, rtol=0.0, atol=1e-12)
 
 
 def test_analyze_shape_and_determinism(spec48, rng):

@@ -20,6 +20,7 @@ from roomfill.gammatone import (
     _pole_coefficients,
     _ring_tail,
     _synthesis_design,
+    erb_number,
     make_spec,
 )
 
@@ -50,16 +51,20 @@ def _window_tails(spec, delays, order):
     return tails
 
 
+@pytest.mark.parametrize("bands_per_erb", (1.0,))
 @pytest.mark.parametrize("order", (1, 2, 3, 4), indirect=True)
 @pytest.mark.parametrize("rate", (44100, 48000, 96000))
-def test_closed_form_fit_matches_the_fft_fit(rate, order):
+def test_closed_form_fit_matches_the_fft_fit(rate, order, bands_per_erb):
     """Delays and latency are equal exactly. The closed-form spectra match
     the reference's FFT bins to 1e-12 of the band's peak, plus what the
     reference's DESIGN_LEN window drops of a band that rings past it.
     Gains and EQ basis match within FIT_TOLERANCE, plus ten times that
     dropped tail: a fit this well conditioned moves by a small multiple
-    of a change in its spectra (at most 2.2 times, measured)."""
+    of a change in its spectra (at most 2.2 times, measured). The bank is
+    the fixed one of bands_per_erb bands per ERB."""
     spec = make_spec(rate, 80.0, 16000.0)
+    steps = np.diff([erb_number(f) for f in spec.center_freqs])
+    assert np.allclose(steps, 1.0 / bands_per_erb, rtol=0.0, atol=1e-12)
     new = _synthesis_design.__wrapped__(spec)  # leaves the cache to the other tests
     ref = fft_synthesis_design(spec)
     assert np.array_equal(new.delays, ref.delays)
