@@ -35,7 +35,6 @@ from .simulate import (
     SyntheticRirParams,
     VerificationReport,
     export_report,
-    read_report,
     simulate_total,
     synth_rir,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "SyntheticRirParams",
     "VerificationReport",
     "export_report",
-    "read_report",
     "simulate_total",
     "synth_rir",
     "solve_design",

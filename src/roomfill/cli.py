@@ -1,8 +1,9 @@
-"""Command line front end.
+"""Command line front end: the offline pipeline, one subcommand a step.
 
-Subcommands cover the full workflow: synthesise or average measurement
-WAVs, solve a design from a config file, render programme material,
-simulate the result against the fixtures and pretty-print reports.
+`synth-rir` writes a synthetic measurement WAV, `design` solves the band
+gains from a config file, `render` plays programme material through a
+design, and `simulate` checks a design against the configured responses,
+writing one per-band CSV report per channel.
 
 Exit codes: 0 success, 1 simulated deviation over the allowed maximum,
 2 usage or validation errors, 3 the gain solve hit its iteration cap
@@ -17,14 +18,13 @@ import sys
 
 import numpy as np
 
-from .audio import ImpulseResponse, WavReader, WavWriter, read_wav, write_wav
+from .audio import WavReader, WavWriter, write_wav
 from .config import load_config
 from .designfile import load_design, save_design
 from .errors import RoomfillError, UnfillableBandError
 from .pipeline import solve_design
 from .render import RENDER_MODES, RenderStream
-from .rirs import average_pair
-from .simulate import SyntheticRirParams, export_report, read_report, simulate_total, synth_rir
+from .simulate import SyntheticRirParams, export_report, simulate_total, synth_rir
 
 EXIT_OK = 0
 EXIT_DEVIATION = 1
@@ -93,18 +93,6 @@ def cmd_synth_rir(args) -> int:
     return EXIT_OK
 
 
-def cmd_avg_rir(args) -> int:
-    a = ImpulseResponse(read_wav(args.capture_a))
-    b = ImpulseResponse(read_wav(args.capture_b))
-    avg = average_pair(a, b)
-    write_wav(args.output, avg.buffer)
-    print(
-        "wrote %s: %d samples at %d Hz (mean of 2 captures)"
-        % (args.output, avg.data.size, avg.sample_rate)
-    )
-    return EXIT_OK
-
-
 def _solve_line(name: str, solve, filled_only: bool) -> str:
     mask = solve.gains > 0 if filled_only else np.ones_like(solve.gains, dtype=bool)
     worst = float(np.max(np.abs(solve.residual_db[mask]))) if mask.any() else 0.0
@@ -125,6 +113,7 @@ def cmd_design(args) -> int:
     run = load_config(args.config)
     rirs = run.load_rirs()
     spec = run.filterbank(rirs.sample_rate)
+    run.check_lengths(rirs, spec)
     design = solve_design(rirs, spec, run.target, run.solver, run.chain)
     out = args.output or os.path.join(run.output_dir, "design.txt")
     parent = os.path.dirname(os.path.abspath(out))
@@ -175,19 +164,17 @@ def cmd_simulate(args) -> int:
     run = load_config(args.config)
     design = load_design(args.design)
     rirs = run.load_rirs()
-    channels = (args.channel,) if args.channel else ("left", "right")
+    # the design's bank measures the simulation, whatever the config's is
+    run.check_lengths(rirs, design.spec)
     out = args.output or os.path.join(run.output_dir, "report.csv")
     os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
+    base, ext = os.path.splitext(out)
 
     worst = 0.0
     meters = {}
-    for channel in channels:
+    for channel in ("left", "right"):
         report = simulate_total(design, rirs, channel, meters=meters)
-        if len(channels) == 1:
-            path = out
-        else:
-            base, ext = os.path.splitext(out)
-            path = "%s_%s%s" % (base, channel, ext or ".csv")
+        path = "%s_%s%s" % (base, channel, ext or ".csv")
         export_report(report, path)
         worst = max(worst, report.max_abs_deviation_filled_bands_db)
         print(
@@ -208,30 +195,6 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
         return EXIT_DEVIATION
-    return EXIT_OK
-
-
-def cmd_report(args) -> int:
-    report = read_report(args.csv)
-    print(
-        "%9s %9s %9s %9s %9s %10s"
-        % ("f_c_hz", "primary", "fill", "total", "target", "deviation")
-    )
-    for i in range(report.num_bands):
-        print(
-            "%9.2f %9.2f %9.2f %9.2f %9.2f %10.3f"
-            % (
-                report.center_freqs[i],
-                report.primary_db[i],
-                report.fill_db[i],
-                report.total_db[i],
-                report.target_db[i],
-                report.deviation_db[i],
-            )
-        )
-    print("max |deviation| over filled bands: %.6g dB" % report.max_abs_deviation_filled_bands_db)
-    print("rms deviation: %.6g dB" % report.rms_deviation_db)
-    print("unfilled bands: %d" % report.unfilled_band_count)
     return EXIT_OK
 
 
@@ -265,16 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--lowpass", type=float, metavar="FC_HZ", help="treble roll-off cutoff")
     p.add_argument("--seed", type=int, default=0, help="tail noise seed")
     p.set_defaults(func=cmd_synth_rir)
-
-    p = sub.add_parser(
-        "avg-rir",
-        help="average two microphone captures of the same loudspeaker",
-        formatter_class=fmt,
-    )
-    p.add_argument("capture_a", help="first capture WAV")
-    p.add_argument("capture_b", help="second capture WAV")
-    p.add_argument("-o", "--output", required=True, help="output WAV path")
-    p.set_defaults(func=cmd_avg_rir)
 
     p = sub.add_parser(
         "design",
@@ -318,10 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
         "-o",
         "--output",
         default=None,
-        help="report CSV path; _left/_right is inserted when both "
-        "channels run (default: <output_dir>/report.csv)",
+        help="report CSV path, written as one file per channel with "
+        "_left/_right inserted (default: <output_dir>/report.csv)",
     )
-    p.add_argument("--channel", choices=("left", "right"), help="simulate one channel only")
     p.add_argument(
         "--max-deviation-db",
         type=_deviation_budget,
@@ -329,14 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest filled-band |deviation| that still exits 0",
     )
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser(
-        "report",
-        help="pretty-print a simulation report CSV",
-        formatter_class=fmt,
-    )
-    p.add_argument("csv", help="report written by `simulate`")
-    p.set_defaults(func=cmd_report)
 
     return parser
 

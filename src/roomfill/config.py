@@ -68,16 +68,24 @@ class RunConfig:
             raise ConfigError("[filterbank] %s" % exc) from None
 
     def load_rirs(self) -> RirSet:
-        """Read the configured WAVs, averaging microphone pairs, and refuse
-        a response shorter than the configured bank needs at their rate
-        (gammatone.min_response_length)."""
+        """Read the configured WAVs, averaging microphone pairs."""
         loaded = {}
         for name, paths in self.rir_paths.items():
             captures = [ImpulseResponse(read_wav(p)) for p in paths]
             loaded[name] = captures[0] if len(captures) == 1 else average_pair(*captures)
-        rirs = RirSet(**loaded)
+        return RirSet(**loaded)
+
+    def check_lengths(self, rirs: RirSet, spec: FilterbankSpec) -> None:
+        """Refuse responses that `spec`, the bank that measures them, cannot
+        measure: responses at another rate, or one shorter than its lowest
+        band needs (gammatone.min_response_length)."""
         rate = rirs.sample_rate
-        need = min_response_length(self.filterbank(rate))
+        if rate != spec.sample_rate:
+            raise ConfigError(
+                "[io] the responses are at %d Hz, the bank that measures them at %d Hz"
+                % (rate, spec.sample_rate)
+            )
+        need = min_response_length(spec)
         for name, ir in rirs.responses.items():
             if ir.data.size < need:
                 raise ConfigError(
@@ -87,7 +95,6 @@ class RunConfig:
                        ir.data.size, 1000.0 * ir.data.size / rate, rate,
                        need, 1000.0 * need / rate)
                 )
-        return rirs
 
 
 def _typed(section: str, key: str, raw: str, like) -> object:

@@ -25,7 +25,6 @@ __all__ = [
     "synth_rir",
     "simulate_total",
     "export_report",
-    "read_report",
     "TAIL_LEVEL",
     "REPORT_HEADER",
 ]
@@ -293,68 +292,3 @@ def export_report(report: VerificationReport, path) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def read_report(path) -> VerificationReport:
-    """Parse a CSV written by export_report. The filled-band mask is not
-    part of the format, so the summary figures are taken from the comment
-    lines rather than recomputed.
-
-    Every number must be finite, except that a level column may read
-    -inf: export_report writes that for a silent path."""
-    rows = []
-    summary = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != REPORT_HEADER:
-            raise ContractError("unrecognised report header: %r" % header)
-        for number, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition("=")
-                summary[key.strip()] = (value.strip(), number)
-                continue
-            try:
-                row = [float(v) for v in line.split(",")]
-            except ValueError:
-                row = []
-            if len(row) != 6:
-                raise ContractError(
-                    "%s line %d is not six numbers: %r" % (path, number, line)
-                )
-            cells = np.array(row)
-            bad = ~np.isfinite(cells)
-            bad[1:5] &= cells[1:5] != -np.inf
-            if bad.any():
-                raise ContractError(
-                    "%s line %d has a non-finite number: %r" % (path, number, line)
-                )
-            rows.append(row)
-    data = np.array(rows, dtype=np.float64).reshape(len(rows), 6)
-
-    def figure(key, parse):
-        if key not in summary:
-            raise ContractError("report is missing summary line '%s'" % key)
-        text, number = summary[key]
-        try:
-            value = parse(text)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ContractError(
-                "%s line %d: %s is not a finite number: %r" % (path, number, key, text)
-            )
-        return value
-
-    return VerificationReport(
-        center_freqs=data[:, 0],
-        primary_db=data[:, 1],
-        fill_db=data[:, 2],
-        total_db=data[:, 3],
-        target_db=data[:, 4],
-        deviation_db=data[:, 5],
-        max_abs_deviation_filled_bands_db=figure("max_abs_deviation_filled_bands_db", float),
-        rms_deviation_db=figure("rms_deviation_db", float),
-        unfilled_band_count=figure("unfilled_band_count", int),
-    )

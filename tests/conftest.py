@@ -37,6 +37,16 @@ settings.register_profile("roomfill", derandomize=True, deadline=None)
 settings.load_profile("roomfill")
 
 
+def report_csv(path):
+    """A `simulate` report CSV as its per-band rows, one column per header
+    name (a silent path's level reads -inf), and its summary lines as
+    {name: text}."""
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, comments="#", ndmin=2)
+    with open(path) as fh:
+        summary = dict(ln[2:].rstrip("\n").split(" = ") for ln in fh if ln.startswith("# "))
+    return rows, summary
+
+
 @pytest.fixture
 def order(request, monkeypatch):
     """Runs a test on banks of order request.param (used as an indirect

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -25,11 +26,9 @@ from roomfill.render import (
     render,
     support_chain_latency,
 )
-from roomfill.rirs import average_pair
-from roomfill.simulate import REPORT_HEADER, SyntheticRirParams, synth_rir
+from roomfill.simulate import SyntheticRirParams, synth_rir
 from roomfill.solver import BandGainSet, ChannelSolve
 from roomfill.target import TargetFunction
-from roomfill.audio import ImpulseResponse
 
 RUN_INI = """[io]
 primary_left = pl.wav
@@ -121,15 +120,28 @@ def test_synth_rir_rejects_unusable_number_exits_2(tmp_path, capsys, option, val
     assert not out.exists()
 
 
-def test_avg_rir_matches_library_average(workspace, tmp_path, capsys):
-    out = tmp_path / "avg.wav"
-    rc = main(["avg-rir", str(workspace / "pl.wav"), str(workspace / "pr.wav"),
-               "-o", str(out)])
-    assert rc == 0
-    a = ImpulseResponse(read_wav(workspace / "pl.wav"))
-    b = ImpulseResponse(read_wav(workspace / "pr.wav"))
-    want = average_pair(a, b).data.astype(np.float32)
-    assert np.array_equal(read_wav(out).samples[0], want.astype(np.float64))
+def test_cli_is_the_pipeline_commands_only(workspace, designed, tmp_path, capsys):
+    """`roomfill --help` lists synth-rir, design, render and simulate and
+    nothing else. Averaging two captures, printing a report and simulating
+    one channel are not commands: argparse refuses each with exit 2 before
+    anything is written."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listed = re.findall(r"^    (\S+)", capsys.readouterr().out, re.M)
+    assert listed == ["synth-rir", "design", "render", "simulate"]
+
+    for argv in (
+        ["avg-rir", str(workspace / "pl.wav"), str(workspace / "pr.wav"),
+         "-o", str(tmp_path / "avg.wav")],
+        ["report", str(tmp_path / "report_left.csv")],
+        ["simulate", "--design", str(designed), "--config", str(workspace / "run.ini"),
+         "-o", str(tmp_path / "r.csv"), "--channel", "left"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_design_solves_and_reports(workspace, designed, capsys):
@@ -328,12 +340,54 @@ def test_simulate_writes_per_channel_reports(workspace, designed, tmp_path, caps
     assert (tmp_path / "rep_right.csv").exists()
     assert not out.exists()
 
-    single = tmp_path / "left_only.csv"
-    rc = main(["simulate", "--design", str(designed),
-               "--config", str(workspace / "run.ini"),
-               "-o", str(single), "--channel", "left"])
-    assert rc == 0
-    assert single.exists()
+
+def test_simulate_measures_lengths_with_the_design_bank(tmp_path, capsys):
+    """simulate checks the responses against the bank of the design it
+    simulates, not the config's: 2300-sample responses are long enough for
+    the config's 80 Hz bank (2032) but not for a 20 Hz design's (2522),
+    which design refuses too, and a config whose f_high lies past the
+    responses' Nyquist frequency does not stop a simulation that never
+    uses its bank. Responses at another rate than the design's are refused
+    by rate first."""
+    design = tmp_path / "design_20hz.txt"
+    save_design(_synthetic_design(48000, f_low=20.0), design)
+    rng = np.random.default_rng(5)
+    for name in ("pl", "pr", "sl", "sr"):
+        x = np.r_[1.0, 0.1 * rng.standard_normal(2299)]
+        write_wav(tmp_path / ("%s.wav" % name), AudioBuffer(x, 48000))
+    ini = tmp_path / "run.ini"
+    simulate = ["simulate", "--design", str(design), "--config", str(ini),
+                "-o", str(tmp_path / "r.csv")]
+    # under the default config, then as design refuses the room for that bank
+    for filterbank, argv in (
+        ("", simulate),
+        ("\n[filterbank]\nf_low = 20\n", simulate),
+        ("\n[filterbank]\nf_low = 20\n", ["design", "--config", str(ini)]),
+    ):
+        ini.write_text(RUN_INI + filterbank)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [io] primary_left: pl.wav has 2300 samples")
+        assert "needs at least 2522 (52.5 ms)" in err
+    assert not (tmp_path / "r_left.csv").exists()
+    assert not (tmp_path / "out").exists()
+
+    for name in ("pl", "pr", "sl", "sr"):
+        x = np.r_[1.0, 0.1 * rng.standard_normal(2521)]
+        write_wav(tmp_path / ("%s.wav" % name), AudioBuffer(x, 48000))
+    ini.write_text(RUN_INI + "\n[filterbank]\nf_high = 30000\n")
+    assert main(simulate) in (0, 1)
+    assert (tmp_path / "r_left.csv").exists() and (tmp_path / "r_right.csv").exists()
+
+    for name in ("pl", "pr", "sl", "sr"):
+        x = np.r_[1.0, 0.1 * rng.standard_normal(2799)]
+        write_wav(tmp_path / ("%s.wav" % name), AudioBuffer(x, 44100))
+    ini.write_text(RUN_INI)
+    capsys.readouterr()
+    assert main(simulate) == 2
+    assert "[io] the responses are at 44100 Hz, the bank that measures them at 48000 Hz" in (
+        capsys.readouterr().err
+    )
 
 
 def test_simulate_enforces_deviation_budget(workspace, designed, tmp_path, capsys):
@@ -351,81 +405,6 @@ def test_simulate_rejects_meaningless_deviation_budget(workspace, designed, tmp_
               "--config", str(workspace / "run.ini"),
               "-o", str(tmp_path / "r.csv"), "--max-deviation-db", budget])
     assert exc.value.code == 2
-
-
-def test_report_pretty_prints(workspace, designed, tmp_path, capsys):
-    csv = tmp_path / "rep.csv"
-    main(["simulate", "--design", str(designed),
-          "--config", str(workspace / "run.ini"),
-          "-o", str(csv), "--channel", "right"])
-    capsys.readouterr()
-    rc = main(["report", str(csv)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "f_c_hz" in out
-    assert "max |deviation| over filled bands" in out
-    assert "unfilled bands" in out
-
-
-@pytest.mark.parametrize(
-    "row", ["100,1,2,3,4,x", "100,1,2,3,4", "100,1,2,3,4,5,6"], ids=["text", "short", "long"]
-)
-def test_report_malformed_row_exits_2_naming_line(tmp_path, capsys, row):
-    csv = tmp_path / "bad.csv"
-    csv.write_text(
-        REPORT_HEADER + "\n80,1,2,3,4,5\n" + row + "\n"
-        "# max_abs_deviation_filled_bands_db = 5\n"
-        "# rms_deviation_db = 5\n"
-        "# unfilled_band_count = 0\n"
-    )
-    rc = main(["report", str(csv)])
-    assert rc == 2
-    assert "line 3" in capsys.readouterr().err
-
-
-def _report_text(row, **summary):
-    """A report with one good row, `row`, and the three summary lines,
-    any of them overridden by keyword."""
-    figures = {
-        "max_abs_deviation_filled_bands_db": "5",
-        "rms_deviation_db": "5",
-        "unfilled_band_count": "0",
-        **summary,
-    }
-    lines = [REPORT_HEADER, "80,1,2,3,4,5", row]
-    lines += ["# %s = %s" % item for item in figures.items()]
-    return "\n".join(lines) + "\n"
-
-
-@pytest.mark.parametrize(
-    "row",
-    ["100,1,2,3,4,nan", "100,nan,2,3,4,5", "100,1,inf,3,4,5", "100,1,2,3,4,-inf", "inf,1,2,3,4,5"],
-    ids=["nan-deviation", "nan-level", "inf-level", "inf-deviation", "inf-frequency"],
-)
-def test_report_non_finite_row_exits_2_naming_line(tmp_path, capsys, row):
-    csv = tmp_path / "bad.csv"
-    csv.write_text(_report_text(row))
-    rc = main(["report", str(csv)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert str(csv) in err and "line 3" in err
-
-
-@pytest.mark.parametrize(
-    "key, value, line",
-    [
-        ("max_abs_deviation_filled_bands_db", "nan", 4),
-        ("rms_deviation_db", "inf", 5),
-        ("unfilled_band_count", "many", 6),
-    ],
-)
-def test_report_non_finite_summary_exits_2_naming_line(tmp_path, capsys, key, value, line):
-    csv = tmp_path / "bad.csv"
-    csv.write_text(_report_text("100,1,2,3,4,5", **{key: value}))
-    rc = main(["report", str(csv)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert str(csv) in err and "line %d" % line in err and key in err
 
 
 # Every command in one fresh process that cannot import scipy: a finder
@@ -473,7 +452,6 @@ exits.append(main(["simulate", "--design", "out/design.txt", "--config", "run.in
 for mode in RENDER_MODES:
     exits.append(main(["render", "--design", "out/design.txt", "-i", "programme.wav",
                        "-o", mode + ".wav", "--mode", mode]))
-exits.append(main(["report", "out/report_left.csv"]))
 scipy = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 print(json.dumps({"exits": exits, "scipy": scipy}))
 """
@@ -543,15 +521,15 @@ def _src_env():
 def test_every_command_runs_without_scipy(tmp_path):
     """numpy is roomfill's only runtime dependency: with scipy made
     unimportable, a fresh process runs synth-rir (plain, notched and
-    lowpassed), design, simulate, render in every mode and report, each
-    exiting 0, and loads no scipy module."""
+    lowpassed), design, simulate and render in every mode, each exiting 0,
+    and loads no scipy module."""
     done = subprocess.run(
         [sys.executable, "-c", _SCIPY_BLOCKED],
         capture_output=True, text=True, env=_src_env(), timeout=120, cwd=tmp_path,
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    assert result == {"exits": [0] * (5 + 2 + len(RENDER_MODES) + 1), "scipy": []}
+    assert result == {"exits": [0] * (5 + 2 + len(RENDER_MODES)), "scipy": []}
 
 
 def test_design_simulate_render_path_never_loads_scipy_signal(tmp_path):
@@ -614,9 +592,20 @@ def test_design_and_simulate_build_each_meter_once(tmp_path):
     assert len(sizes) == 1
 
 
-def test_missing_file_exits_2(tmp_path, capsys):
-    rc = main(["report", str(tmp_path / "nope.csv")])
-    assert rc == 2
+def test_missing_file_exits_2(designed, tmp_path, capsys):
+    """A path that names no file fails its read with an OSError, which
+    main turns into exit 2 naming the path."""
+    stereo = tmp_path / "in.wav"
+    write_wav(stereo, AudioBuffer(np.zeros((2, 64)), 48000))
+    for argv, missing in (
+        (["render", "--design", str(tmp_path / "nope.txt"), "-i", str(stereo),
+          "-o", str(tmp_path / "x.wav")], "nope.txt"),
+        (["simulate", "--design", str(designed), "--config", str(tmp_path / "nope.ini"),
+          "-o", str(tmp_path / "r.csv")], "nope.ini"),
+    ):
+        assert main(argv) == 2
+        assert missing in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [stereo]
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +614,9 @@ def test_missing_file_exits_2(tmp_path, capsys):
 # leaves the output path as it was.
 
 
-def _synthetic_design(rate):
+def _synthetic_design(rate, f_low=80.0):
     """A design with distinct per-side gains and balance, no solve needed."""
-    spec = make_spec(rate, 80.0, 16000.0)
+    spec = make_spec(rate, f_low, 16000.0)
     rng = np.random.default_rng(rate)
 
     def solve():

@@ -218,10 +218,9 @@ def test_microphone_pairs_average_on_load(tmp_path, rng):
 
 @pytest.mark.parametrize("rate, need", ((44100, 1867), (48000, 2032)))
 def test_response_shorter_than_the_bank_needs_is_refused(tmp_path, rate, need):
-    """load_rirs refuses a response whose last sample comes before the
-    configured bank's lowest band has rung down to 1e-3 of its energy,
-    naming the [io] key, the file and both lengths; one sample more
-    loads."""
+    """check_lengths refuses a response whose last sample comes before the
+    bank's lowest band has rung down to 1e-3 of its energy, naming the
+    [io] key, the file and both lengths; one sample more passes."""
     full = np.full(need, 0.1)
     for name in ("pl", "pr", "sl"):
         write_wav(tmp_path / ("%s.wav" % name), AudioBuffer(full, rate))
@@ -229,13 +228,15 @@ def test_response_shorter_than_the_bank_needs_is_refused(tmp_path, rate, need):
     write_wav(tmp_path / "sr.wav", AudioBuffer(full[1:], rate))
     with pytest.raises(ConfigError, match=r"^\[io\] support_right: sr.wav has %d samples "
                        r".*needs at least %d " % (need - 1, need)):
-        cfg.load_rirs()
+        cfg.check_lengths(cfg.load_rirs(), cfg.filterbank(rate))
     write_wav(tmp_path / "sr.wav", AudioBuffer(full, rate))
-    assert cfg.load_rirs().support_right.data.size == need
-    # the bank is the configured one: a higher f_low rings down sooner
+    cfg.check_lengths(cfg.load_rirs(), cfg.filterbank(rate))
+    # the need is the given bank's: a higher f_low rings down sooner
     narrow = load_config(_write(tmp_path, MINIMAL_IO + "\n[filterbank]\nf_low = 1000.0\n"))
     write_wav(tmp_path / "sr.wav", AudioBuffer(full[: need // 2], rate))
-    assert narrow.load_rirs().support_right.data.size == need // 2
+    narrow.check_lengths(narrow.load_rirs(), narrow.filterbank(rate))
+    with pytest.raises(ConfigError, match="needs at least %d " % need):
+        narrow.check_lengths(narrow.load_rirs(), cfg.filterbank(rate))
 
 
 def test_filterbank_accessor_builds_spec(tmp_path):
