@@ -1,7 +1,7 @@
 """Buffers, WAV file I/O and the small set of time-domain primitives.
 
-All processing happens in float64. Files are plain RIFF/WAVE, little
-endian, PCM 16 or 24 bit or IEEE float32, at 44.1 or 48 kHz.
+All processing happens in float64. WAV files are little-endian RIFF/WAVE at
+44.1 or 48 kHz, read as PCM 16/24 bit or IEEE float32 and written as float32.
 """
 from __future__ import annotations
 
@@ -9,12 +9,11 @@ import contextlib
 import math
 import os
 import struct
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClippingWarning, ContractError, FormatError
+from .errors import ContractError, FormatError
 
 FILE_SAMPLE_RATES = (44100, 48000)
 
@@ -175,8 +174,7 @@ def convolve(buffer: AudioBuffer, ir: ImpulseResponse) -> AudioBuffer:
 
 
 # ---------------------------------------------------------------------------
-# WAV files. Hand rolled because we need 24 bit writes and precise error
-# classification, neither of which the stock helpers give us.
+# WAV files, hand rolled: the stdlib wave module handles PCM only.
 
 _WAVE_FORMAT_PCM = 0x0001
 _WAVE_FORMAT_IEEE_FLOAT = 0x0003
@@ -194,15 +192,12 @@ def _check_file_rate(rate: int) -> None:
 #: The largest RIFF chunk size: a WAV file holds at most 4 GiB.
 _RIFF_LIMIT = 0xFFFFFFFF
 
-#: (format tag, bits) -> sample dtype and integer full scale (None: float)
+#: (format tag, bits) read -> sample dtype and integer full scale (None: float)
 _ENCODINGS = {
     (_WAVE_FORMAT_PCM, 16): ("<i2", 32768.0),
     (_WAVE_FORMAT_PCM, 24): (None, float(2 ** 23)),
     (_WAVE_FORMAT_IEEE_FLOAT, 32): ("<f4", None),
 }
-
-_BIT_DEPTHS = {16: (_WAVE_FORMAT_PCM, 16), 24: (_WAVE_FORMAT_PCM, 24),
-               "float32": (_WAVE_FORMAT_IEEE_FLOAT, 32)}
 
 
 class WavReader:
@@ -210,11 +205,12 @@ class WavReader:
 
     The header is parsed once, seeking from chunk to chunk, so the order
     of the chunks does not matter. Accepts PCM 16/24 bit and IEEE float32
-    payloads; anything else (8 bit, a-law, ...) raises FormatError, and a
-    chunk that runs past the end of the file raises OSError, before any
-    sample is read. read() scales integer samples by 1/32768 resp. 1/2**23
-    (int16 value 32767 reads back as 32767/32768) and raises FormatError
-    on NaN or infinite samples and OSError if the file ends early.
+    payloads, plain or extensible; anything else (8 bit, a-law, ...) raises
+    FormatError, and a chunk that runs past the end of the file raises
+    OSError, before any sample is read. read() scales integer samples by
+    1/32768 resp. 1/2**23 (int16 value 32767 reads back as 32767/32768) and
+    raises FormatError on NaN or infinite samples and OSError if the file
+    ends early.
     """
 
     def __init__(self, path):
@@ -329,32 +325,14 @@ def read_wav(path) -> AudioBuffer:
         return AudioBuffer(reader.read(reader.num_frames), reader.sample_rate)
 
 
-def _encode(frames: np.ndarray, bits: int):
-    """(m, channels) float64 frames as WAV payload bytes (PCM 16 or 24 bit,
-    or float32 for 32), and whether any sample clipped."""
-    if bits == 32:
-        # a byte view of the interleaved copy, not a second copy as bytes;
-        # flat first, so that a block with no frames gives an empty view
-        return np.ascontiguousarray(frames, dtype="<f4").ravel().view(np.uint8), False
-    full = float(2 ** (bits - 1))
-    scaled = np.round(frames * full)
-    lo, hi = -full, full - 1.0
-    clipped = bool(np.any(scaled < lo) or np.any(scaled > hi))
-    if bits == 16:
-        return np.clip(scaled, lo, hi).astype("<i2").tobytes(), clipped
-    quads = np.clip(scaled, lo, hi).astype("<i4", order="C").view(np.uint8).reshape(-1, 4)
-    return quads[:, :3].tobytes(), clipped
-
-
 class WavWriter:
-    """A WAV file of `frames` frames, known in advance, written in blocks.
-
-    bit_depth is 16, 24 or "float32". Integer formats scale by 32768 resp.
-    2**23 and clip out-of-range samples to full scale, with one
-    ClippingWarning per file. float32 stores samples as they are (values
-    beyond +-1.0 survive, and any float32-precision buffer round-trips bit
-    exactly). An unsupported rate or bit depth, or a file past the 4 GiB a
-    WAV can describe, is refused before anything is created.
+    """An IEEE float32 WAV file of `frames` frames, known in advance,
+    written in blocks. Samples are stored as they are: values beyond +-1.0
+    survive, and any float32-precision buffer round-trips bit exactly. A
+    block with a sample that is not finite as float32 (NaN, inf, beyond
+    +-3.4e38) is a ContractError naming the channel: no reader takes such a
+    file. An unsupported rate, or a file past the 4 GiB a WAV can describe,
+    is refused before anything is created.
 
     Used as a context manager: the blocks go to a temporary file beside
     `path` that replaces it when the block exits cleanly with every frame
@@ -363,16 +341,11 @@ class WavWriter:
     pipe, is written directly.
     """
 
-    def __init__(self, path, sample_rate: int, channels: int, frames: int,
-                 bit_depth="float32"):
+    def __init__(self, path, sample_rate: int, channels: int, frames: int):
         _check_file_rate(sample_rate)
-        if bit_depth not in _BIT_DEPTHS:
-            raise ContractError("bit_depth must be 16, 24 or 'float32'")
-        tag, bits = _BIT_DEPTHS[bit_depth]
-        block_align = channels * bits // 8
+        block_align = 4 * channels
         # the RIFF size counts "WAVE", the fmt chunk and the data chunk
-        # with its pad byte
-        limit = (_RIFF_LIMIT - 4 - (8 + 16) - 8 - 1) // block_align
+        limit = (_RIFF_LIMIT - 4 - (8 + 16) - 8) // block_align
         if frames > limit:
             raise FormatError(
                 "%s: %d frames of %d bytes pass the 4 GiB WAV limit of %d frames"
@@ -382,13 +355,11 @@ class WavWriter:
         self.path = path
         self.channels = channels
         self.frames = frames
-        self._bits = bits
-        self._pad = b"\x00" if data_size % 2 else b""
         fmt = struct.pack(
-            "<HHIIHH", tag, channels, sample_rate, sample_rate * block_align,
-            block_align, bits,
+            "<HHIIHH", _WAVE_FORMAT_IEEE_FLOAT, channels, sample_rate,
+            sample_rate * block_align, block_align, 32,
         )
-        riff_size = 4 + (8 + len(fmt)) + (8 + data_size + len(self._pad))
+        riff_size = 4 + (8 + len(fmt)) + (8 + data_size)
         self._header = (
             struct.pack("<4sI4s", b"RIFF", riff_size, b"WAVE")
             + struct.pack("<4sI", b"fmt ", len(fmt)) + fmt
@@ -397,7 +368,6 @@ class WavWriter:
         self._fh = None
         self._tmp = None
         self._written = 0
-        self._clipped = False
 
     def __enter__(self):
         self._dest = os.path.realpath(self.path)
@@ -421,9 +391,15 @@ class WavWriter:
             )
         if self._written + samples.shape[1] > self.frames:
             raise ContractError("more than the %d frames declared for %s" % (self.frames, self.path))
-        payload, clipped = _encode(samples.T, self._bits)  # interleave
-        self._clipped = self._clipped or clipped
-        self._fh.write(payload)
+        with np.errstate(over="ignore"):  # past float32 range: inf, refused below
+            frames = np.ascontiguousarray(samples.T, dtype="<f4")  # interleave
+        finite = np.isfinite(frames)
+        if not finite.all():  # a whole-array test: all(axis=0) costs 15x more
+            raise ContractError("%s: channel %d has samples not finite as float32"
+                                % (self.path, int(finite.all(axis=0).argmin())))
+        # a byte view of the interleaved copy, not a second copy as bytes;
+        # flat first, so that a block with no frames gives an empty view
+        self._fh.write(frames.ravel().view(np.uint8))
         self._written += samples.shape[1]
 
     def _discard(self) -> None:
@@ -442,11 +418,6 @@ class WavWriter:
                     "%d of the %d frames declared for %s were written"
                     % (self._written, self.frames, self.path)
                 )
-            if self._clipped:
-                warnings.warn(
-                    "samples clipped to full scale writing %s" % self.path, ClippingWarning
-                )
-            self._fh.write(self._pad)
             self._fh.close()
             if self._tmp is not None:
                 os.replace(self._tmp, self._dest)
@@ -456,10 +427,8 @@ class WavWriter:
         return False
 
 
-def write_wav(path, buffer: AudioBuffer, bit_depth="float32") -> None:
-    """Write a buffer as RIFF/WAVE: one WavWriter block of every frame,
-    with its formats, clipping and checks."""
-    with WavWriter(
-        path, buffer.sample_rate, buffer.num_channels, buffer.num_samples, bit_depth
-    ) as writer:
+def write_wav(path, buffer: AudioBuffer) -> None:
+    """Write a buffer as an IEEE float32 RIFF/WAVE file: one WavWriter
+    block of every frame, with its checks."""
+    with WavWriter(path, buffer.sample_rate, buffer.num_channels, buffer.num_samples) as writer:
         writer.write(buffer.samples)

@@ -5,14 +5,16 @@ gains from a config file, `render` plays programme material through a
 design, and `simulate` checks a design against the configured responses,
 writing one per-band CSV report per channel.
 
-Exit codes: 0 success, 1 simulated deviation over the allowed maximum,
-2 usage or validation errors, 3 the gain solve hit its iteration cap
-(the best-effort design is still written), 4 unfillable bands.
+Every WAV written is IEEE float32, which keeps the fill chains' gain (up
+to +20 dB in a band) unclipped; inputs may also be PCM 16/24 bit.
+
+Exit codes: 0 success, 1 a filled band off target by more than
+MAX_DEVIATION_DB, 2 usage or validation errors, 3 the gain solve hit its
+iteration cap (the best-effort design is still written), 4 unfillable bands.
 """
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -32,6 +34,8 @@ EXIT_USAGE = 2
 EXIT_NONCONVERGED = 3
 EXIT_UNFILLABLE = 4
 
+MAX_DEVIATION_DB = 1.0  # simulate's filled-band budget, acceptance test A2's
+
 
 def _notch(text: str) -> tuple:
     parts = text.split(",")
@@ -41,25 +45,6 @@ def _notch(text: str) -> tuple:
         return tuple(float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError("expected three numbers, got %r" % text)
-
-
-def _bit_depth(text: str):
-    if text in ("16", "24"):
-        return int(text)
-    if text == "float32":
-        return text
-    raise argparse.ArgumentTypeError("bit depth must be 16, 24 or float32")
-
-
-def _deviation_budget(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    # a NaN budget would pass every deviation: worst > nan is always false
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError("expected a finite number >= 0, got %r" % text)
-    return value
 
 
 def cmd_synth_rir(args) -> int:
@@ -143,7 +128,7 @@ def cmd_render(args) -> int:
         )
         chunks = (reader.read(stream.step) for _ in range(0, reader.num_frames, stream.step))
         rate = reader.sample_rate
-        with WavWriter(args.output, rate, 4, stream.frames_out, args.bit_depth) as writer:
+        with WavWriter(args.output, rate, 4, stream.frames_out) as writer:
             for block in stream.blocks(chunks):
                 writer.write(block)
     print(
@@ -188,10 +173,9 @@ def cmd_simulate(args) -> int:
                 path,
             )
         )
-    if worst > args.max_deviation_db:
+    if worst > MAX_DEVIATION_DB:
         print(
-            "deviation %.3f dB exceeds the allowed %.3f dB"
-            % (worst, args.max_deviation_db),
+            "deviation %.3f dB exceeds the allowed %.3f dB" % (worst, MAX_DEVIATION_DB),
             file=sys.stderr,
         )
         return EXIT_DEVIATION
@@ -250,14 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--design", required=True, help="design file from `design`")
     p.add_argument("-i", "--input", required=True, help="stereo WAV input")
-    p.add_argument("-o", "--output", required=True, help="4-channel WAV output")
+    p.add_argument("-o", "--output", required=True, help="4-channel float32 WAV output")
     p.add_argument("--mode", default="proposed", choices=RENDER_MODES)
-    p.add_argument(
-        "--bit-depth",
-        type=_bit_depth,
-        default="float32",
-        help="output sample format: 16, 24 or float32",
-    )
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser(
@@ -273,12 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="report CSV path, written as one file per channel with "
         "_left/_right inserted (default: <output_dir>/report.csv)",
-    )
-    p.add_argument(
-        "--max-deviation-db",
-        type=_deviation_budget,
-        default=1.0,
-        help="largest filled-band |deviation| that still exits 0",
     )
     p.set_defaults(func=cmd_simulate)
 

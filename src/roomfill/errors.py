@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the toolkit, and the
+"""Exception types shared across the toolkit, and the
 finiteness check its boundary types share."""
 import math
 
@@ -47,7 +47,3 @@ class UnfillableBandError(RoomfillError):
 
 class ConfigError(RoomfillError):
     """A run configuration file is malformed or contains unknown keys."""
-
-
-class ClippingWarning(UserWarning):
-    """Samples were clipped to full scale while writing an integer WAV."""

@@ -1,4 +1,6 @@
 import math
+import struct
+import wave
 
 import numpy as np
 import pytest
@@ -35,6 +37,35 @@ FIXTURE_SUITE = (
 # CI runner's scheduling must not turn into a failure.
 settings.register_profile("roomfill", derandomize=True, deadline=None)
 settings.load_profile("roomfill")
+
+
+def pcm_wav(path, values, width, rate=48000):
+    """(channels, m) integers as a PCM WAV of `width` bytes per sample,
+    encoded one by one and written by the stdlib wave module: a writer
+    that shares no code with roomfill's reader."""
+    values = np.asarray(values)
+    with wave.open(str(path), "wb") as out:
+        out.setnchannels(values.shape[0])
+        out.setsampwidth(width)
+        out.setframerate(rate)
+        out.writeframes(b"".join(
+            int(v).to_bytes(width, "little", signed=True) for v in values.T.ravel()))
+
+
+def riff_wav(path, fmt, payload):
+    """A RIFF/WAVE file of one fmt chunk, as given, and one data chunk."""
+    body = (struct.pack("<4sI", b"fmt ", len(fmt)) + fmt
+            + struct.pack("<4sI", b"data", len(payload)) + payload + b"\x00" * (len(payload) % 2))
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+
+
+def float32_wav(path, samples, rate=48000):
+    """(channels, m) samples as a plain IEEE float32 WAV, laid out with
+    struct, so that NaN and infinities go in as they are."""
+    data = np.asarray(samples, dtype="<f4")
+    align = 4 * data.shape[0]
+    fmt = struct.pack("<HHIIHH", 3, data.shape[0], rate, rate * align, align, 32)
+    riff_wav(path, fmt, data.T.tobytes())
 
 
 def report_csv(path):

@@ -2,6 +2,7 @@ import os
 import stat
 import struct
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from roomfill.audio import (
     rms_energy,
     write_wav,
 )
-from roomfill.errors import ClippingWarning, ContractError, FormatError
+from roomfill.errors import ContractError, FormatError
+
+from conftest import float32_wav, pcm_wav, riff_wav
 
 
 def test_buffer_promotes_mono_vector():
@@ -61,36 +64,39 @@ def test_float32_wav_round_trip_is_bit_exact(tmp_path, rng):
 
 def test_int16_wav_scaling(tmp_path):
     # full-scale int16 is 32767/32768, not 1.0
-    data = np.array([[1.0 - 1.0 / 32768.0, -1.0, 0.5]])
     path = tmp_path / "i16.wav"
-    write_wav(path, AudioBuffer(data, 44100), bit_depth=16)
+    pcm_wav(path, [[32767, -32768, 16384, -1]], 2, rate=44100)
     back = read_wav(path)
-    assert back.samples[0, 0] == pytest.approx(32767.0 / 32768.0, abs=0)
-    assert back.samples[0, 1] == -1.0
-    assert abs(back.samples[0, 2] - 0.5) <= 0.5 / 32768.0
+    assert back.sample_rate == 44100
+    assert back.samples.tolist() == [[32767.0 / 32768.0, -1.0, 0.5, -1.0 / 32768.0]]
 
 
 def test_int24_wav_round_trip_precision(tmp_path, rng):
-    data = rng.uniform(-0.99, 0.99, size=(2, 500))
+    """24-bit samples read as value / 2**23 exactly, sign extension and
+    both ends of the range included."""
+    values = rng.integers(-(2 ** 23), 2 ** 23, size=(2, 500))
+    values[:, :4] = [[2 ** 23 - 1, -(2 ** 23), -1, 0], [1, -2, 2 ** 22, -(2 ** 22)]]
     path = tmp_path / "i24.wav"
-    write_wav(path, AudioBuffer(data, 48000), bit_depth=24)
+    pcm_wav(path, values, 3)
     back = read_wav(path)
-    assert np.max(np.abs(back.samples - data)) <= 1.0 / 2**23
+    assert np.array_equal(back.samples, values / 2.0 ** 23)
 
 
 @pytest.mark.parametrize("bit_depth, quantum", [(16, 2.0**-15), (24, 2.0**-23), ("float32", None)])
 def test_read_wav_gives_channel_major_float64_rows(tmp_path, rng, bit_depth, quantum):
     """Every encoding reads back as C-contiguous float64 rows, one per
     channel, holding exactly the stored samples."""
-    data = rng.uniform(-0.99, 0.99, size=(3, 700))
     path = tmp_path / "three.wav"
-    write_wav(path, AudioBuffer(data, 48000), bit_depth=bit_depth)
+    if quantum is None:
+        want = rng.uniform(-0.99, 0.99, size=(3, 700)).astype(np.float32).astype(np.float64)
+        write_wav(path, AudioBuffer(want, 48000))
+    else:
+        full = 2 ** (bit_depth - 1)
+        values = rng.integers(-full, full, size=(3, 700))
+        pcm_wav(path, values, bit_depth // 8)
+        want = values * quantum
     back = read_wav(path).samples
     assert back.dtype == np.float64 and back.flags.c_contiguous
-    if quantum is None:
-        want = data.astype(np.float32).astype(np.float64)
-    else:
-        want = np.round(data / quantum) * quantum
     assert np.array_equal(back, want)
 
 
@@ -102,30 +108,63 @@ def test_read_wav_gives_channel_major_float64_rows(tmp_path, rng, bit_depth, qua
     frames=st.integers(0, 2000),
 )
 def test_wav_round_trip_of_drawn_buffers(tmp_path_factory, data, bit_depth, rate, channels, frames):
-    """Any channel count and length, empty included, round-trips: float32
-    samples bit exactly, in-range PCM samples within half a quantum."""
+    """Any channel count and length, empty included, reads back exactly:
+    float32 samples that write_wav wrote bit for bit, and PCM samples that
+    the stdlib wave module wrote as value / full scale."""
     shape = (channels, frames)
-    if bit_depth == "float32":
-        samples = data.draw(arrays(np.float32, shape, elements=st.floats(
-            allow_nan=False, allow_infinity=False, width=32))).astype(np.float64)
-    else:
-        full = 32768.0 if bit_depth == 16 else float(2 ** 23)
-        samples = data.draw(arrays(np.float64, shape, elements=st.floats(
-            -1.0, (full - 1.0) / full)))
     path = tmp_path_factory.mktemp("wav") / "drawn.wav"
-    write_wav(path, AudioBuffer(samples, rate), bit_depth=bit_depth)
+    if bit_depth == "float32":
+        want = data.draw(arrays(np.float32, shape, elements=st.floats(
+            allow_nan=False, allow_infinity=False, width=32))).astype(np.float64)
+        write_wav(path, AudioBuffer(want, rate))
+    else:
+        full = 2 ** (bit_depth - 1)
+        values = data.draw(arrays(np.int64, shape, elements=st.integers(-full, full - 1)))
+        pcm_wav(path, values, bit_depth // 8, rate)
+        want = values / float(full)
     back = read_wav(path)
     assert back.sample_rate == rate
     assert back.samples.shape == shape
-    if bit_depth == "float32":
-        assert np.array_equal(back.samples, samples)
-    else:
-        assert np.all(np.abs(back.samples - samples) <= 0.5 / full)
+    assert np.array_equal(back.samples, want)
 
 
-def test_clipping_warns(tmp_path):
-    with pytest.warns(ClippingWarning):
-        write_wav(tmp_path / "c.wav", AudioBuffer(np.array([[1.5]]), 48000), bit_depth=16)
+def _extensible_fmt(subformat, channels, bits, rate=48000):
+    """A 40-byte WAVE_FORMAT_EXTENSIBLE fmt chunk whose subformat GUID
+    carries the format tag `subformat`."""
+    align = channels * bits // 8
+    return (struct.pack("<HHIIHHHHI", 0xFFFE, channels, rate, rate * align, align, bits,
+                        22, bits, 0)
+            + struct.pack("<H", subformat)
+            + b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71")
+
+
+def test_extensible_wav_reads_as_its_subformat(tmp_path, rng):
+    """A WAVE_FORMAT_EXTENSIBLE file of 24-bit PCM or float32 reads as the
+    plain file of its subformat would."""
+    path = tmp_path / "ext.wav"
+    values = rng.integers(-(2 ** 23), 2 ** 23, size=(2, 300))
+    riff_wav(path, _extensible_fmt(1, 2, 24), b"".join(
+        int(v).to_bytes(3, "little", signed=True) for v in values.T.ravel()))
+    assert np.array_equal(read_wav(path).samples, values / 2.0 ** 23)
+
+    floats = rng.standard_normal((3, 300)).astype("<f4")
+    riff_wav(path, _extensible_fmt(3, 3, 32), floats.T.tobytes())
+    back = read_wav(path)
+    assert back.num_channels == 3
+    assert np.array_equal(back.samples, floats.astype(np.float64))
+
+
+def test_unsupported_encodings_refused_naming_tag_and_bits(tmp_path):
+    """8-bit and 32-bit PCM (written by the stdlib wave module) and a-law
+    are FormatErrors naming the file, the format tag and the bits."""
+    path = tmp_path / "odd.wav"
+    for width in (1, 4):
+        pcm_wav(path, np.ones((1, 8), dtype=int), width)
+        with pytest.raises(FormatError, match=r"odd\.wav: format tag 1, %d bits" % (8 * width)):
+            read_wav(path)
+    riff_wav(path, struct.pack("<HHIIHH", 6, 1, 48000, 48000, 1, 8), b"\xd5" * 8)
+    with pytest.raises(FormatError, match=r"odd\.wav: format tag 6, 8 bits"):
+        read_wav(path)
 
 
 def test_unsupported_rate_rejected(tmp_path):
@@ -145,9 +184,29 @@ def test_non_finite_float_samples_rejected_naming_channel(tmp_path, rng):
         data = rng.standard_normal((3, 50))
         data[1, 7] = bad
         path = tmp_path / "nan.wav"
-        write_wav(path, AudioBuffer(data, 48000))
+        float32_wav(path, data)
         with pytest.raises(FormatError, match=r"nan\.wav.*channel 1"):
             read_wav(path)
+
+
+def test_writer_refuses_samples_not_finite_as_float32(tmp_path, rng):
+    """NaN, infinity and a finite float64 past the float32 range (which
+    would round to infinity) are refused before the file is replaced,
+    naming the path and the channel, and the cast warns of nothing."""
+    path = tmp_path / "out.wav"
+    path.write_bytes(b"keep")
+    for bad in (np.nan, np.inf, -1e39):
+        data = rng.standard_normal((3, 50))
+        data[2, 9] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match=r"out\.wav: channel 2 "):
+                write_wav(path, AudioBuffer(data, 48000))
+    assert path.read_bytes() == b"keep"
+    assert os.listdir(tmp_path) == ["out.wav"]
+    edge = np.array([[3.4028234663852886e38, -3.4028234663852886e38]])  # float32's largest
+    write_wav(path, AudioBuffer(edge, 48000))
+    assert np.array_equal(read_wav(path).samples, edge)
 
 
 def test_truncated_wav_raises_oserror(tmp_path, rng):
@@ -270,12 +329,12 @@ def test_wav_writer_refuses_past_4_gib_before_creating_the_file(tmp_path):
     """The RIFF sizes are 32 bit: the largest file a writer accepts has
     (2**32 - 1 - 37) // bytes-per-frame frames, and one frame more is a
     FormatError naming that limit, raised before the file exists."""
-    for channels, bit_depth, width in ((4, "float32", 4), (1, 24, 3), (3, 24, 3), (2, 16, 2)):
-        limit = (2 ** 32 - 1 - 37) // (channels * width)
+    for channels in (4, 1, 3, 2):
+        limit = (2 ** 32 - 1 - 37) // (channels * 4)
         path = tmp_path / "big.wav"
-        WavWriter(path, 48000, channels, limit, bit_depth)  # nothing written yet
+        WavWriter(path, 48000, channels, limit)  # nothing written yet
         with pytest.raises(FormatError, match="%d frames" % limit):
-            WavWriter(path, 48000, channels, limit + 1, bit_depth)
+            WavWriter(path, 48000, channels, limit + 1)
         assert not path.exists()
 
 

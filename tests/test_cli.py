@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,7 +6,6 @@ import re
 import struct
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +13,9 @@ from scipy.signal import lfilter
 
 import roomfill
 from roomfill.audio import AudioBuffer, WavReader, read_wav, write_wav
-from roomfill.cli import main
+from roomfill.cli import MAX_DEVIATION_DB, main
 from roomfill.designfile import load_design, save_design
-from roomfill.errors import ClippingWarning
-from roomfill.gammatone import EQ_IR_LEN, make_spec
+from roomfill.gammatone import EQ_IR_LEN, band_gain_eq, make_spec
 from roomfill.render import (
     DEFAULT_DECORRELATOR_LEN,
     RENDER_MODES,
@@ -29,6 +28,8 @@ from roomfill.render import (
 from roomfill.simulate import SyntheticRirParams, synth_rir
 from roomfill.solver import BandGainSet, ChannelSolve
 from roomfill.target import TargetFunction
+
+from conftest import float32_wav, pcm_wav, report_csv
 
 RUN_INI = """[io]
 primary_left = pl.wav
@@ -122,8 +123,9 @@ def test_synth_rir_rejects_unusable_number_exits_2(tmp_path, capsys, option, val
 
 def test_cli_is_the_pipeline_commands_only(workspace, designed, tmp_path, capsys):
     """`roomfill --help` lists synth-rir, design, render and simulate and
-    nothing else. Averaging two captures, printing a report and simulating
-    one channel are not commands: argparse refuses each with exit 2 before
+    nothing else. Averaging two captures, printing a report, simulating
+    one channel, rendering to an integer format and setting the deviation
+    budget are not commands: argparse refuses each with exit 2 before
     anything is written."""
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -137,6 +139,10 @@ def test_cli_is_the_pipeline_commands_only(workspace, designed, tmp_path, capsys
         ["report", str(tmp_path / "report_left.csv")],
         ["simulate", "--design", str(designed), "--config", str(workspace / "run.ini"),
          "-o", str(tmp_path / "r.csv"), "--channel", "left"],
+        ["render", "--design", str(designed), "-i", str(workspace / "pl.wav"),
+         "-o", str(tmp_path / "x.wav"), "--bit-depth", "16"],
+        ["simulate", "--design", str(designed), "--config", str(workspace / "run.ini"),
+         "-o", str(tmp_path / "r.csv"), "--max-deviation-db", "2"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -193,7 +199,7 @@ def test_design_iteration_cap_exits_3_with_best_effort(workspace, tmp_path, caps
 def test_design_non_finite_response_exits_2_naming_file(workspace, capsys):
     broken = read_wav(workspace / "pl.wav").samples.copy()
     broken[0, 100] = np.nan
-    write_wav(workspace / "nan.wav", AudioBuffer(broken, 48000))
+    float32_wav(workspace / "nan.wav", broken)
     cfg = workspace / "nan.ini"
     cfg.write_text(RUN_INI.replace("primary_left = pl.wav", "primary_left = nan.wav"))
     rc = main(["design", "--config", str(cfg)])
@@ -262,16 +268,16 @@ def test_render_writes_four_channels(workspace, designed, tmp_path, capsys):
 
 @pytest.mark.parametrize("mode", ("stereo", "front_eq", "proposed"))
 def test_render_of_empty_programme_writes_empty_float32_file(designed, tmp_path, mode):
-    """A 0-frame stereo programme renders to a 4-channel, 0-frame file in
-    the default float32 format."""
+    """A 0-frame 16-bit stereo programme renders to a 4-channel, 0-frame
+    float32 file."""
     stereo = tmp_path / "empty.wav"
-    write_wav(stereo, AudioBuffer(np.zeros((2, 0)), 48000), bit_depth=16)
+    pcm_wav(stereo, np.zeros((2, 0), dtype=int), 2)
     out = tmp_path / "out.wav"
     rc = main(["render", "--design", str(designed), "-i", str(stereo), "-o", str(out),
                "--mode", mode])
     assert rc == 0
-    back = read_wav(out)
-    assert back.samples.shape == (4, 0)
+    assert read_wav(out).samples.shape == (4, 0)
+    assert struct.unpack("<HHIIHH", out.read_bytes()[20:36])[::5] == (3, 32)  # float32
 
 
 def test_render_rejects_mono_input(workspace, designed, tmp_path, capsys):
@@ -391,20 +397,25 @@ def test_simulate_measures_lengths_with_the_design_bank(tmp_path, capsys):
 
 
 def test_simulate_enforces_deviation_budget(workspace, designed, tmp_path, capsys):
-    rc = main(["simulate", "--design", str(designed),
-               "--config", str(workspace / "run.ini"),
-               "-o", str(tmp_path / "r.csv"), "--max-deviation-db", "0.001"])
-    assert rc == 1
-    assert "exceeds" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("budget", ["nan", "inf", "-0.5", "loud"])
-def test_simulate_rejects_meaningless_deviation_budget(workspace, designed, tmp_path, budget):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--design", str(designed),
-              "--config", str(workspace / "run.ini"),
-              "-o", str(tmp_path / "r.csv"), "--max-deviation-db", budget])
-    assert exc.value.code == 2
+    """The solved design passes the fixed 1 dB budget (exit 0); the same
+    design with its fill gains doubled (+6 dB of fill) misses it in some
+    filled band and exits 1, still writing both reports."""
+    design = load_design(designed)
+    doubled = dataclasses.replace(design, gains=BandGainSet(design.spec, *(
+        dataclasses.replace(s, gains=2.0 * s.gains)
+        for s in (design.gains.left, design.gains.right)
+    )))
+    save_design(doubled, tmp_path / "doubled.txt")
+    for path, status in ((designed, 0), (tmp_path / "doubled.txt", 1)):
+        rc = main(["simulate", "--design", str(path), "--config", str(workspace / "run.ini"),
+                   "-o", str(tmp_path / (path.stem + ".csv"))])
+        worst = max(
+            float(report_csv(tmp_path / ("%s_%s.csv" % (path.stem, ch)))[1][
+                "max_abs_deviation_filled_bands_db"])
+            for ch in ("left", "right")
+        )
+        assert (rc, worst > MAX_DEVIATION_DB) == (status, bool(status)), (path, worst)
+    assert "exceeds the allowed 1.000 dB" in capsys.readouterr().err
 
 
 # Every command in one fresh process that cannot import scipy: a finder
@@ -427,7 +438,7 @@ sys.meta_path.insert(0, NoScipy())
 
 import numpy as np
 from roomfill.audio import AudioBuffer, write_wav
-from roomfill.cli import main
+from roomfill.cli import MAX_DEVIATION_DB, main
 from roomfill.render import RENDER_MODES
 
 room = (
@@ -644,24 +655,19 @@ def synthetic_designs(tmp_path_factory):
 
 
 def _stereo(path, rate, frames, seed=3):
-    """A float32 stereo programme loud enough to clip a PCM render."""
+    """A float32 stereo programme, peaks past full scale included."""
     x = 0.5 * np.random.default_rng(seed).standard_normal((2, frames))
     write_wav(path, AudioBuffer(x.astype(np.float32), rate))
 
 
-def _render(design, src, out, mode="proposed", bit_depth="float32"):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ClippingWarning)
-        return main(["render", "--design", str(design), "-i", str(src), "-o", str(out),
-                     "--mode", mode, "--bit-depth", str(bit_depth)])
+def _render(design, src, out, mode="proposed"):
+    return main(["render", "--design", str(design), "-i", str(src), "-o", str(out),
+                 "--mode", mode])
 
 
-def _collected(design, src, out, mode, bit_depth):
+def _collected(design, src, out, mode):
     """The library's one-shot render of the same input, as a file."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ClippingWarning)
-        result = render(read_wav(src), load_design(design), mode)
-        write_wav(out, result.buffer, bit_depth=bit_depth)
+    write_wav(out, render(read_wav(src), load_design(design), mode).buffer)
 
 
 @pytest.mark.parametrize("rate", (44100, 48000))
@@ -669,10 +675,10 @@ def _collected(design, src, out, mode, bit_depth):
 def test_streamed_render_is_the_collected_render_byte_for_byte(
     synthetic_designs, tmp_path, mode, rate
 ):
-    """The CLI's file equals write_wav(render(read_wav(input))) for every
-    output format, at programme lengths on and around the block edges: 0,
-    1, a third of a block, step - 1 (the longest single block), step,
-    step + 1 and 2 * step + taps."""
+    """The CLI's file equals write_wav(render(read_wav(input))) at
+    programme lengths on and around the block edges: 0, 1, a third of a
+    block, step - 1 (the longest single block), step, step + 1 and
+    2 * step + taps."""
     design = synthetic_designs[rate]
     taps = {"proposed": EQ_IR_LEN + DEFAULT_DECORRELATOR_LEN - 1,
             "front_eq": EQ_IR_LEN}.get(mode, 0)
@@ -680,11 +686,10 @@ def test_streamed_render_is_the_collected_render_byte_for_byte(
     for frames in (0, 1, step // 3, step - 1, step, step + 1, 2 * step + taps):
         src = tmp_path / "in.wav"
         _stereo(src, rate, frames, seed=frames)
-        for bit_depth in (16, 24, "float32"):
-            assert _render(design, src, tmp_path / "cli.wav", mode, bit_depth) == 0
-            _collected(design, src, tmp_path / "lib.wav", mode, bit_depth)
-            cli, lib = (tmp_path / "cli.wav").read_bytes(), (tmp_path / "lib.wav").read_bytes()
-            assert cli == lib, (frames, bit_depth)
+        assert _render(design, src, tmp_path / "cli.wav", mode) == 0
+        _collected(design, src, tmp_path / "lib.wav", mode)
+        cli, lib = (tmp_path / "cli.wav").read_bytes(), (tmp_path / "lib.wav").read_bytes()
+        assert cli == lib, frames
 
 
 def _chunk(chunk_id, payload):
@@ -712,23 +717,6 @@ def test_render_reads_chunks_in_any_order(synthetic_designs, tmp_path):
         assert (tmp_path / "got.wav").read_bytes() == want, name
 
 
-def test_clipping_render_warns_once_per_file(synthetic_designs, tmp_path):
-    """A PCM16 render that clips in many blocks warns once, naming the
-    output path."""
-    design = synthetic_designs[48000]
-    src = tmp_path / "loud.wav"
-    _stereo(src, 48000, 200000)
-    out = tmp_path / "out.wav"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = main(["render", "--design", str(design), "-i", str(src), "-o", str(out),
-                   "--bit-depth", "16"])
-    assert rc == 0
-    clipping = [w for w in caught if issubclass(w.category, ClippingWarning)]
-    assert len(clipping) == 1
-    assert str(out) in str(clipping[0].message)
-
-
 def _existing_output(tmp_path):
     out = tmp_path / "out.wav"
     out.write_bytes(b"an earlier render, which a failed render must leave alone")
@@ -743,13 +731,39 @@ def test_non_finite_sample_in_last_block_leaves_output_untouched(
     an existing output keeps its bytes."""
     design = synthetic_designs[48000]
     step = RenderStream(load_design(design), "proposed", 2, 10 ** 6, 48000).step
-    x = np.zeros((2, 3 * step), dtype=np.float32)
+    x = np.zeros((2, 3 * step))
     x[1, -1] = np.nan
     src = tmp_path / "in.wav"
-    write_wav(src, AudioBuffer(x, 48000))
+    float32_wav(src, x)
     out, before = _existing_output(tmp_path)
     assert _render(design, src, out) == 2
     assert "non-finite samples in channel 1" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["in.wav", "out.wav"]
+    assert out.read_bytes() == before
+
+
+def test_render_past_float32_range_exits_2_leaving_output_untouched(
+    synthetic_designs, tmp_path, capsys
+):
+    """A finite float32 programme of +-3e38, laid out as the sign of the
+    reversed front_eq kernel, sums past float32's largest value in the
+    fronts: render refuses the block with exit 2, naming the output and
+    the channel, instead of writing a file that no reader takes. No
+    temporary file is left and an existing output keeps its bytes."""
+    design = synthetic_designs[48000]
+    loaded = load_design(design)
+    x = np.zeros((2, 3 * EQ_IR_LEN))
+    for ch, side in enumerate(("left", "right")):
+        kernel = band_gain_eq(getattr(loaded.front_gains, side).gains, loaded.spec).data
+        gain = loaded.balance_gains["primary_" + side]
+        assert gain * np.sum(np.abs(kernel)) * 3e38 > np.finfo(np.float32).max
+        x[ch, :EQ_IR_LEN] = 3e38 * np.sign(kernel[::-1])
+    src = tmp_path / "in.wav"
+    write_wav(src, AudioBuffer(x, 48000))
+    out, before = _existing_output(tmp_path)
+    assert _render(design, src, out, "front_eq") == 2
+    err = capsys.readouterr().err
+    assert "out.wav: channel 0 has samples not finite as float32" in err
     assert sorted(os.listdir(tmp_path)) == ["in.wav", "out.wav"]
     assert out.read_bytes() == before
 
