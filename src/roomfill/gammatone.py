@@ -466,10 +466,11 @@ def _ring_length(spec: FilterbankSpec, q: float) -> int:
 def _ring_tail(spec: FilterbankSpec) -> int:
     """Samples of zero padding after a signal that let the slowest band
     ring out: less than 1e-30 of its energy lies beyond them, so what
-    wraps around a Parseval FFT stays below 1e-15 relative. DESIGN_LEN
-    covers 44.1 and 48 kHz; higher rates need more.
+    wraps around a Parseval FFT stays below 1e-15 relative. 9254 samples
+    at 44.1 kHz and 10073 at 48 kHz for an 80 Hz lowest band; a lower
+    band or a higher rate needs more.
     """
-    return max(DESIGN_LEN, _ring_length(spec, 1e-30))
+    return _ring_length(spec, 1e-30)
 
 
 #: Share of the slowest band's impulse energy a response may leave past
@@ -485,8 +486,9 @@ def min_response_length(spec: FilterbankSpec) -> int:
     return _ring_length(spec, RESPONSE_TAIL_Q)
 
 
-#: The two halves of a band-energy meter; see _band_energy_meter.
-_Meter = namedtuple("_Meter", "spectrum energies")
+#: The two halves of a band-energy meter and its FFT length m; see
+#: _band_energy_meter.
+_Meter = namedtuple("_Meter", "spectrum energies size")
 
 
 def _meter_weights(spec: FilterbankSpec, m: int) -> np.ndarray:
@@ -526,9 +528,10 @@ def _meter_weights(spec: FilterbankSpec, m: int) -> np.ndarray:
 
 def _band_energy_meter(spec: FilterbankSpec, n: int) -> _Meter:
     """Return a meter for real signals x of at most n samples:
-    meter.spectrum(x) is their m-point rfft and meter.energies of that is
-    the band energies analyze gives for x zero-padded by _ring_tail(spec)
-    (to rounding), without running the filterbank.
+    meter.spectrum(x) is their m-point rfft (m = meter.size, the next fast
+    length past n + _ring_tail(spec)) and meter.energies of that is the
+    band energies analyze gives for x zero-padded by _ring_tail(spec) (to
+    rounding), without running the filterbank.
 
     Band k is norm_k / (1 - p_k z^-1)**ORDER, so by Parseval its energy
     is sum_f |H_k(f)|**2 |X(f)|**2 / m over an m-point FFT of the padded
@@ -552,7 +555,7 @@ def _band_energy_meter(spec: FilterbankSpec, n: int) -> _Meter:
     def energies(spectrum: np.ndarray) -> np.ndarray:
         return weights @ (spectrum.real ** 2 + spectrum.imag ** 2)
 
-    return _Meter(spectrum, energies)
+    return _Meter(spectrum, energies, m)
 
 
 def _band_energies_array(x: np.ndarray, spec: FilterbankSpec) -> np.ndarray:

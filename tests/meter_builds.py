@@ -5,8 +5,9 @@ Usage: python tests/meter_builds.py COMMAND [ARGS...]
 Runs `roomfill COMMAND ARGS...` in this process with
 `gammatone._band_energy_meter` counted in every roomfill module that
 imported it (the solver and the simulation), then prints one JSON line:
-the command's exit status and the size n of each meter built, in order.
-Builds gammatone makes for itself on a bank's first use are not counted.
+the command's exit status and, for each meter built in order, the signal
+length n it fits and its FFT length m. Builds gammatone makes for itself
+on a bank's first use are not counted.
 """
 import json
 import sys
@@ -17,11 +18,12 @@ from roomfill import gammatone
 
 def main(argv) -> int:
     original = gammatone._band_energy_meter
-    sizes = []
+    builds = []
 
     def counted(spec, n):
-        sizes.append(n)
-        return original(spec, n)
+        meter = original(spec, n)
+        builds.append({"n": n, "m": meter.size})
+        return meter
 
     for name, module in list(sys.modules.items()):
         if (
@@ -31,7 +33,7 @@ def main(argv) -> int:
         ):
             module._band_energy_meter = counted
     status = roomfill.cli.main(argv)
-    print(json.dumps({"exit": status, "builds": sizes}))
+    print(json.dumps({"exit": status, "builds": builds}))
     return 0
 
 

@@ -209,6 +209,36 @@ def test_writer_refuses_samples_not_finite_as_float32(tmp_path, rng):
     assert np.array_equal(read_wav(path).samples, edge)
 
 
+@pytest.mark.parametrize("channels", (1, 2, 3, 4))
+def test_writer_payload_is_the_transposed_float32_block(tmp_path, rng, channels):
+    """The writer interleaves one channel at a time into the bytes of a
+    transposed float32 copy of each block, which rounds every sample the
+    same way: for blocks that hold -0.0, float64 values that land on or
+    under float32 subnormals, and values beyond +-1 up to float32's
+    largest. With samples that are not finite in two channels, the lower
+    channel is named, even where its bad sample comes later."""
+    specials = np.array([-0.0, 1e-40, -1e-45, 5e-324, -7.5, 1e5, 3.4028234663852886e38])
+    blocks = []
+    for m in (0, 1, 9, 1000):
+        block = 4.0 * rng.standard_normal((channels, m))
+        for c in range(channels):
+            width = min(m, specials.size)
+            block[c, :width] = np.roll(specials, c)[:width]
+        blocks.append(block)
+    path = tmp_path / "out.wav"
+    with WavWriter(path, 48000, channels, sum(b.shape[1] for b in blocks)) as writer:
+        for block in blocks:
+            writer.write(block)
+    want = b"".join(np.ascontiguousarray(b.T, dtype="<f4").tobytes() for b in blocks)
+    assert path.read_bytes()[44:] == want
+    if channels > 1:
+        bad = rng.standard_normal((channels, 40))
+        bad[-1, 3] = np.nan
+        bad[channels - 2, 30] = -1e39
+        with pytest.raises(ContractError, match=r"out\.wav: channel %d " % (channels - 2)):
+            write_wav(path, AudioBuffer(bad, 48000))
+
+
 def test_truncated_wav_raises_oserror(tmp_path, rng):
     path = tmp_path / "t.wav"
     write_wav(path, AudioBuffer(rng.standard_normal((1, 100)), 48000))
@@ -257,7 +287,7 @@ def test_convolve_matches_direct_reference(rng):
         ir = ImpulseResponse(AudioBuffer(kernel, 48000))
         step = _block_fft_size(taps) - taps + 1
         lengths = [2 * step - 1, 2 * step, 2 * step + 1, 3 * step + 1, max(taps // 2, 1)]
-        if step < 5000:
+        if taps < 1024:
             lengths.append(20 * step + 17)
         for n in lengths:
             sig = rng.standard_normal((2, n))
@@ -305,6 +335,21 @@ def test_convolve_is_the_zeroed_accumulator_bit_for_bit():
             sig[2, n // 3 :] = 0.0
             got = convolve(AudioBuffer(sig, 48000), ir).samples
             assert got.tobytes() == _accumulated_convolve(sig, kernel).tobytes(), (taps, n)
+
+
+def test_block_fft_size_is_the_least_three_times_a_power_of_two_past_eight_kernels():
+    """Overlap-add blocks are the least 3 * 2**k points at least 8 * taps:
+    49152 for the 4096-tap EQ and the 5119-tap support chain. A short
+    kernel still gets at least 4096, so a long programme is not cut into
+    one Python-level FFT pair per few samples."""
+    assert _block_fft_size(4096) == _block_fft_size(5119) == 49152
+    assert _block_fft_size(1) >= 4096
+    for taps in range(1, 20000):
+        size = _block_fft_size(taps)
+        power = size // 3
+        need = max(8 * taps, 4096)
+        assert size == 3 * power and power & (power - 1) == 0, taps
+        assert size >= need > size // 2, taps
 
 
 def test_next_fast_len_is_scipys_real_fft_size():

@@ -571,8 +571,8 @@ def test_design_simulate_render_path_never_loads_scipy(tmp_path):
 
 
 def _meter_builds(root, argv):
-    """Exit status and meter sizes of one command in a fresh process,
-    counted by meter_builds.py."""
+    """Exit status and meter builds ({"n": n, "m": FFT length} each) of
+    one command in a fresh process, counted by meter_builds.py."""
     script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "meter_builds.py")
     done = subprocess.run(
         [sys.executable, script] + argv,
@@ -593,14 +593,14 @@ def test_design_and_simulate_build_each_meter_once(tmp_path):
     (tmp_path / "run.ini").write_text(
         "[io]\n" + "".join("%s = %s.wav\n" % (n, n) for n in _ROOM) + "output_dir = out\n"
     )
-    status, sizes = _meter_builds(tmp_path, ["design", "--config", "run.ini"])
+    status, builds = _meter_builds(tmp_path, ["design", "--config", "run.ini"])
     assert status in (0, 3)  # a best-effort design is written too
-    assert len(sizes) == 1
-    status, sizes = _meter_builds(
+    assert len(builds) == 1
+    status, builds = _meter_builds(
         tmp_path, ["simulate", "--design", "out/design.txt", "--config", "run.ini"]
     )
     assert status == 0
-    assert len(sizes) == 1
+    assert len(builds) == 1
 
 
 def test_missing_file_exits_2(designed, tmp_path, capsys):

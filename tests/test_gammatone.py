@@ -328,17 +328,16 @@ def test_band_energies_match_padded_filterbank(spec, x):
 
 def test_ring_tail_lets_the_slowest_band_ring_out():
     """Less than 1e-30 of a unit impulse's energy in any band lies past the
-    tail. DESIGN_LEN is the tail at 44.1 and 48 kHz; at 96 kHz the lowest
-    band decays too slowly for it and the tail grows."""
-    for rate in (44100, 48000):
-        assert _ring_tail(make_spec(rate, 80.0, 16000.0)) == DESIGN_LEN
-    spec = make_spec(96000, 80.0, 16000.0)
-    tail = _ring_tail(spec)
-    assert tail > DESIGN_LEN
-    bands = analyze(_impulse(2 * tail, 96000), spec).data
-    energy = bands.real**2 + bands.imag**2
-    past = energy[:, tail:].sum(axis=1) / energy.sum(axis=1)
-    assert past.max() < 1e-30
+    tail, at 44.1, 48 and 96 kHz. The tail is the lowest band's ring-out
+    and nothing more, so it grows with the rate."""
+    for rate, want in ((44100, 9254), (48000, 10073), (96000, 20145)):
+        spec = make_spec(rate, 80.0, 16000.0)
+        tail = _ring_tail(spec)
+        assert tail == want
+        bands = analyze(_impulse(2 * tail, rate), spec).data
+        energy = bands.real**2 + bands.imag**2
+        past = energy[:, tail:].sum(axis=1) / energy.sum(axis=1)
+        assert past.max() < 1e-30, rate
 
 
 @pytest.mark.parametrize("a", range(1, 16))
@@ -359,7 +358,7 @@ def test_ring_tail_matches_scipy_quantile():
             lam = _pole_coefficients(spec)[0]
             rate_per_sample = -2.0 * math.log(float(lam.max()))
             quantile = float(gammainccinv(2 * ORDER - 1, 1e-30))
-            want = max(DESIGN_LEN, math.ceil(quantile / rate_per_sample))
+            want = math.ceil(quantile / rate_per_sample)
             assert _ring_tail(spec) == want, (rate, f_low)
 
 
