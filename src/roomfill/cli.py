@@ -156,9 +156,7 @@ def cmd_simulate(args) -> int:
     base, ext = os.path.splitext(out)
 
     worst = 0.0
-    meters = {}
-    for channel in ("left", "right"):
-        report = simulate_total(design, rirs, channel, meters=meters)
+    for channel, report in zip(("left", "right"), simulate_total(design, rirs)):
         path = "%s_%s%s" % (base, channel, ext or ".csv")
         export_report(report, path)
         worst = max(worst, report.max_abs_deviation_filled_bands_db)

@@ -486,9 +486,9 @@ def min_response_length(spec: FilterbankSpec) -> int:
     return _ring_length(spec, RESPONSE_TAIL_Q)
 
 
-#: The two halves of a band-energy meter and its FFT length m; see
-#: _band_energy_meter.
-_Meter = namedtuple("_Meter", "spectrum energies size")
+#: The two halves of a band-energy meter, its FFT length m and the longest
+#: signal n it fits; see _band_energy_meter.
+_Meter = namedtuple("_Meter", "spectrum energies size n")
 
 
 def _meter_weights(spec: FilterbankSpec, m: int) -> np.ndarray:
@@ -528,10 +528,10 @@ def _meter_weights(spec: FilterbankSpec, m: int) -> np.ndarray:
 
 def _band_energy_meter(spec: FilterbankSpec, n: int) -> _Meter:
     """Return a meter for real signals x of at most n samples:
-    meter.spectrum(x) is their m-point rfft (m = meter.size, the next fast
-    length past n + _ring_tail(spec)) and meter.energies of that is the
-    band energies analyze gives for x zero-padded by _ring_tail(spec) (to
-    rounding), without running the filterbank.
+    meter.spectrum(x) is their m-point rfft (n = meter.n; m = meter.size,
+    the next fast length past n + _ring_tail(spec)) and meter.energies of
+    that is the band energies analyze gives for x zero-padded by
+    _ring_tail(spec) (to rounding), without running the filterbank.
 
     Band k is norm_k / (1 - p_k z^-1)**ORDER, so by Parseval its energy
     is sum_f |H_k(f)|**2 |X(f)|**2 / m over an m-point FFT of the padded
@@ -555,7 +555,7 @@ def _band_energy_meter(spec: FilterbankSpec, n: int) -> _Meter:
     def energies(spectrum: np.ndarray) -> np.ndarray:
         return weights @ (spectrum.real ** 2 + spectrum.imag ** 2)
 
-    return _Meter(spectrum, energies, m)
+    return _Meter(spectrum, energies, m, n)
 
 
 def _band_energies_array(x: np.ndarray, spec: FilterbankSpec) -> np.ndarray:

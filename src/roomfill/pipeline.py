@@ -9,11 +9,22 @@ from __future__ import annotations
 
 from .audio import AudioBuffer, ImpulseResponse
 from .errors import ContractError
-from .gammatone import FilterbankSpec
-from .render import EqualisationDesign, SupportChain
+from .gammatone import EQ_IR_LEN, FilterbankSpec, _band_energy_meter
+from .render import DEFAULT_DECORRELATOR_LEN, EqualisationDesign, SupportChain
 from .rirs import RirSet, balance_levels
 from .solver import BandGainSet, SolverConfig, solve_front_gains, solve_gains
 from .target import TargetFunction
+
+
+def room_meter(spec: FilterbankSpec, rirs: RirSet, chain: SupportChain):
+    """The band-energy meter every solve and simulation of one room
+    measures through, built once per command. It fits the longest of the
+    four responses convolved with the supporting chain's impulse response
+    (bulk delay, fill EQ, decorrelator), which bounds each fill and front
+    solve's total and each side of simulate_total."""
+    longest = max(ir.data.size for ir in rirs.responses.values())
+    delay = chain.delay_samples(rirs.sample_rate)
+    return _band_energy_meter(spec, longest + delay + EQ_IR_LEN + DEFAULT_DECORRELATOR_LEN - 2)
 
 
 def solve_design(
@@ -31,7 +42,8 @@ def solve_design(
     decorrelator and the bulk delay from `chain`, so the solved gains
     describe the playback chain, not an idealised one. The front-feed gains are
     solved as well so the design supports front_eq rendering without
-    another measurement pass.
+    another measurement pass. All four solves measure through one
+    room_meter.
 
     Convergence is not required here; inspect the returned channel
     solves. Unfillable bands raise from the solve itself.
@@ -42,12 +54,7 @@ def solve_design(
             % (spec.sample_rate, rirs.sample_rate)
         )
     balance = balance_levels(rirs)
-
-    # Every solve measures through the smallest band-energy meter in
-    # `meters` that fits it. The fill solve's chain is the longer one, so
-    # with equally long responses the first fill solve builds the only
-    # meter and the other three solves reuse it.
-    meters = {}
+    meter = room_meter(spec, rirs, chain)
     fill = {}
     front = {}
     for side in ("left", "right"):
@@ -63,9 +70,9 @@ def solve_design(
             cfg,
             decorrelator=chain.decorrelator(side),
             extra_delay=chain.delay_samples(rirs.sample_rate),
-            meters=meters,
+            meter=meter,
         )
-        front[side] = solve_front_gains(primary, target, spec, cfg, meters=meters)
+        front[side] = solve_front_gains(primary, target, spec, cfg, meter=meter)
 
     return EqualisationDesign(
         spec=spec,

@@ -16,8 +16,9 @@ import numpy as np
 from .audio import AudioBuffer, ImpulseResponse
 from .errors import ContractError, check_finite
 from .rirs import RirSet
+from .pipeline import room_meter
 from .render import EqualisationDesign, render
-from .solver import _anchored_targets, _chain_meter, _profile_db
+from .solver import _anchored_targets, _profile_db
 
 __all__ = [
     "SyntheticRirParams",
@@ -207,62 +208,46 @@ class VerificationReport:
         return self.center_freqs.size
 
 
-def simulate_total(
-    design: EqualisationDesign, rirs: RirSet, channel: str, *, meters: dict = None
-) -> VerificationReport:
-    """Push an impulse through one channel's proposed-mode chain, convolve
-    the front path with the (balanced) primary response and the supporting
-    path with the support response, sum coherently and tabulate band
-    energies against the channel's anchored target. The convolutions and
-    the sum are taken as products and sums of spectra.
+def simulate_total(design: EqualisationDesign, rirs: RirSet) -> tuple:
+    """Push one impulse through both channels' proposed-mode chains and
+    return the (left, right) reports. For each side, convolve the front
+    path with the (balanced) primary response and the supporting path with
+    the support response, sum coherently and tabulate band energies
+    against the channel's anchored target. Each rendered row comes from
+    its own side alone, and the convolutions and the sum are products and
+    sums of spectra from pipeline.room_meter, as in the design's solves.
 
     The front feed is untouched by design, so the primary balance trim is
     applied on the acoustic side; the supporting feed already carries its
     trim digitally.
-
-    `meters` maps a size to the band-energy meter built for it on the
-    design's spec. Simulations of both channels can share it: the
-    smallest meter in it that fits the total is taken, and one is built
-    and added only when none fits (see solver._chain_meter). Without it
-    the simulation builds its own.
     """
-    if channel not in ("left", "right"):
-        raise ContractError("channel must be 'left' or 'right'")
     if rirs.sample_rate != design.sample_rate:
         raise ContractError(
             "fixture rate %d does not match design rate %d"
             % (rirs.sample_rate, design.sample_rate)
         )
 
-    i = ("left", "right").index(channel)
-    imp = np.zeros((2, 1))
-    imp[i, 0] = 1.0
-    rendered = render(AudioBuffer(imp, design.sample_rate), design, "proposed")
-    front, rear = rendered.buffer.samples[i], rendered.buffer.samples[2 + i]
-    trim = design.balance_gains["primary_" + channel]
-    primary = getattr(rirs, "primary_" + channel).data * trim
-    support = getattr(rirs, "support_" + channel).data
-    solve = getattr(design.gains, channel)
-
+    rows = render(AudioBuffer(np.ones((2, 1)), design.sample_rate), design, "proposed")
     spec = design.spec
-    # the rows already carry the EQ: the meter need only fit the total
-    n = front.size + max(primary.size, support.size) - 1
-    meter = _chain_meter(spec, n, 0, meters)
-    primary_path = meter.spectrum(front) * meter.spectrum(primary)
-    fill_path = meter.spectrum(rear) * meter.spectrum(support)
-    e_primary = meter.energies(primary_path)
-    e_fill = meter.energies(fill_path)
-    e_total = meter.energies(primary_path + fill_path)
-    _, targets = _anchored_targets(design.target, spec, solve.offset_db)
-
-    return VerificationReport.build(
-        center_freqs=np.array(spec.center_freqs),
-        primary_db=_profile_db(e_primary),
-        fill_db=_profile_db(e_fill),
-        total_db=_profile_db(e_total),
-        target_db=_profile_db(targets),
-        filled=solve.gains > 0,
-    )
+    meter = room_meter(spec, rirs, design.chain)
+    reports = []
+    for i, channel in enumerate(("left", "right")):
+        front, rear = rows.buffer.samples[i], rows.buffer.samples[2 + i]
+        trim = design.balance_gains["primary_" + channel]
+        primary, support = (getattr(rirs, kind + channel).data for kind in ("primary_", "support_"))
+        primary = meter.spectrum(front) * meter.spectrum(primary * trim)
+        fill = meter.spectrum(rear) * meter.spectrum(support)
+        solve = getattr(design.gains, channel)
+        _, targets = _anchored_targets(design.target, spec, solve.offset_db)
+        reports.append(VerificationReport.build(
+            center_freqs=np.array(spec.center_freqs),
+            primary_db=_profile_db(meter.energies(primary)),
+            fill_db=_profile_db(meter.energies(fill)),
+            total_db=_profile_db(meter.energies(primary + fill)),
+            target_db=_profile_db(targets),
+            filled=solve.gains > 0,
+        ))
+    return tuple(reports)
 
 
 def export_report(report: VerificationReport, path) -> None:

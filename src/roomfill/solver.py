@@ -111,23 +111,24 @@ def initial_gains(
     return out
 
 
-def _chain_meter(spec, base_len, chain_len, meters=None):
-    """Band-energy meter for one solve or simulation, sized so that the
+def _chain_meter(spec, base_len, chain_len, meter=None):
+    """Band-energy meter for one solve, sized so that the
     coherent total base + EQ * chain fits: the product of the EQ's and the
     chain's spectra is then the spectrum of their linear convolution. The
     profiles are shorter and measure the same through it.
 
-    `meters` maps a size to the meter built for it on this spec. The
-    smallest meter in it that fits is taken, since a larger one measures
-    the same to rounding; only when none fits is one of the size needed
-    built and added to it."""
+    A given `meter` (pipeline.room_meter's, shared by a command's solves)
+    is returned when it fits that total, and refused when it does not,
+    since a product of spectra would then wrap around. Without one, a
+    meter of exactly the size needed is built."""
     n = max(base_len, EQ_IR_LEN + chain_len - 1)
-    meters = {} if meters is None else meters
-    fits = [size for size in meters if size >= n]
-    if not fits:
-        meters[n] = _band_energy_meter(spec, n)
-        fits = [n]
-    return meters[min(fits)]
+    if meter is None:
+        return _band_energy_meter(spec, n)
+    if meter.n < n:
+        raise ContractError(
+            "a meter for %d samples cannot measure a %d-sample total" % (meter.n, n)
+        )
+    return meter
 
 
 def _measure_total(gains, spec, base, chain, meter):
@@ -228,7 +229,7 @@ def solve_gains(
     offset_db: float = None,
     decorrelator=None,
     extra_delay: int = 0,
-    meters: dict = None,
+    meter=None,
 ) -> ChannelSolve:
     """Iteratively refine band gains until the total response meets the
     per-band target.
@@ -250,11 +251,10 @@ def solve_gains(
     returned flagged non-converged. Never raises for non-convergence;
     unfillable bands propagate from initial_gains.
 
-    `meters` is a dict of band-energy meters by size that the solves and
-    simulations of one command on the same spec share: the solve measures
-    through the smallest one that fits its chain, and adds a meter only
-    when none does (see _chain_meter). Without it the solve builds its
-    own.
+    `meter` is a band-energy meter on `spec` to measure through, such as
+    the room meter solve_design shares among its solves; one too small for
+    the chain is refused (see _chain_meter). Without it the solve builds
+    one of the size its chain needs.
     """
     if primary_ir.sample_rate != support_ir.sample_rate:
         raise ContractError("primary/support sample rate mismatch")
@@ -263,7 +263,7 @@ def solve_gains(
         raise ContractError("extra_delay must be >= 0 samples, got %d" % extra_delay)
     taps = np.ones(1) if decorrelator is None else decorrelator.taps
     delayed = np.concatenate([np.zeros(extra_delay), support_ir.data])
-    meter = _chain_meter(spec, primary_ir.data.size, delayed.size + taps.size - 1, meters)
+    meter = _chain_meter(spec, primary_ir.data.size, delayed.size + taps.size - 1, meter)
     chain = meter.spectrum(delayed) * meter.spectrum(taps)
     primary = meter.spectrum(primary_ir.data)
     primary_profile = meter.energies(primary)
@@ -285,7 +285,7 @@ def solve_front_gains(
     cfg: SolverConfig,
     *,
     offset_db: float = None,
-    meters: dict = None,
+    meter=None,
 ) -> ChannelSolve:
     """Gain solve for the front-equalisation stimulus.
 
@@ -293,12 +293,11 @@ def solve_front_gains(
     quantity to match is the full per-band target, not a deficit on top
     of an untouched primary: achieved_b = band energy of EQ through the
     primary response, driven to T_b. Bands above target get cut (g < 1);
-    no band is ever muted. `meters` is shared as in solve_gains: after
-    a fill solve on the same responses, whose chain is longer, the front
-    solve measures through the fill solve's meter and builds none.
+    no band is ever muted. `meter` is taken as in solve_gains; without it
+    the solve builds one that fits the EQ through the primary response.
     """
     _check_rate(primary_ir, spec)
-    meter = _chain_meter(spec, 0, primary_ir.data.size, meters)
+    meter = _chain_meter(spec, 0, primary_ir.data.size, meter)
     primary = meter.spectrum(primary_ir.data)
     primary_profile = meter.energies(primary)
     offset_db, targets = _anchored_targets(target, spec, offset_db, primary_profile)

@@ -4,10 +4,12 @@ Usage: python tests/meter_builds.py COMMAND [ARGS...]
 
 Runs `roomfill COMMAND ARGS...` in this process with
 `gammatone._band_energy_meter` counted in every roomfill module that
-imported it (the solver and the simulation), then prints one JSON line:
-the command's exit status and, for each meter built in order, the signal
-length n it fits and its FFT length m. Builds gammatone makes for itself
-on a bank's first use are not counted.
+imported it (the pipeline, whose room meter serves `design`'s solves and
+`simulate`, and the solver, which builds one for a solve called without
+a meter), then prints one JSON line: the command's exit status and, for
+each meter built in order, the signal length n it fits and its FFT
+length m. Builds gammatone makes for itself on a bank's first use are
+not counted.
 """
 import json
 import sys

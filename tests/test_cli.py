@@ -487,8 +487,7 @@ rirs = RirSet(**{
     for name in ("primary_left", "primary_right", "support_left", "support_right")
 })
 design = solve_design(rirs, make_spec(48000, 80.0, 16000.0), TargetFunction(), SolverConfig())
-for side in ("left", "right"):
-    simulate_total(design, rirs, side)
+simulate_total(design, rirs)
 programme = np.random.default_rng(1).standard_normal((2, 4800))
 for mode in ("proposed", "front_eq"):
     render(AudioBuffer(programme, 48000), design, mode)
@@ -511,12 +510,13 @@ band_gain_eq(np.ones(spec.num_bands), spec)
 _ROOM = ("primary_left", "primary_right", "support_left", "support_right")
 
 
-def _write_short_room(root):
-    """The pinned room cut to 0.3 s: notched primaries, flat supports."""
-    for name, seed in zip(_ROOM, (201, 202, 203, 204)):
-        coloration = ("notch", 1000.0, 15.0, 3.0) if name.startswith("primary") else ("none",)
+def _write_short_room(root, lengths_ms=(300.0,) * 4, names=_ROOM):
+    """The pinned room cut to 0.3 s (or to `lengths_ms`, one per response):
+    notched primaries, flat supports."""
+    for name, seed, length_ms in zip(names, (201, 202, 203, 204), lengths_ms):
+        coloration = ("notch", 1000.0, 15.0, 3.0) if name in names[:2] else ("none",)
         ir = synth_rir(SyntheticRirParams(
-            48000, 300.0, 100.0, direct_delay_ms=3.0, coloration=coloration, seed=seed,
+            48000, length_ms, 100.0, direct_delay_ms=3.0, coloration=coloration, seed=seed,
         ))
         write_wav(root / ("%s.wav" % name), ir.buffer)
 
@@ -583,24 +583,43 @@ def _meter_builds(root, argv):
     return result["exit"], result["builds"]
 
 
-def test_design_and_simulate_build_each_meter_once(tmp_path):
-    """Every solve or simulation of a command measures through the
-    smallest meter built so far that fits it: a fresh `design` builds one
-    at the first fill solve's size, which the front solves reuse, and a
-    fresh `simulate` one for both channels (4 and 2 when every solve and
-    simulation built its own, 2 and 1 when they shared by size only)."""
-    _write_short_room(tmp_path)
+@pytest.mark.parametrize("lengths_ms", [
+    (300.0, 300.0, 300.0, 300.0),
+    (1000.0, 1000.0, 500.0, 500.0),
+    (300.0, 350.0, 300.0, 350.0),
+], ids=["equal", "long-primaries", "uneven-sides"])
+def test_design_and_simulate_build_each_meter_once(tmp_path, lengths_ms):
+    """Every solve and simulation of a room measures through one meter,
+    sized by pipeline.room_meter: a fresh `design` builds it once for its
+    four solves and a fresh `simulate` once for both channels, at the same
+    n, whatever the responses' lengths."""
+    _write_short_room(tmp_path, lengths_ms)
     (tmp_path / "run.ini").write_text(
         "[io]\n" + "".join("%s = %s.wav\n" % (n, n) for n in _ROOM) + "output_dir = out\n"
     )
-    status, builds = _meter_builds(tmp_path, ["design", "--config", "run.ini"])
+    status, designed = _meter_builds(tmp_path, ["design", "--config", "run.ini"])
     assert status in (0, 3)  # a best-effort design is written too
-    assert len(builds) == 1
-    status, builds = _meter_builds(
+    status, simulated = _meter_builds(
         tmp_path, ["simulate", "--design", "out/design.txt", "--config", "run.ini"]
     )
     assert status == 0
-    assert len(builds) == 1
+    assert len(designed) == len(simulated) == 1
+    assert designed == simulated
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    """The python block under README's `## Library use` runs as written on
+    four 0.3 s responses in the working directory, and each deviation it
+    prints is within simulate's budget."""
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("\n## Library use\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    _write_short_room(tmp_path, names=("pl", "pr", "sl", "sr"))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = [float(v) for v in capsys.readouterr().out.split()]
+    assert len(printed) == 2 and all(0.0 <= v <= MAX_DEVIATION_DB for v in printed)
 
 
 def test_missing_file_exits_2(designed, tmp_path, capsys):

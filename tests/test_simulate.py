@@ -157,15 +157,15 @@ def _with_gain_factor(design, factor):
 
 def test_zero_gains_leave_total_at_primary(solved_design, fixture_rirs):
     silent = _with_gain_factor(solved_design, 0.0)
-    report = simulate_total(silent, fixture_rirs, "left")
+    report, _ = simulate_total(silent, fixture_rirs)
     assert np.array_equal(report.total_db, report.primary_db)
     assert report.unfilled_band_count == report.num_bands
 
 
 def test_doubling_fill_gains_adds_six_db_to_fill(solved_design, fixture_rirs):
     # the fill path is linear in the gain vector, so the shift is exact
-    base = simulate_total(solved_design, fixture_rirs, "left")
-    loud = simulate_total(_with_gain_factor(solved_design, 2.0), fixture_rirs, "left")
+    base, _ = simulate_total(solved_design, fixture_rirs)
+    loud, _ = simulate_total(_with_gain_factor(solved_design, 2.0), fixture_rirs)
     shift = loud.fill_db - base.fill_db
     assert np.allclose(shift, 20.0 * math.log10(2.0), atol=1e-6)
 
@@ -173,8 +173,7 @@ def test_doubling_fill_gains_adds_six_db_to_fill(solved_design, fixture_rirs):
 def test_simulation_deviation_matches_solver_residual(solved_design, fixture_rirs):
     """The solver measures through the same chain the renderer plays, so
     its residual and the simulated deviation are the same numbers."""
-    for channel in ("left", "right"):
-        report = simulate_total(solved_design, fixture_rirs, channel)
+    for channel, report in zip(("left", "right"), simulate_total(solved_design, fixture_rirs)):
         solve = getattr(solved_design.gains, channel)
         assert np.allclose(report.deviation_db, solve.residual_db, atol=1e-6)
         live = solve.gains > 0
@@ -204,8 +203,7 @@ def test_simulated_deviation_is_the_solver_residual_on_drawn_rooms(
     design = solve_design(
         rirs, spec48, TargetFunction(), SolverConfig(), chain=SupportChain(delay_ms=delay_ms)
     )
-    for channel in ("left", "right"):
-        report = simulate_total(design, rirs, channel)
+    for channel, report in zip(("left", "right"), simulate_total(design, rirs)):
         solve = getattr(design.gains, channel)
         assert np.max(np.abs(report.deviation_db - solve.residual_db)) <= 1e-6
 
@@ -221,15 +219,13 @@ def test_odd_delay_simulates_to_the_solver_residual(fixture_rirs, spec48):
         SolverConfig(),
         chain=SupportChain(delay_ms=20.96875),
     )
-    for channel in ("left", "right"):
-        report = simulate_total(design, fixture_rirs, channel)
+    for channel, report in zip(("left", "right"), simulate_total(design, fixture_rirs)):
         solve = getattr(design.gains, channel)
         assert np.allclose(report.deviation_db, solve.residual_db, atol=1e-6)
 
 
 def test_fill_never_cancels_primary(solved_design, fixture_rirs):
-    for channel in ("left", "right"):
-        report = simulate_total(solved_design, fixture_rirs, channel)
+    for report in simulate_total(solved_design, fixture_rirs):
         assert np.all(report.total_db >= report.primary_db - 0.2)
 
 
@@ -238,8 +234,7 @@ def test_cross_term_stays_bounded(solved_design, fixture_rirs):
     the bulk: the median band's cross-term is a few percent. Low bands
     see larger excursions (pinned at 0.45 max) because a 1024-tap filter
     has roughly one spectral degree of freedom per ERB down there."""
-    for channel in ("left", "right"):
-        report = simulate_total(solved_design, fixture_rirs, channel)
+    for report in simulate_total(solved_design, fixture_rirs):
         p = 10.0 ** (report.primary_db / 10.0)
         f = 10.0 ** (report.fill_db / 10.0)
         t = 10.0 ** (report.total_db / 10.0)
@@ -249,11 +244,12 @@ def test_cross_term_stays_bounded(solved_design, fixture_rirs):
 
 
 def test_spectral_simulation_matches_time_domain_paths(solved_design, fixture_rirs):
-    """simulate_total multiplies spectra; convolving the rendered impulse
-    with the responses in time and summing gives the same band levels."""
+    """simulate_total multiplies spectra of one two-sided impulse render;
+    rendering each side's impulse alone, convolving it with the responses
+    in time and summing gives the same band levels."""
     rate = solved_design.sample_rate
-    for i, channel in enumerate(("left", "right")):
-        report = simulate_total(solved_design, fixture_rirs, channel)
+    reports = simulate_total(solved_design, fixture_rirs)
+    for i, (channel, report) in enumerate(zip(("left", "right"), reports)):
         imp = np.zeros((2, 1))
         imp[i, 0] = 1.0
         out = render(AudioBuffer(imp, rate), solved_design, "proposed").buffer.samples
@@ -274,16 +270,16 @@ def test_spectral_simulation_matches_time_domain_paths(solved_design, fixture_ri
 
 
 def test_simulation_is_deterministic(solved_design, fixture_rirs):
-    a = simulate_total(solved_design, fixture_rirs, "right")
-    b = simulate_total(solved_design, fixture_rirs, "right")
+    _, a = simulate_total(solved_design, fixture_rirs)
+    _, b = simulate_total(solved_design, fixture_rirs)
     assert np.array_equal(a.total_db, b.total_db)
     assert np.array_equal(a.deviation_db, b.deviation_db)
 
 
 def test_no_meter_outlives_its_command(spec48):
     """A band-energy meter's weights (about 5 MB here) are shared only
-    within one design or one pair of simulations and freed when it
-    returns: with the bank's first use done, solve_design and
+    within one design or one simulation of both channels and freed when
+    it returns: with the bank's first use done, solve_design and
     simulate_total leave under 1 MB behind. A room length no other test
     uses keeps a cache across calls from having been filled already."""
     notch = ("notch", 1000.0, 15.0, 3.0)
@@ -300,9 +296,7 @@ def test_no_meter_outlives_its_command(spec48):
         start = tracemalloc.get_traced_memory()[0]
         design = solve_design(rirs, spec48, TargetFunction(), SolverConfig())
         designed = tracemalloc.get_traced_memory()[0]
-        meters = {}
-        reports = [simulate_total(design, rirs, side, meters=meters) for side in ("left", "right")]
-        del meters
+        reports = simulate_total(design, rirs)
         simulated = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -311,13 +305,8 @@ def test_no_meter_outlives_its_command(spec48):
     assert all(r.num_bands == spec48.num_bands for r in reports)
 
 
-def test_simulate_rejects_unknown_channel(solved_design, fixture_rirs):
-    with pytest.raises(ContractError):
-        simulate_total(solved_design, fixture_rirs, "centre")
-
-
 def test_report_round_trip_six_significant_digits(tmp_path, solved_design, fixture_rirs):
-    report = simulate_total(solved_design, fixture_rirs, "left")
+    report, _ = simulate_total(solved_design, fixture_rirs)
     path = tmp_path / "report.csv"
     export_report(report, path)
     lines = path.read_text().splitlines()

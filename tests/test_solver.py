@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
-from roomfill import solver
+from roomfill import pipeline, solver
 from roomfill.audio import AudioBuffer, ImpulseResponse
 from roomfill.errors import ContractError, UnfillableBandError
 from roomfill.gammatone import (
@@ -19,10 +21,11 @@ from roomfill.gammatone import (
 from roomfill.render import (
     DEFAULT_DECORRELATOR_LEN,
     DEFAULT_SEED_LEFT,
+    RenderStream,
     SupportChain,
     design_decorrelator,
 )
-from roomfill.pipeline import solve_design
+from roomfill.pipeline import room_meter, solve_design
 from roomfill.rirs import RirSet, balance_levels
 from roomfill.solver import (
     G_MAX,
@@ -439,7 +442,8 @@ def _assert_same_solve(got, want):
 
 
 def _count_builds(monkeypatch):
-    """The sizes of the meters the solver builds from now on, in order."""
+    """The sizes of the meters the solver and the pipeline build from now
+    on, in order."""
     sizes = []
     build = solver._band_energy_meter
 
@@ -448,15 +452,15 @@ def _count_builds(monkeypatch):
         return build(spec, n)
 
     monkeypatch.setattr(solver, "_band_energy_meter", counted)
+    monkeypatch.setattr(pipeline, "_band_energy_meter", counted)
     return sizes
 
 
-def test_design_shares_meters_by_size_only(spec48, monkeypatch):
-    """With 0.30 s responses on the left and 0.35 s on the right, each
-    side's front solve reuses its fill solve's meter, and the right fill
-    solve needs a larger one than the left's, so solve_design builds two.
-    Each of its solves equals the public solve run in the same order
-    through one shared dict, bit for bit."""
+def test_design_measures_through_one_room_meter(spec48, monkeypatch):
+    """With 0.30 s responses on the left and 0.35 s on the right,
+    solve_design builds one meter, the room meter, for its four solves.
+    Each of its solves equals, bit for bit, the public solve run through
+    pipeline.room_meter of the same room, which builds nothing more."""
     notch = ("notch", 1000.0, 15.0, 3.0)
     rirs = RirSet(
         primary_left=_room_ir(81, coloration=notch),
@@ -467,35 +471,74 @@ def test_design_shares_meters_by_size_only(spec48, monkeypatch):
     target, cfg, chain = TargetFunction(), SolverConfig(), SupportChain()
     sizes = _count_builds(monkeypatch)
     design = solve_design(rirs, spec48, target, cfg, chain)
-    assert len(sizes) == len(set(sizes)) == 2
+    delay = chain.delay_samples(48000)
+    assert sizes == [16800 + delay + EQ_IR_LEN + DEFAULT_DECORRELATOR_LEN - 2]
 
+    meter = room_meter(spec48, rirs, chain)
     balanced = _balanced(rirs)
-    meters = {}
     for side in ("left", "right"):
         primary = balanced["primary_" + side]
         fill = solve_gains(
             primary, balanced["support_" + side], target, spec48, cfg,
-            decorrelator=chain.decorrelator(side), extra_delay=chain.delay_samples(48000),
-            meters=meters,
+            decorrelator=chain.decorrelator(side), extra_delay=delay, meter=meter,
         )
         _assert_same_solve(getattr(design.gains, side), fill)
-        front = solve_front_gains(primary, target, spec48, cfg, meters=meters)
+        front = solve_front_gains(primary, target, spec48, cfg, meter=meter)
         _assert_same_solve(getattr(design.front_gains, side), front)
-    assert sizes[2:] == sizes[:2]
+    assert sizes == sizes[:1] * 2
 
 
-def test_chain_meter_reuses_a_larger_meter_never_a_smaller_one(spec48, monkeypatch):
-    """A meter measures every signal up to its size, so _chain_meter
-    takes the smallest meter in the dict that fits and builds one only
-    when none does."""
+def test_chain_meter_takes_a_meter_that_fits_and_refuses_a_smaller_one(spec48, monkeypatch):
+    """_chain_meter returns a given meter that fits the total as it is,
+    refuses one a sample too small, naming both sizes, before the solve
+    takes any spectrum through it, and without a meter builds exactly one
+    of the size needed."""
     sizes = _count_builds(monkeypatch)
-    meters = {}
-    mid = _chain_meter(spec48, 30000, 0, meters)
-    assert _chain_meter(spec48, 20000, 0, meters) is mid
-    assert sizes == [30000]
-    big = _chain_meter(spec48, 30001, 0, meters)
-    assert sizes == [30000, 30001] and big is not mid
-    assert _chain_meter(spec48, 0, 20000 - EQ_IR_LEN + 1, meters) is mid
-    assert _chain_meter(spec48, 30001, 0, meters) is big
-    assert sizes == [30000, 30001]
-    big.spectrum(np.zeros(30001))
+    meter = _chain_meter(spec48, 30000, 0)
+    assert sizes == [30000] and meter.n == 30000
+    assert _chain_meter(spec48, 30000, 0, meter) is meter
+    assert _chain_meter(spec48, 0, 30000 - EQ_IR_LEN + 1, meter) is meter
+
+    spectra = []
+
+    def spectrum(x):
+        spectra.append(x.size)
+        return meter.spectrum(x)
+
+    counted = meter._replace(spectrum=spectrum)
+    primary = _response(np.random.default_rng(85), 30001 - EQ_IR_LEN + 1)
+    with pytest.raises(ContractError, match="30000.*30001"):
+        solve_front_gains(primary, TargetFunction(), spec48, SolverConfig(), meter=counted)
+    with pytest.raises(ContractError, match="30000.*30001"):
+        _chain_meter(spec48, 0, 30001 - EQ_IR_LEN + 1, meter)
+    assert spectra == [] and sizes == [30000]
+
+
+def _response(rng, length):
+    return ImpulseResponse(AudioBuffer(rng.standard_normal(length), 48000))
+
+
+@pytest.mark.parametrize("delay_ms", [2.0, 10.0, 50.0])
+def test_room_meter_fits_every_solve_and_the_simulation(spec48, solved_design, delay_ms):
+    """The room meter covers each fill solve's total, each front solve's
+    and each side of the simulation, on rooms whose primaries are longer,
+    whose supports are longer and whose two sides differ, and it is no
+    larger than the longest of them needs."""
+    rng = np.random.default_rng(31)
+    chain = SupportChain(delay_ms=delay_ms)
+    design = dataclasses.replace(solved_design, chain=chain)
+    row = RenderStream(design, "proposed", 2, 1, 48000).frames_out
+    taps = DEFAULT_DECORRELATOR_LEN
+    for lengths in ((48000, 48000, 24000, 24000), (14400, 14400, 19200, 19200),
+                    (14400, 16800, 14400, 16800), (24000, 9600, 12000, 30000)):
+        rirs = RirSet(*(_response(rng, n) for n in lengths))
+        meter = room_meter(spec48, rirs, chain)
+        needs = []
+        for side in ("left", "right"):
+            p = getattr(rirs, "primary_" + side).data.size
+            s = getattr(rirs, "support_" + side).data.size
+            fill = (p, chain.delay_samples(48000) + s + taps - 1)
+            for base_len, chain_len in (fill, (0, p)):
+                assert _chain_meter(spec48, base_len, chain_len, meter) is meter
+            needs.append(row + max(p, s) - 1)
+        assert max(needs) == meter.n
