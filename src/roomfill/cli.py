@@ -9,8 +9,8 @@ Every WAV written is IEEE float32, which keeps the fill chains' gain (up
 to +20 dB in a band) unclipped; inputs may also be PCM 16/24 bit.
 
 Exit codes: 0 success, 1 a filled band off target by more than
-MAX_DEVIATION_DB, 2 usage or validation errors, 3 the gain solve hit its
-iteration cap (the best-effort design is still written), 4 unfillable bands.
+MAX_DEVIATION_DB, 2 usage or validation errors, 3 a gain solve stalled or hit
+its cap (the best-effort design is still written), 4 unfillable bands.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from .errors import RoomfillError, UnfillableBandError
 from .pipeline import solve_design
 from .render import RENDER_MODES, RenderStream
 from .simulate import SyntheticRirParams, export_report, simulate_total, synth_rir
+from .solver import STALL_STEPS
 
 EXIT_OK = 0
 EXIT_DEVIATION = 1
@@ -81,11 +82,13 @@ def cmd_synth_rir(args) -> int:
 def _solve_line(name: str, solve, filled_only: bool) -> str:
     mask = solve.gains > 0 if filled_only else np.ones_like(solve.gains, dtype=bool)
     worst = float(np.max(np.abs(solve.residual_db[mask]))) if mask.any() else 0.0
-    state = (
-        "converged in %d iterations" % solve.iterations_used
-        if solve.converged
-        else "NOT converged after %d iterations" % solve.iterations_used
-    )
+    state = "converged in %d iterations" % solve.iterations_used
+    if not solve.converged:
+        best = int(np.argmin(solve.trace))  # the iteration whose gains it returns
+        stop = "stalled" if solve.iterations_used - best >= STALL_STEPS else "at the cap"
+        state = "NOT converged after %d iterations, %s, best at iteration %d" % (
+            solve.iterations_used, stop, best
+        )
     return "%-12s %s, offset %+.2f dB, max |residual| %.3f dB" % (
         name + ":",
         state,

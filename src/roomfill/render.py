@@ -18,22 +18,6 @@ from .rirs import CHANNEL_NAMES
 from .solver import BandGainSet
 from .target import TargetFunction
 
-__all__ = [
-    "DecorrelatorFilter",
-    "EqualisationDesign",
-    "RenderResult",
-    "RenderStream",
-    "SupportChain",
-    "design_decorrelator",
-    "render",
-    "DELAY_RANGE_MS",
-    "DEFAULT_DELAY_MS",
-    "DEFAULT_DECORRELATOR_LEN",
-    "DEFAULT_SEED_LEFT",
-    "DEFAULT_SEED_RIGHT",
-    "RENDER_MODES",
-]
-
 #: Precedence-effect window: a supporting source delayed by this much
 #: relative to the primary is localised to the primary.
 DELAY_RANGE_MS = (2.0, 50.0)

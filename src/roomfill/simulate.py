@@ -20,16 +20,6 @@ from .pipeline import room_meter
 from .render import EqualisationDesign, render
 from .solver import _anchored_targets, _profile_db
 
-__all__ = [
-    "SyntheticRirParams",
-    "VerificationReport",
-    "synth_rir",
-    "simulate_total",
-    "export_report",
-    "TAIL_LEVEL",
-    "REPORT_HEADER",
-]
-
 #: Noise-tail RMS just after the direct sound, relative to the direct
 #: amplitude. Pinned so fixture band profiles are reproducible.
 TAIL_LEVEL = 0.1

@@ -25,6 +25,12 @@ SUPPORT_ENERGY_FLOOR = 1e-12
 #: Damping of the multiplicative update (see solve_gains).
 DAMPING = 0.7
 
+#: A solve stops once this many steps pass without a new best max error. On
+#: the pinned 1 s and 2 s rooms and a 0.3 s notched room at tolerance_db 0.5,
+#: 0.25 and 0.1, a new best never came over 3 steps after the last, and a
+#: solve past its best ran 12-43 more steps to its cap without beating it.
+STALL_STEPS = 8
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -164,6 +170,7 @@ def _solve(gains, spec, cfg, targets, offset_db, base, chain, meter, baseline, *
     trace = []
     best_gains = gains.copy()
     best_err = np.inf
+    best_iteration = 0
     iterations = 0
     converged = False
     total = _measure_total(gains, spec, base, chain, meter)
@@ -181,10 +188,11 @@ def _solve(gains, spec, cfg, targets, offset_db, base, chain, meter, baseline, *
         if max_err < best_err:
             best_err = max_err
             best_gains = gains.copy()
+            best_iteration = iterations
         if max_err <= cfg.tolerance_db:
             converged = True
             break
-        if iterations >= cfg.max_iterations:
+        if iterations >= cfg.max_iterations or iterations - best_iteration >= STALL_STEPS:
             break
 
         achieved = total - baseline
@@ -247,9 +255,9 @@ def solve_gains(
     Stops when every active band's total is within tolerance_db of its
     target. Bands whose deficit is already covered by leakage from
     neighbouring bands have their gain driven to zero and leave the
-    active set. On hitting max_iterations the best-so-far gains are
-    returned flagged non-converged. Never raises for non-convergence;
-    unfillable bands propagate from initial_gains.
+    active set. At max_iterations, or STALL_STEPS steps past the best max
+    error, the best gains are returned flagged non-converged. Never raises
+    for non-convergence; unfillable bands propagate from initial_gains.
 
     `meter` is a band-energy meter on `spec` to measure through, such as
     the room meter solve_design shares among its solves; one too small for

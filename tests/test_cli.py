@@ -193,7 +193,30 @@ def test_design_iteration_cap_exits_3_with_best_effort(workspace, tmp_path, caps
     rc = main(["design", "--config", str(strict), "-o", str(out)])
     assert rc == 3
     assert out.exists()
-    assert "NOT converged" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "NOT converged after 2 iterations, at the cap, best at iteration 2" in printed
+
+
+def test_design_names_a_stalled_solve_and_exits_3(tmp_path, monkeypatch, capsys):
+    """On the pinned room cut to 0.3 s the front solves stall short of
+    their tolerance: `design` says so with each one's best iteration,
+    writes the best-effort design and exits 3."""
+    _write_short_room(tmp_path)
+    (tmp_path / "run.ini").write_text(
+        "[io]\n" + "".join("%s = %s.wav\n" % (n, n) for n in _ROOM) + "output_dir = out\n"
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(["design", "--config", "run.ini"]) == 3
+    assert (tmp_path / "out" / "design.txt").exists()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines[:4]] == [
+        "fill left:   converged in 19 iterations",
+        "fill right:  converged in 16 iterations",
+        "front left:  NOT converged after 15 iterations",
+        "front right: NOT converged after 29 iterations",
+    ]
+    assert ", stalled, best at iteration 7," in lines[2]
+    assert ", stalled, best at iteration 21," in lines[3]
 
 
 def test_design_non_finite_response_exits_2_naming_file(workspace, capsys):
@@ -605,6 +628,41 @@ def test_design_and_simulate_build_each_meter_once(tmp_path, lengths_ms):
     assert status == 0
     assert len(designed) == len(simulated) == 1
     assert designed == simulated
+
+
+_LIBRARY = ("audio", "config", "designfile", "errors", "gammatone", "pipeline", "render",
+            "rirs", "simulate", "solver", "target")
+
+_IMPORTED = """
+import json, sys
+import %s
+import roomfill
+print(json.dumps({
+    "loaded": sorted(m for m in sys.modules if m.partition(".")[0] == "roomfill"),
+    "attributes": sorted(name for name, value in vars(roomfill).items()
+                         if value is sys.modules.get("roomfill." + name)),
+}))
+"""
+
+
+@pytest.mark.parametrize("module", ["roomfill", "roomfill.gammatone", "roomfill.cli"])
+def test_the_package_loads_every_library_module(module):
+    """The modules are the public surface: in a fresh process, importing
+    the package or any one library module (perfbench's set-up probe
+    imports roomfill.gammatone) loads the package and all eleven library
+    modules, the CLI adds itself alone, and the package exposes each
+    module as its attribute."""
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORTED % module],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    library = ["roomfill"] + ["roomfill." + name for name in _LIBRARY]
+    assert result["loaded"] == sorted(library + ([module] if module == "roomfill.cli" else []))
+    assert result["attributes"] == sorted(
+        _LIBRARY + (("cli",) if module == "roomfill.cli" else ())
+    )
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

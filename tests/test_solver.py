@@ -286,6 +286,43 @@ def test_pinned_pair_fill_solve(solved_design):
         assert np.all(solve.gains > 0.0)  # the front solve never mutes a band
 
 
+def test_a_stalled_solve_stops_stall_steps_past_its_best(spec48, monkeypatch):
+    """On the pinned room cut to 0.3 s (t60 100 ms) the fill solves
+    converge and the front solves do not: each front solve stops
+    STALL_STEPS iterations after its best max error and returns what it
+    returned when it ran on to its cap, the same gains, residual and
+    offset bit for bit."""
+    room = RirSet(**{
+        name: synth_rir(SyntheticRirParams(
+            48000, 300.0, 100.0, direct_delay_ms=3.0, seed=seed,
+            coloration=("notch", 1000.0, 15.0, 3.0) if name.startswith("primary") else ("none",),
+        ))
+        for name, seed in zip(
+            ("primary_left", "primary_right", "support_left", "support_right"), range(201, 205)
+        )
+    })
+
+    def solves():
+        design = solve_design(room, spec48, TargetFunction(), SolverConfig())
+        return (design.gains.left, design.gains.right,
+                design.front_gains.left, design.front_gains.right)
+
+    stall_steps = solver.STALL_STEPS
+    stalled = solves()
+    monkeypatch.setattr(solver, "STALL_STEPS", SolverConfig().max_iterations + 1)
+    capped = solves()
+    assert [s.iterations_used for s in stalled] == [19, 16, 15, 29]
+    assert [s.iterations_used for s in capped] == [19, 16, 50, 50]
+    for got, want in zip(stalled, capped):
+        assert got.converged == want.converged
+        assert np.array_equal(got.gains, want.gains)
+        assert np.array_equal(got.residual_db, want.residual_db)
+        assert got.offset_db == want.offset_db
+        assert got.trace == want.trace[:len(got.trace)]
+        if not got.converged:
+            assert got.iterations_used == int(np.argmin(got.trace)) + stall_steps
+
+
 def test_leakage_covered_bands_are_muted(solved_design, fixture_rirs, spec48):
     """A band whose deficit ends up covered by neighbouring fill has its
     gain driven to exactly zero instead of hovering at a tiny value."""
