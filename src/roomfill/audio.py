@@ -74,25 +74,10 @@ class ImpulseResponse:
 def rms_energy(buffer: AudioBuffer) -> float:
     """Total energy, sum of squared samples over all channels.
 
-    Correctly rounded, the float math.fsum gives, so the value is invariant
-    under zero padding; summed without a Python list by error-free
-    extraction (Rump, Ogita and Oishi, 2008): with sigma = 2**(e + b) above
-    the largest value r left times the count, q = (sigma + r) - sigma and
-    r - q are exact and each pass's q's sum exactly. A sum that could pass
-    2**1022, an inf or a nan goes to math.fsum itself.
+    Uses exact (correctly rounded) summation so the value is invariant
+    under zero padding.
     """
-    rest = np.square(buffer.samples, dtype=np.float64).ravel()
-    bits = rest.size.bit_length()
-    if not rest.max(initial=0.0) < math.ldexp(1.0, 1022 - bits):
-        return math.fsum(rest.tolist())
-    sums = []
-    while rest.size:
-        sigma = math.ldexp(1.0, math.frexp(float(np.max(np.abs(rest))))[1] + bits)
-        q = (sigma + rest) - sigma
-        sums.append(float(np.sum(q)))
-        rest = rest - q
-        rest = rest[rest != 0.0]
-    return math.fsum(sums)
+    return math.fsum(np.square(buffer.samples, dtype=np.float64).ravel().tolist())
 
 
 def _next_fast_len(n: int) -> int:

@@ -27,7 +27,6 @@ from .errors import RoomfillError, UnfillableBandError
 from .pipeline import solve_design
 from .render import RENDER_MODES, RenderStream
 from .simulate import SyntheticRirParams, export_report, simulate_total, synth_rir
-from .solver import STALL_STEPS
 
 EXIT_OK = 0
 EXIT_DEVIATION = 1
@@ -79,13 +78,13 @@ def cmd_synth_rir(args) -> int:
     return EXIT_OK
 
 
-def _solve_line(name: str, solve, filled_only: bool) -> str:
+def _solve_line(name: str, solve, filled_only: bool, max_iterations: int) -> str:
     mask = solve.gains > 0 if filled_only else np.ones_like(solve.gains, dtype=bool)
     worst = float(np.max(np.abs(solve.residual_db[mask]))) if mask.any() else 0.0
     state = "converged in %d iterations" % solve.iterations_used
     if not solve.converged:
         best = int(np.argmin(solve.trace))  # the iteration whose gains it returns
-        stop = "stalled" if solve.iterations_used - best >= STALL_STEPS else "at the cap"
+        stop = "at the cap" if solve.iterations_used >= max_iterations else "stalled"
         state = "NOT converged after %d iterations, %s, best at iteration %d" % (
             solve.iterations_used, stop, best
         )
@@ -115,7 +114,7 @@ def cmd_design(args) -> int:
         ("front right", design.front_gains.right, False),
     )
     for name, solve, filled_only in solves:
-        print(_solve_line(name, solve, filled_only))
+        print(_solve_line(name, solve, filled_only, run.solver.max_iterations))
     print("wrote %s (%d bands at %d Hz)" % (out, spec.num_bands, spec.sample_rate))
     if not all(s.converged for _, s, _ in solves):
         print("warning: best-effort design, solve did not converge", file=sys.stderr)
