@@ -48,19 +48,13 @@ def _notch(text: str) -> tuple:
 
 
 def cmd_synth_rir(args) -> int:
-    if args.notch is not None:
-        coloration = ("notch",) + args.notch
-    elif args.lowpass is not None:
-        coloration = ("lowpass", args.lowpass)
-    else:
-        coloration = ("none",)
     params = SyntheticRirParams(
         sample_rate=args.sample_rate,
         length_ms=args.length_ms,
         t60_ms=args.t60_ms,
         direct_amplitude=args.direct_amplitude,
         direct_delay_ms=args.direct_delay_ms,
-        coloration=coloration,
+        notch=args.notch,
         seed=args.seed,
     )
     ir = synth_rir(params)
@@ -202,14 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t60-ms", type=float, default=300.0, help="60 dB decay time")
     p.add_argument("--direct-amplitude", type=float, default=1.0)
     p.add_argument("--direct-delay-ms", type=float, default=0.0)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument(
+    p.add_argument(
         "--notch",
         type=_notch,
+        default=(),
         metavar="F0,DEPTH_DB,Q",
         help="carve a notch: centre Hz, depth dB, quality factor",
     )
-    group.add_argument("--lowpass", type=float, metavar="FC_HZ", help="treble roll-off cutoff")
     p.add_argument("--seed", type=int, default=0, help="tail noise seed")
     p.set_defaults(func=cmd_synth_rir)
 

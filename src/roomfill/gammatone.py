@@ -364,26 +364,24 @@ def _synthesis_design(spec: FilterbankSpec) -> _SynthesisDesign:
                 gram = scaled @ scaled.T
             scale = w / np.maximum(mag, 1e-12)
             gains = _refined_lstsq(scaled.T, np.concatenate([re * scale, im * scale]), gram)
-        recon = np.zeros(bands.shape[1])
+        resynth = np.zeros(bands.shape)  # row b: band b's share of an impulse's resynthesis
         for b, d in enumerate(cur_delays):
-            _add_band(recon, bands[b], d, phases[b], gains[b])
-        return phases, gains, int(np.argmax(np.abs(recon)))
+            _add_band(resynth[b], bands[b], d, phases[b], gains[b])
+        return phases, gains, int(np.argmax(np.abs(resynth.sum(axis=0)))), resynth
 
-    phases, gains, latency = build(delays)
+    phases, gains, latency, resynth = build(delays)
     for _ in range(5):
         miss = latency - target_latency
         movable = delays > 0
         if miss == 0 or not np.any(movable):
             break
         delays = np.where(movable, np.maximum(0, delays - miss), delays)
-        phases, gains, latency = build(delays)
+        phases, gains, latency, resynth = build(delays)
 
     imp = np.zeros(DESIGN_LEN)
     imp[0] = 1.0
     impulse_energies = _band_energies_array(imp, spec)
-    eq_basis = np.zeros((n_bands, EQ_IR_LEN))
-    for b in range(n_bands):
-        _add_band(eq_basis[b], bands[b, :EQ_IR_LEN], delays[b], phases[b], gains[b])
+    eq_basis = resynth[:, :EQ_IR_LEN]
     for arr in (delays, phases, gains, impulse_energies, eq_basis):
         arr.setflags(write=False)
     return _SynthesisDesign(delays, phases, gains, latency, impulse_energies, eq_basis)

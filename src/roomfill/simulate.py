@@ -29,15 +29,13 @@ _DECAY = 6.907755278982137
 
 REPORT_HEADER = "f_c_hz,primary_db,fill_db,total_db,target_db,deviation_db"
 
-_COLORATION_KINDS = ("none", "notch", "lowpass")
-
 
 @dataclass(frozen=True)
 class SyntheticRirParams:
     """Recipe for a synthetic impulse response.
 
-    coloration is a tuple: ("none",), ("notch", f0_hz, depth_db, q) or
-    ("lowpass", fc_hz).
+    notch is empty (no coloration) or (f0_hz, depth_db, q): a peaking cut
+    of depth_db at f0_hz, a boost where depth_db is negative.
     """
 
     sample_rate: int
@@ -45,7 +43,7 @@ class SyntheticRirParams:
     t60_ms: float
     direct_amplitude: float = 1.0
     direct_delay_ms: float = 0.0
-    coloration: tuple = ("none",)
+    notch: tuple = ()
     seed: int = 0
 
     def __post_init__(self):
@@ -62,17 +60,19 @@ class SyntheticRirParams:
             raise ContractError("direct_delay_ms must be non-negative")
         if self.seed < 0:
             raise ContractError("seed must be >= 0")
-        kind = self.coloration[0] if self.coloration else None
-        if kind not in _COLORATION_KINDS:
-            raise ContractError("coloration kind must be one of %s" % (_COLORATION_KINDS,))
-        if kind == "notch" and len(self.coloration) != 4:
-            raise ContractError("notch coloration needs (f0, depth_db, q)")
-        if kind == "lowpass" and len(self.coloration) != 2:
-            raise ContractError("lowpass coloration needs a cutoff frequency")
-        if kind == "none" and len(self.coloration) != 1:
-            raise ContractError("coloration 'none' takes no parameters")
-        if not all(map(math.isfinite, self.coloration[1:])):
-            raise ContractError("coloration parameters must be finite")
+        if self.notch:
+            if len(self.notch) != 3:
+                raise ContractError("notch coloration needs (f0, depth_db, q)")
+            if not all(map(math.isfinite, self.notch)):
+                raise ContractError("notch coloration parameters must be finite")
+            f0, _, q = self.notch
+            if not 0.0 < f0 < self.sample_rate / 2.0:
+                raise ContractError(
+                    "notch centre %g Hz must lie strictly between 0 and the "
+                    "Nyquist frequency (%g Hz)" % (f0, self.sample_rate / 2.0)
+                )
+            if q <= 0:
+                raise ContractError("notch q must be positive, got %g" % q)
         if self.length_ms < 3.0 * self.t60_ms:
             warnings.warn(
                 "fixture length %.0f ms is under 3x t60 (%.0f ms); the decay "
@@ -80,11 +80,8 @@ class SyntheticRirParams:
             )
 
     def coloration_summary(self) -> str:
-        kind = self.coloration[0]
-        if kind == "notch":
-            return "notch %.6g Hz, depth %.6g dB, q %.6g" % self.coloration[1:]
-        if kind == "lowpass":
-            return "lowpass %.6g Hz" % self.coloration[1]
+        if self.notch:
+            return "notch %.6g Hz, depth %.6g dB, q %.6g" % self.notch
         return "none"
 
 
@@ -95,16 +92,6 @@ def _peaking_cut(f0: float, depth_db: float, q: float, rate: int):
     alpha = math.sin(w) / (2.0 * q)
     b = np.array([1.0 + alpha * a_lin, -2.0 * math.cos(w), 1.0 - alpha * a_lin])
     a = np.array([1.0 + alpha / a_lin, -2.0 * math.cos(w), 1.0 - alpha / a_lin])
-    return b / a[0], a / a[0]
-
-
-def _lowpass(fc: float, rate: int):
-    # 2nd-order Butterworth (biquad with q = 1/sqrt(2))
-    w = 2.0 * math.pi * fc / rate
-    alpha = math.sin(w) / math.sqrt(2.0)
-    cw = math.cos(w)
-    b = np.array([(1.0 - cw) / 2.0, 1.0 - cw, (1.0 - cw) / 2.0])
-    a = np.array([1.0 + alpha, -2.0 * cw, 1.0 - alpha])
     return b / a[0], a / a[0]
 
 
@@ -127,7 +114,7 @@ def _biquad(b, a, x: np.ndarray) -> np.ndarray:
 def synth_rir(params: SyntheticRirParams) -> ImpulseResponse:
     """Generate a synthetic impulse response: a direct impulse followed by
     a seeded Gaussian tail with exponential 60 dB decay at t60, the whole
-    thing shaped by the coloration filter. Deterministic per seed.
+    thing shaped by the notch filter if any. Deterministic per seed.
     """
     rate = params.sample_rate
     n = int(round(params.length_ms * rate / 1000.0))
@@ -147,13 +134,8 @@ def synth_rir(params: SyntheticRirParams) -> ImpulseResponse:
             rng.standard_normal(tail) * (TAIL_LEVEL * params.direct_amplitude) * env
         )
 
-    kind = params.coloration[0]
-    if kind == "notch":
-        b, a = _peaking_cut(*params.coloration[1:], rate=rate)
-        ir = _biquad(b, a, ir)
-    elif kind == "lowpass":
-        b, a = _lowpass(params.coloration[1], rate=rate)
-        ir = _biquad(b, a, ir)
+    if params.notch:
+        ir = _biquad(*_peaking_cut(*params.notch, rate=rate), ir)
 
     return ImpulseResponse(AudioBuffer(ir, rate))
 
@@ -243,27 +225,15 @@ def simulate_total(design: EqualisationDesign, rirs: RirSet) -> tuple:
 def export_report(report: VerificationReport, path) -> None:
     """Write the report as CSV: pinned header, one row per band, three
     trailing comment lines with the summary figures."""
-    lines = [REPORT_HEADER]
-    for i in range(report.num_bands):
-        lines.append(
-            ",".join(
-                "%.6g" % v
-                for v in (
-                    report.center_freqs[i],
-                    report.primary_db[i],
-                    report.fill_db[i],
-                    report.total_db[i],
-                    report.target_db[i],
-                    report.deviation_db[i],
-                )
-            )
-        )
-    lines.append(
-        "# max_abs_deviation_filled_bands_db = %.6g"
-        % report.max_abs_deviation_filled_bands_db
+    table = np.column_stack([
+        report.center_freqs, report.primary_db, report.fill_db,
+        report.total_db, report.target_db, report.deviation_db,
+    ])
+    footer = (
+        "# max_abs_deviation_filled_bands_db = %.6g\n# rms_deviation_db = %.6g\n"
+        "# unfilled_band_count = %d"
+        % (report.max_abs_deviation_filled_bands_db, report.rms_deviation_db,
+           report.unfilled_band_count)
     )
-    lines.append("# rms_deviation_db = %.6g" % report.rms_deviation_db)
-    lines.append("# unfilled_band_count = %d" % report.unfilled_band_count)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
+    np.savetxt(path, table, fmt="%.6g", delimiter=",", header=REPORT_HEADER,
+               footer=footer, comments="")

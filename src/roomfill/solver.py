@@ -168,12 +168,12 @@ def _solve(gains, spec, cfg, targets, offset_db, base, chain, meter, baseline, *
     gains0 = gains.copy()
     active = deficits > 0
     trace = []
-    best_gains = gains.copy()
-    best_err = np.inf
-    best_iteration = 0
     iterations = 0
     converged = False
     total = _measure_total(gains, spec, base, chain, meter)
+    best_gains, best_total = gains.copy(), total
+    best_err = np.inf
+    best_iteration = 0
 
     while True:
         live = active & (gains > 0)
@@ -187,7 +187,7 @@ def _solve(gains, spec, cfg, targets, offset_db, base, chain, meter, baseline, *
         trace.append(max_err)
         if max_err < best_err:
             best_err = max_err
-            best_gains = gains.copy()
+            best_gains, best_total = gains.copy(), total
             best_iteration = iterations
         if max_err <= cfg.tolerance_db:
             converged = True
@@ -213,8 +213,7 @@ def _solve(gains, spec, cfg, targets, offset_db, base, chain, meter, baseline, *
         total = _measure_total(gains, spec, base, chain, meter)
 
     if not converged:
-        gains = best_gains
-        total = _measure_total(gains, spec, base, chain, meter)
+        gains, total = best_gains, best_total
 
     residual = _profile_db(total) - _profile_db(targets)
     return ChannelSolve(

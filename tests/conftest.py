@@ -14,23 +14,15 @@ from roomfill.simulate import SyntheticRirParams, synth_rir
 from roomfill.solver import SolverConfig
 from roomfill.target import TargetFunction
 
-NOTCH_1K = ("notch", 1000.0, 15.0, 3.0)
+NOTCH_1K = (1000.0, 15.0, 3.0)
 
-#: Pinned fixture suite: flat, notched and lowpassed rooms at two decay
-#: times each, seeds fixed for reproducible runs.
+#: Pinned fixture suite: flat and notched rooms at two decay times each,
+#: seeds fixed for reproducible runs.
 FIXTURE_SUITE = (
     ("flat_t200", SyntheticRirParams(48000, 800.0, 200.0, seed=101)),
     ("flat_t500", SyntheticRirParams(48000, 1600.0, 500.0, seed=102)),
-    ("notch1k_t200", SyntheticRirParams(48000, 800.0, 200.0, coloration=NOTCH_1K, seed=103)),
-    ("notch1k_t500", SyntheticRirParams(48000, 1600.0, 500.0, coloration=NOTCH_1K, seed=104)),
-    (
-        "lowpass8k_t200",
-        SyntheticRirParams(48000, 800.0, 200.0, coloration=("lowpass", 8000.0), seed=105),
-    ),
-    (
-        "lowpass8k_t500",
-        SyntheticRirParams(48000, 1600.0, 500.0, coloration=("lowpass", 8000.0), seed=106),
-    ),
+    ("notch1k_t200", SyntheticRirParams(48000, 800.0, 200.0, notch=NOTCH_1K, seed=103)),
+    ("notch1k_t500", SyntheticRirParams(48000, 1600.0, 500.0, notch=NOTCH_1K, seed=104)),
 )
 
 # The same examples on every run, and no per-example time limit: a shared
@@ -104,14 +96,14 @@ def spec48():
     return make_spec(48000, 80.0, 16000.0)
 
 
-def _fixture(seed, coloration=("none",), t60_ms=300.0, length_ms=1000.0):
+def _fixture(seed, notch=(), t60_ms=300.0, length_ms=1000.0):
     return synth_rir(
         SyntheticRirParams(
             sample_rate=48000,
             length_ms=length_ms,
             t60_ms=t60_ms,
             direct_delay_ms=3.0,
-            coloration=coloration,
+            notch=notch,
             seed=seed,
         )
     )

@@ -88,13 +88,6 @@ def test_synth_rir_writes_wav(tmp_path, capsys):
     assert buf.num_samples == 19200
 
 
-def test_synth_rir_colorations_are_exclusive(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["synth-rir", "-o", str(tmp_path / "x.wav"),
-              "--notch", "1000,15,3", "--lowpass", "8000"])
-    assert exc.value.code == 2
-
-
 def test_synth_rir_rejects_malformed_notch(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["synth-rir", "-o", str(tmp_path / "x.wav"), "--notch", "1000,15"])
@@ -109,6 +102,11 @@ def test_synth_rir_rejects_malformed_notch(tmp_path):
         ("--t60-ms", "inf", "t60_ms"),
         ("--direct-delay-ms", "nan", "direct_delay_ms"),
         ("--notch", "1000,nan,3", "coloration"),
+        ("--notch", "1000,15,0", "notch q"),
+        ("--notch", "1000,15,-3", "notch q"),
+        ("--notch", "0,15,3", "notch centre"),
+        ("--notch", "24000,15,3", "notch centre"),
+        ("--notch", "30000,15,3", "notch centre"),
         ("--seed", "-1", "seed"),
     ],
 )
@@ -444,7 +442,7 @@ def test_simulate_enforces_deviation_budget(workspace, designed, tmp_path, capsy
 # Every command in one fresh process that cannot import scipy: a finder
 # placed first on sys.meta_path refuses scipy and each of its modules. The
 # room is the pinned room at its full 1 s, whose solves all converge (the
-# 0.3 s cut's design exits 3), plus one lowpassed response for synth-rir.
+# 0.3 s cut's design exits 3).
 _SCIPY_BLOCKED = """
 import importlib.abc
 import json
@@ -469,15 +467,13 @@ room = (
     ("primary_right", "202", "--notch", "1000,15,3"),
     ("support_left", "203"),
     ("support_right", "204"),
-    ("lowpassed", "205", "--lowpass", "8000"),
 )
 exits = [
-    main(["synth-rir", "-o", name + ".wav", "--direct-delay-ms", "3", "--seed", seed]
-         + coloration)
-    for name, seed, *coloration in room
+    main(["synth-rir", "-o", name + ".wav", "--direct-delay-ms", "3", "--seed", seed] + notch)
+    for name, seed, *notch in room
 ]
 with open("run.ini", "w") as fh:
-    fh.write("[io]\\n" + "".join("%s = %s.wav\\n" % (r[0], r[0]) for r in room[:4]))
+    fh.write("[io]\\n" + "".join("%s = %s.wav\\n" % (r[0], r[0]) for r in room))
     fh.write("output_dir = out\\n")
 programme = np.random.default_rng(1).uniform(-0.5, 0.5, (2, 4800))
 write_wav("programme.wav", AudioBuffer(programme, 48000))
@@ -537,9 +533,9 @@ def _write_short_room(root, lengths_ms=(300.0,) * 4, names=_ROOM):
     """The pinned room cut to 0.3 s (or to `lengths_ms`, one per response):
     notched primaries, flat supports."""
     for name, seed, length_ms in zip(names, (201, 202, 203, 204), lengths_ms):
-        coloration = ("notch", 1000.0, 15.0, 3.0) if name in names[:2] else ("none",)
+        notch = (1000.0, 15.0, 3.0) if name in names[:2] else ()
         ir = synth_rir(SyntheticRirParams(
-            48000, length_ms, 100.0, direct_delay_ms=3.0, coloration=coloration, seed=seed,
+            48000, length_ms, 100.0, direct_delay_ms=3.0, notch=notch, seed=seed,
         ))
         write_wav(root / ("%s.wav" % name), ir.buffer)
 
@@ -554,16 +550,16 @@ def _src_env():
 
 def test_every_command_runs_without_scipy(tmp_path):
     """numpy is roomfill's only runtime dependency: with scipy made
-    unimportable, a fresh process runs synth-rir (plain, notched and
-    lowpassed), design, simulate and render in every mode, each exiting 0,
-    and loads no scipy module."""
+    unimportable, a fresh process runs synth-rir (plain and notched),
+    design, simulate and render in every mode, each exiting 0, and loads
+    no scipy module."""
     done = subprocess.run(
         [sys.executable, "-c", _SCIPY_BLOCKED],
         capture_output=True, text=True, env=_src_env(), timeout=120, cwd=tmp_path,
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    assert result == {"exits": [0] * (5 + 2 + len(RENDER_MODES)), "scipy": []}
+    assert result == {"exits": [0] * (4 + 2 + len(RENDER_MODES)), "scipy": []}
 
 
 def test_design_simulate_render_path_never_loads_scipy_signal(tmp_path):

@@ -307,7 +307,7 @@ def _energy_cases():
         yield pytest.param(spec48, synth_rir(params).data, id=name)
     pinned = SyntheticRirParams(
         44100, 1000.0, 300.0, direct_delay_ms=3.0,
-        coloration=("notch", 1000.0, 15.0, 3.0), seed=201,
+        notch=(1000.0, 15.0, 3.0), seed=201,
     )
     yield pytest.param(
         make_spec(44100, 80.0, 16000.0), synth_rir(pinned).data, id="pinned_44k1"

@@ -18,7 +18,6 @@ from roomfill.simulate import (
     REPORT_HEADER,
     SyntheticRirParams,
     VerificationReport,
-    _lowpass,
     _peaking_cut,
     export_report,
     simulate_total,
@@ -45,12 +44,23 @@ def test_params_validation():
         _params(direct_amplitude=0.0)
     with pytest.raises(ContractError):
         _params(direct_delay_ms=-0.1)
-    with pytest.raises(ContractError):
-        _params(coloration=("sparkle",))
-    with pytest.raises(ContractError):
-        _params(coloration=("notch", 1000.0))
-    with pytest.raises(ContractError):
-        _params(coloration=("lowpass",))
+    # a notch must be one the biquad can build: three finite numbers, a
+    # centre strictly inside (0, Nyquist) and a positive q
+    for notch in (
+        (1000.0,),
+        (1000.0, math.nan, 3.0),
+        (1000.0, 15.0, 0.0),
+        (1000.0, 15.0, -3.0),
+        (0.0, 15.0, 3.0),
+        (24000.0, 15.0, 3.0),
+        (30000.0, 15.0, 3.0),
+    ):
+        with pytest.raises(ContractError, match="notch"):
+            _params(notch=notch)
+    # a negative depth is a stable boost
+    assert _params(notch=(1000.0, -6.0, 3.0)).coloration_summary() == (
+        "notch 1000 Hz, depth -6 dB, q 3"
+    )
 
 
 def test_short_fixture_warns():
@@ -70,26 +80,18 @@ def test_synth_rir_deterministic_and_seed_sensitive():
 @given(
     rate=st.sampled_from((44100, 48000)),
     seed=st.integers(0, 2**32 - 1),
-    coloration=st.one_of(
-        st.tuples(
-            st.just("notch"), st.floats(40.0, 16000.0), st.floats(0.0, 30.0), st.floats(0.3, 10.0)
-        ),
-        st.tuples(st.just("lowpass"), st.floats(40.0, 20000.0)),
-    ),
+    notch=st.tuples(st.floats(40.0, 16000.0), st.floats(0.0, 30.0), st.floats(0.3, 10.0)),
 )
-def test_coloration_is_lfilter_bit_for_bit(rate, seed, coloration):
-    """synth_rir runs its own biquad, not scipy's: the coloured response
+def test_coloration_is_lfilter_bit_for_bit(rate, seed, notch):
+    """synth_rir runs its own biquad, not scipy's: the notched response
     is scipy.signal.lfilter of the uncoloured one with the same seed, to
     the last bit."""
     params = _params(
         sample_rate=rate, length_ms=200.0, t60_ms=50.0, direct_delay_ms=1.0,
-        coloration=coloration, seed=seed,
+        notch=notch, seed=seed,
     )
-    flat = synth_rir(dataclasses.replace(params, coloration=("none",)))
-    if coloration[0] == "notch":
-        b, a = _peaking_cut(*coloration[1:], rate=rate)
-    else:
-        b, a = _lowpass(coloration[1], rate=rate)
+    flat = synth_rir(dataclasses.replace(params, notch=()))
+    b, a = _peaking_cut(*notch, rate=rate)
     assert synth_rir(params).data.tobytes() == lfilter(b, a, flat.data).tobytes()
 
 
@@ -132,17 +134,9 @@ def test_notch_fixture_band_profile(spec48):
             assert contrast >= 7.0
 
 
-def test_lowpass_fixture_rolls_off_treble(spec48):
-    flat = band_energies(synth_rir(dict(FIXTURE_SUITE)["flat_t200"]), spec48)
-    lp = band_energies(synth_rir(dict(FIXTURE_SUITE)["lowpass8k_t200"]), spec48)
-    drop = 10.0 * np.log10(lp / flat)
-    assert drop[-1] <= -10.0
-    assert abs(drop[25]) <= 0.5  # 4.4 kHz untouched
-
-
 def test_fixture_suite_is_pinned():
     names = [name for name, _ in FIXTURE_SUITE]
-    assert len(names) == len(set(names)) == 6
+    assert len(names) == len(set(names)) == 4
     assert all(p.sample_rate == 48000 for _, p in FIXTURE_SUITE)
     assert all(p.length_ms >= 3.0 * p.t60_ms for _, p in FIXTURE_SUITE)
 
@@ -194,11 +188,11 @@ def test_simulated_deviation_is_the_solver_residual_on_drawn_rooms(
     """On any room the supports can fill, the simulation of a design
     reproduces the residual its solve reported, band by band, to 1e-6 dB:
     solve and simulation measure the same chain at the same levels."""
-    colorations = [("notch",) + notch] * 2 + [("none",)] * 2
+    notches = [notch] * 2 + [()] * 2
     rirs = RirSet(*(
         synth_rir(_params(length_ms=300.0, t60_ms=100.0, direct_delay_ms=2.0, seed=seed,
-                          direct_amplitude=amp, coloration=coloration))
-        for seed, amp, coloration in zip(seeds, amplitudes, colorations)
+                          direct_amplitude=amp, notch=room_notch))
+        for seed, amp, room_notch in zip(seeds, amplitudes, notches)
     ))
     design = solve_design(
         rirs, spec48, TargetFunction(), SolverConfig(), chain=SupportChain(delay_ms=delay_ms)
@@ -282,10 +276,10 @@ def test_no_meter_outlives_its_command(spec48):
     it returns: with the bank's first use done, solve_design and
     simulate_total leave under 1 MB behind. A room length no other test
     uses keeps a cache across calls from having been filled already."""
-    notch = ("notch", 1000.0, 15.0, 3.0)
+    notch = (1000.0, 15.0, 3.0)
     rirs = RirSet(**{
         name: synth_rir(_params(length_ms=320.0, t60_ms=100.0, seed=seed,
-                                coloration=notch if name.startswith("primary") else ("none",)))
+                                notch=notch if name.startswith("primary") else ()))
         for name, seed in (("primary_left", 91), ("primary_right", 92),
                            ("support_left", 93), ("support_right", 94))
     })

@@ -54,11 +54,11 @@ def _balanced(rirs):
     }
 
 
-def _short(seed, coloration=("none",)):
+def _short(seed, notch=()):
     # 450 ms = 3x t60: the shortest fixture with an untruncated tail
     return synth_rir(
         SyntheticRirParams(
-            48000, 450.0, 150.0, direct_delay_ms=2.0, coloration=coloration, seed=seed
+            48000, 450.0, 150.0, direct_delay_ms=2.0, notch=notch, seed=seed
         )
     )
 
@@ -286,21 +286,25 @@ def test_pinned_pair_fill_solve(solved_design):
         assert np.all(solve.gains > 0.0)  # the front solve never mutes a band
 
 
-def test_a_stalled_solve_stops_stall_steps_past_its_best(spec48, monkeypatch):
-    """On the pinned room cut to 0.3 s (t60 100 ms) the fill solves
-    converge and the front solves do not: each front solve stops
-    STALL_STEPS iterations after its best max error and returns what it
-    returned when it ran on to its cap, the same gains, residual and
-    offset bit for bit."""
-    room = RirSet(**{
+def _cut_room():
+    """The pinned room cut to 0.3 s (t60 100 ms): notched primaries, flat
+    supports. Its fill solves converge and its front solves do not."""
+    return RirSet(**{
         name: synth_rir(SyntheticRirParams(
             48000, 300.0, 100.0, direct_delay_ms=3.0, seed=seed,
-            coloration=("notch", 1000.0, 15.0, 3.0) if name.startswith("primary") else ("none",),
+            notch=(1000.0, 15.0, 3.0) if name.startswith("primary") else (),
         ))
         for name, seed in zip(
             ("primary_left", "primary_right", "support_left", "support_right"), range(201, 205)
         )
     })
+
+
+def test_a_stalled_solve_stops_stall_steps_past_its_best(spec48, monkeypatch):
+    """On the 0.3 s room each front solve stops STALL_STEPS iterations
+    after its best max error and returns what it returned when it ran on
+    to its cap, the same gains, residual and offset bit for bit."""
+    room = _cut_room()
 
     def solves():
         design = solve_design(room, spec48, TargetFunction(), SolverConfig())
@@ -323,6 +327,28 @@ def test_a_stalled_solve_stops_stall_steps_past_its_best(spec48, monkeypatch):
             assert got.iterations_used == int(np.argmin(got.trace)) + stall_steps
 
 
+def test_a_solve_measures_each_step_once(spec48, monkeypatch):
+    """A solve measures its starting gains and each step's gains once:
+    iterations_used + 1 totals. An unconverged solve returns the total it
+    measured at its best step rather than measuring those gains again."""
+    measure, solve = solver._measure_total, solver._solve
+    measured, counts = [], []
+    monkeypatch.setattr(solver, "_measure_total", lambda *a: measured.append(a) or measure(*a))
+
+    def counted(*args, **kwargs):
+        before = len(measured)
+        result = solve(*args, **kwargs)
+        counts.append((len(measured) - before, result))
+        return result
+
+    monkeypatch.setattr(solver, "_solve", counted)
+    solve_design(_cut_room(), spec48, TargetFunction(), SolverConfig())
+    assert len(counts) == 4
+    assert sum(not result.converged for _, result in counts) == 2
+    for n, result in counts:
+        assert n == result.iterations_used + 1
+
+
 def test_leakage_covered_bands_are_muted(solved_design, fixture_rirs, spec48):
     """A band whose deficit ends up covered by neighbouring fill has its
     gain driven to exactly zero instead of hovering at a tiny value."""
@@ -341,7 +367,7 @@ def test_leakage_covered_bands_are_muted(solved_design, fixture_rirs, spec48):
 
 
 def test_gain_cap_is_respected():
-    primary = _short(41, ("notch", 1000.0, 15.0, 3.0))
+    primary = _short(41, (1000.0, 15.0, 3.0))
     support = _short(42)
     spec = make_spec(48000, 500.0, 2000.0)
     cfg = SolverConfig(tolerance_db=0.5, max_iterations=8)
@@ -395,11 +421,11 @@ def test_oracle_returns_zero_when_primary_suffices():
     assert oracle_single_band(primary, support, tiny_target, 0, spec) == 0.0
 
 
-def _room_ir(seed, rate=48000, length_ms=300.0, coloration=("none",)):
+def _room_ir(seed, rate=48000, length_ms=300.0, notch=()):
     # t60 100 ms, so 300 ms and up keep the whole decay tail
     return synth_rir(
         SyntheticRirParams(
-            rate, length_ms, 100.0, direct_delay_ms=2.0, coloration=coloration, seed=seed
+            rate, length_ms, 100.0, direct_delay_ms=2.0, notch=notch, seed=seed
         )
     )
 
@@ -417,7 +443,7 @@ def test_solve_is_invariant_to_a_common_delay(spec48, d):
     delaying primary and support by the same d samples leaves every gain
     (within 1e-9 relative) and iteration count of the fill and front
     solves."""
-    primary = _room_ir(71, coloration=("notch", 1000.0, 15.0, 3.0))
+    primary = _room_ir(71, notch=(1000.0, 15.0, 3.0))
     support = _room_ir(72)
     chain = SupportChain()
 
@@ -498,10 +524,10 @@ def test_design_measures_through_one_room_meter(spec48, monkeypatch):
     solve_design builds one meter, the room meter, for its four solves.
     Each of its solves equals, bit for bit, the public solve run through
     pipeline.room_meter of the same room, which builds nothing more."""
-    notch = ("notch", 1000.0, 15.0, 3.0)
+    notch = (1000.0, 15.0, 3.0)
     rirs = RirSet(
-        primary_left=_room_ir(81, coloration=notch),
-        primary_right=_room_ir(82, length_ms=350.0, coloration=notch),
+        primary_left=_room_ir(81, notch=notch),
+        primary_right=_room_ir(82, length_ms=350.0, notch=notch),
         support_left=_room_ir(83),
         support_right=_room_ir(84, length_ms=350.0),
     )
