@@ -20,6 +20,7 @@ import sys
 
 import numpy as np
 
+from . import solver
 from .audio import WavReader, WavWriter, write_wav
 from .config import load_config
 from .designfile import load_design, save_design
@@ -72,13 +73,13 @@ def cmd_synth_rir(args) -> int:
     return EXIT_OK
 
 
-def _solve_line(name: str, solve, filled_only: bool, max_iterations: int) -> str:
+def _solve_line(name: str, solve, filled_only: bool) -> str:
     mask = solve.gains > 0 if filled_only else np.ones_like(solve.gains, dtype=bool)
     worst = float(np.max(np.abs(solve.residual_db[mask]))) if mask.any() else 0.0
     state = "converged in %d iterations" % solve.iterations_used
     if not solve.converged:
         best = int(np.argmin(solve.trace))  # the iteration whose gains it returns
-        stop = "at the cap" if solve.iterations_used >= max_iterations else "stalled"
+        stop = "at the cap" if solve.iterations_used >= solver.MAX_ITERATIONS else "stalled"
         state = "NOT converged after %d iterations, %s, best at iteration %d" % (
             solve.iterations_used, stop, best
         )
@@ -95,7 +96,7 @@ def cmd_design(args) -> int:
     rirs = run.load_rirs()
     spec = run.filterbank(rirs.sample_rate)
     run.check_lengths(rirs, spec)
-    design = solve_design(rirs, spec, run.target, run.solver, run.chain)
+    design = solve_design(rirs, spec, run.target, run.chain)
     out = args.output or os.path.join(run.output_dir, "design.txt")
     parent = os.path.dirname(os.path.abspath(out))
     os.makedirs(parent, exist_ok=True)
@@ -108,7 +109,7 @@ def cmd_design(args) -> int:
         ("front right", design.front_gains.right, False),
     )
     for name, solve, filled_only in solves:
-        print(_solve_line(name, solve, filled_only, run.solver.max_iterations))
+        print(_solve_line(name, solve, filled_only))
     print("wrote %s (%d bands at %d Hz)" % (out, spec.num_bands, spec.sample_rate))
     if not all(s.converged for _, s, _ in solves):
         print("warning: best-effort design, solve did not converge", file=sys.stderr)

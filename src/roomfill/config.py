@@ -2,7 +2,7 @@
 tunable the design solve uses.
 
 Parsing is strict. An unknown section or key is a hard ConfigError naming
-the offender, because a silently ignored misspelling ("tolerence_db")
+the offender, because a silently ignored misspelling ("dealy_ms")
 would change the result without anyone noticing. Every key outside [io]
 has a default, listed in _DEFAULTS below.
 
@@ -22,17 +22,12 @@ from .errors import ConfigError, ContractError
 from .gammatone import FilterbankSpec, check_bank, make_spec, min_response_length
 from .render import SupportChain
 from .rirs import CHANNEL_NAMES, RirSet, average_pair
-from .solver import SolverConfig
 from .target import TargetFunction
 
 
-# [target], [solver] and [render] are these dataclasses' own fields and
-# defaults, validated by their constructors.
-_SECTION_TYPES = {
-    "target": TargetFunction,
-    "solver": SolverConfig,
-    "render": SupportChain,
-}
+# [target] and [render] are these dataclasses' own fields and defaults,
+# validated by their constructors.
+_SECTION_TYPES = {"target": TargetFunction, "render": SupportChain}
 
 _DEFAULTS = {
     "filterbank": {"f_low": 80.0, "f_high": 16000.0},
@@ -56,7 +51,6 @@ class RunConfig:
     f_low: float
     f_high: float
     target: TargetFunction
-    solver: SolverConfig
     chain: SupportChain
 
     def filterbank(self, sample_rate: int) -> FilterbankSpec:
@@ -113,7 +107,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError("cannot parse %s: %s" % (path, exc)) from exc
 
     known = set(_DEFAULTS) | {"io"}
@@ -175,7 +169,6 @@ def load_config(path) -> RunConfig:
         rir_paths=rir_paths,
         output_dir=resolve(io_sec.get("output_dir", ".")),
         target=values["target"],
-        solver=values["solver"],
         chain=values["render"],
         **values["filterbank"],
     )

@@ -197,5 +197,9 @@ def loads_design(text: str) -> EqualisationDesign:
 
 
 def load_design(path) -> EqualisationDesign:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_design(fh.read())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError("%s is not a design file: %s" % (path, exc)) from None
+    return loads_design(text)

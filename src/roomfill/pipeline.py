@@ -12,7 +12,7 @@ from .errors import ContractError
 from .gammatone import EQ_IR_LEN, FilterbankSpec, _band_energy_meter
 from .render import DEFAULT_DECORRELATOR_LEN, EqualisationDesign, SupportChain
 from .rirs import RirSet, balance_levels
-from .solver import BandGainSet, SolverConfig, solve_front_gains, solve_gains
+from .solver import BandGainSet, solve_front_gains, solve_gains
 from .target import TargetFunction
 
 
@@ -31,7 +31,6 @@ def solve_design(
     rirs: RirSet,
     spec: FilterbankSpec,
     target: TargetFunction,
-    cfg: SolverConfig,
     chain: SupportChain = SupportChain(),
 ) -> EqualisationDesign:
     """Solve both channels against the target and assemble the design.
@@ -67,12 +66,11 @@ def solve_design(
             support,
             target,
             spec,
-            cfg,
             decorrelator=chain.decorrelator(side),
             extra_delay=chain.delay_samples(rirs.sample_rate),
             meter=meter,
         )
-        front[side] = solve_front_gains(primary, target, spec, cfg, meter=meter)
+        front[side] = solve_front_gains(primary, target, spec, meter=meter)
 
     return EqualisationDesign(
         spec=spec,

@@ -24,6 +24,10 @@ from .solver import _anchored_targets, _profile_db
 #: amplitude. Pinned so fixture band profiles are reproducible.
 TAIL_LEVEL = 0.1
 
+#: Deepest notch cut or boost, in dB: twice the deepest any test draws.
+#: Far deeper ones overflow the biquad's coefficients or its output.
+MAX_NOTCH_DB = 60.0
+
 # 60 dB of amplitude decay: ln(10**3), the -6.9078 exponent reached at t60
 _DECAY = 6.907755278982137
 
@@ -65,7 +69,7 @@ class SyntheticRirParams:
                 raise ContractError("notch coloration needs (f0, depth_db, q)")
             if not all(map(math.isfinite, self.notch)):
                 raise ContractError("notch coloration parameters must be finite")
-            f0, _, q = self.notch
+            f0, depth_db, q = self.notch
             if not 0.0 < f0 < self.sample_rate / 2.0:
                 raise ContractError(
                     "notch centre %g Hz must lie strictly between 0 and the "
@@ -73,6 +77,10 @@ class SyntheticRirParams:
                 )
             if q <= 0:
                 raise ContractError("notch q must be positive, got %g" % q)
+            if abs(depth_db) > MAX_NOTCH_DB:
+                raise ContractError(
+                    "notch depth %g dB must lie within +-%g dB" % (depth_db, MAX_NOTCH_DB)
+                )
         if self.length_ms < 3.0 * self.t60_ms:
             warnings.warn(
                 "fixture length %.0f ms is under 3x t60 (%.0f ms); the decay "

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import ImpulseResponse
-from .errors import ContractError, UnfillableBandError, check_finite
+from .errors import ContractError, UnfillableBandError
 from .gammatone import EQ_IR_LEN, FilterbankSpec, _band_energy_meter, _check_rate, band_gain_eq
 from .target import TargetFunction, band_targets
 
@@ -25,24 +25,19 @@ SUPPORT_ENERGY_FLOOR = 1e-12
 #: Damping of the multiplicative update (see solve_gains).
 DAMPING = 0.7
 
+#: A band is met within this many dB of its target: half simulate's 1 dB
+#: budget. At 0.25 and 0.1 dB more solves stall (ROADMAP item 12).
+TOLERANCE_DB = 0.5
+
+#: A solve stops after this many steps. Every measured room stops sooner,
+#: converged or stalled (29 steps at most).
+MAX_ITERATIONS = 50
+
 #: A solve stops once this many steps pass without a new best max error. On
-#: the pinned 1 s and 2 s rooms and a 0.3 s notched room at tolerance_db 0.5,
+#: the pinned 1 s and 2 s rooms and a 0.3 s notched room at TOLERANCE_DB 0.5,
 #: 0.25 and 0.1, a new best never came over 3 steps after the last, and a
 #: solve past its best ran 12-43 more steps to its cap without beating it.
 STALL_STEPS = 8
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tolerance_db: float = 0.5
-    max_iterations: int = 50
-
-    def __post_init__(self):
-        check_finite(self, "tolerance_db")
-        if self.tolerance_db <= 0:
-            raise ContractError("tolerance_db must be > 0")
-        if self.max_iterations < 1:
-            raise ContractError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -154,7 +149,7 @@ def _anchored_targets(target, spec, offset_db, primary_profile=None):
     return float(offset_db), shape * 10.0 ** (offset_db / 10.0)
 
 
-def _solve(gains, spec, cfg, targets, offset_db, base, chain, meter, baseline, *, retire):
+def _solve(gains, spec, targets, offset_db, base, chain, meter, baseline, *, retire):
     """The damped multiplicative solve behind solve_gains and
     solve_front_gains.
 
@@ -189,10 +184,10 @@ def _solve(gains, spec, cfg, targets, offset_db, base, chain, meter, baseline, *
             best_err = max_err
             best_gains, best_total = gains.copy(), total
             best_iteration = iterations
-        if max_err <= cfg.tolerance_db:
+        if max_err <= TOLERANCE_DB:
             converged = True
             break
-        if iterations >= cfg.max_iterations or iterations - best_iteration >= STALL_STEPS:
+        if iterations >= MAX_ITERATIONS or iterations - best_iteration >= STALL_STEPS:
             break
 
         achieved = total - baseline
@@ -231,7 +226,6 @@ def solve_gains(
     support_ir: ImpulseResponse,
     target: TargetFunction,
     spec: FilterbankSpec,
-    cfg: SolverConfig,
     *,
     offset_db: float = None,
     decorrelator=None,
@@ -251,10 +245,10 @@ def solve_gains(
     keeps the primary/fill cross-term, which band-energy bookkeeping
     would miss, inside the loop.
 
-    Stops when every active band's total is within tolerance_db of its
+    Stops when every active band's total is within TOLERANCE_DB of its
     target. Bands whose deficit is already covered by leakage from
     neighbouring bands have their gain driven to zero and leave the
-    active set. At max_iterations, or STALL_STEPS steps past the best max
+    active set. At MAX_ITERATIONS, or STALL_STEPS steps past the best max
     error, the best gains are returned flagged non-converged. Never raises
     for non-convergence; unfillable bands propagate from initial_gains.
 
@@ -280,7 +274,7 @@ def solve_gains(
         initial_gains(primary_profile, support_profile, targets, spec), 0.0, G_MAX
     )
     return _solve(
-        gains, spec, cfg, targets, offset_db,
+        gains, spec, targets, offset_db,
         primary, chain, meter, primary_profile, retire=True,
     )
 
@@ -289,7 +283,6 @@ def solve_front_gains(
     primary_ir: ImpulseResponse,
     target: TargetFunction,
     spec: FilterbankSpec,
-    cfg: SolverConfig,
     *,
     offset_db: float = None,
     meter=None,
@@ -311,7 +304,7 @@ def solve_front_gains(
     zeros = np.zeros(spec.num_bands)
     gains = np.clip(initial_gains(zeros, primary_profile, targets, spec), 0.0, G_MAX)
     return _solve(
-        gains, spec, cfg, targets, offset_db,
+        gains, spec, targets, offset_db,
         0.0, primary, meter, zeros, retire=False,
     )
 

@@ -11,7 +11,6 @@ from roomfill.gammatone import make_spec
 from roomfill.pipeline import solve_design
 from roomfill.rirs import RirSet
 from roomfill.simulate import SyntheticRirParams, synth_rir
-from roomfill.solver import SolverConfig
 from roomfill.target import TargetFunction
 
 NOTCH_1K = (1000.0, 15.0, 3.0)
@@ -122,7 +121,7 @@ def fixture_rirs():
 
 @pytest.fixture(scope="session")
 def solved_design(fixture_rirs, spec48):
-    return solve_design(fixture_rirs, spec48, TargetFunction(), SolverConfig())
+    return solve_design(fixture_rirs, spec48, TargetFunction())
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from roomfill import solver
 from roomfill.audio import AudioBuffer, ImpulseResponse, rms_energy
 from roomfill.cli import main
 from roomfill.designfile import load_design
@@ -28,7 +29,6 @@ from roomfill.simulate import SyntheticRirParams, synth_rir
 from roomfill.solver import (
     BandGainSet,
     ChannelSolve,
-    SolverConfig,
     _anchored_targets,
     anchor_target,
     solve_gains,
@@ -136,12 +136,12 @@ def test_a02_pinned_room_design_converges_and_simulation_meets_budget(pinned_run
         assert float(summary["max_abs_deviation_filled_bands_db"]) <= 1.0
 
 
-def test_a03_solved_gain_matches_oracle_on_randomized_single_band_rooms():
+def test_a03_solved_gain_matches_oracle_on_randomized_single_band_rooms(monkeypatch):
     """Across 10 randomized single-band problems the iterative solve lands
     within 1e-2 relative of an independent golden-section oracle, in under
     30 seconds."""
     start = time.perf_counter()
-    cfg = SolverConfig(tolerance_db=0.01, max_iterations=200)
+    monkeypatch.setattr(solver, "TOLERANCE_DB", 0.01)
     for k in range(10):
         rng = np.random.default_rng(700 + k)
         f0 = float(rng.uniform(300.0, 4000.0))
@@ -161,7 +161,7 @@ def test_a03_solved_gain_matches_oracle_on_randomized_single_band_rooms():
             band_targets(TargetFunction(), spec),
         ) + float(rng.uniform(2.0, 8.0))
         solve = solve_gains(
-            primary, support, TargetFunction(), spec, cfg, offset_db=offset
+            primary, support, TargetFunction(), spec, offset_db=offset
         )
         target_energy = _anchored_targets(TargetFunction(), spec, offset)[1][0]
         g_ref = oracle_single_band(primary, support, target_energy, 0, spec)

@@ -12,6 +12,7 @@ import pytest
 from scipy.signal import lfilter
 
 import roomfill
+from roomfill import solver
 from roomfill.audio import AudioBuffer, WavReader, read_wav, write_wav
 from roomfill.cli import MAX_DEVIATION_DB, main
 from roomfill.designfile import load_design, save_design
@@ -107,6 +108,9 @@ def test_synth_rir_rejects_malformed_notch(tmp_path):
         ("--notch", "0,15,3", "notch centre"),
         ("--notch", "24000,15,3", "notch centre"),
         ("--notch", "30000,15,3", "notch centre"),
+        ("--notch", "1000,-20000,3", "notch depth"),
+        ("--notch", "1000,20000,3", "notch depth"),
+        ("--notch", "1000,-1000,3", "notch depth"),
         ("--seed", "-1", "seed"),
     ],
 )
@@ -178,17 +182,16 @@ def test_design_file_carries_configured_chain_and_target(workspace, tmp_path):
 
 def test_design_unknown_key_exits_2(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.ini"
-    bad.write_text(RUN_INI.replace("[io]", "[io]\n") + "\n[solver]\ndampening = 0.7\n")
+    bad.write_text(RUN_INI.replace("[io]", "[io]\n") + "\n[target]\ndampening = 0.7\n")
     rc = main(["design", "--config", str(bad)])
     assert rc == 2
     assert "dampening" in capsys.readouterr().err
 
 
-def test_design_iteration_cap_exits_3_with_best_effort(workspace, tmp_path, capsys):
-    strict = workspace / "strict.ini"
-    strict.write_text(RUN_INI + "\n[solver]\ntolerance_db = 0.001\nmax_iterations = 2\n")
+def test_design_iteration_cap_exits_3_with_best_effort(workspace, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
     out = tmp_path / "best.txt"
-    rc = main(["design", "--config", str(strict), "-o", str(out)])
+    rc = main(["design", "--config", str(workspace / "run.ini"), "-o", str(out)])
     assert rc == 3
     assert out.exists()
     printed = capsys.readouterr().out
@@ -497,7 +500,6 @@ from roomfill.pipeline import solve_design
 from roomfill.render import render
 from roomfill.rirs import RirSet
 from roomfill.simulate import simulate_total
-from roomfill.solver import SolverConfig
 from roomfill.target import TargetFunction
 
 root = sys.argv[1]
@@ -505,7 +507,7 @@ rirs = RirSet(**{
     name: ImpulseResponse(read_wav("%s/%s.wav" % (root, name)))
     for name in ("primary_left", "primary_right", "support_left", "support_right")
 })
-design = solve_design(rirs, make_spec(48000, 80.0, 16000.0), TargetFunction(), SolverConfig())
+design = solve_design(rirs, make_spec(48000, 80.0, 16000.0), TargetFunction())
 simulate_total(design, rirs)
 programme = np.random.default_rng(1).standard_normal((2, 4800))
 for mode in ("proposed", "front_eq"):
@@ -690,6 +692,22 @@ def test_missing_file_exits_2(designed, tmp_path, capsys):
         assert main(argv) == 2
         assert missing in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [stereo]
+
+
+def test_a_file_that_is_not_text_exits_2(workspace, tmp_path, capsys):
+    """A WAV given where a design or a config belongs fails to decode as
+    text: each command exits 2 naming the path, not with a traceback."""
+    wav = workspace / "pl.wav"
+    run = str(workspace / "run.ini")
+    for argv in (
+        ["render", "--design", str(wav), "-i", str(wav), "-o", str(tmp_path / "x.wav")],
+        ["simulate", "--design", str(wav), "--config", run, "-o", str(tmp_path / "r.csv")],
+        ["design", "--config", str(wav), "-o", str(tmp_path / "d.txt")],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(wav) in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

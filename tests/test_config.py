@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roomfill import config
 from roomfill.audio import AudioBuffer, write_wav
 from roomfill.cli import main
 from roomfill.config import _DEFAULTS, _IO_KEYS, load_config
 from roomfill.errors import ConfigError
 from roomfill.render import SupportChain
-from roomfill.solver import SolverConfig
 from roomfill.target import TargetFunction
 
 MINIMAL_IO = """[io]
@@ -32,17 +32,16 @@ def test_defaults_fill_every_tunable(tmp_path):
     assert cfg.f_low == 80.0
     assert cfg.f_high == 16000.0
     assert cfg.target == TargetFunction(slope_db=5.0)
-    assert cfg.solver == SolverConfig(tolerance_db=0.5, max_iterations=50)
     assert cfg.chain == SupportChain(delay_ms=10.0)
-    assert sum(map(len, _DEFAULTS.values())) == 6
+    assert sum(map(len, _DEFAULTS.values())) == 4
 
 
 def test_values_override_defaults(tmp_path):
-    text = MINIMAL_IO + "\n[solver]\ntolerance_db = 0.25\n\n[render]\ndelay_ms = 12.5\n"
+    text = MINIMAL_IO + "\n[target]\nslope_db = 3.5\n\n[render]\ndelay_ms = 12.5\n"
     cfg = load_config(_write(tmp_path, text))
-    assert cfg.solver.tolerance_db == 0.25
-    assert cfg.solver.max_iterations == 50  # untouched default
+    assert cfg.target.slope_db == 3.5
     assert cfg.chain.delay_ms == 12.5
+    assert (cfg.f_low, cfg.f_high) == (80.0, 16000.0)  # untouched defaults
 
 
 @pytest.mark.parametrize(
@@ -50,8 +49,8 @@ def test_values_override_defaults(tmp_path):
     [
         ("render", "delay_ms = 1"),
         ("target", "slope_db = nan"),
-        ("solver", "tolerance_db = nan"),
-        ("solver", "tolerance_db = inf"),
+        ("render", "delay_ms = nan"),
+        ("render", "delay_ms = inf"),
         ("filterbank", "f_low = nan"),
         ("filterbank", "f_low = 0"),
     ],
@@ -73,13 +72,15 @@ def test_unknown_section_is_fatal(tmp_path):
 
 # Keys that earlier configs could set and that no longer exist, with the
 # section and a value they took: [target]'s reference span and offset,
-# which changed no design but the slope, and the solver's damping and
-# anchor mode, the decorrelator pair and the bank's bands per ERB, which
-# are now constants.
+# which changed no design but the slope, and the solver's tolerance, cap,
+# damping and anchor mode, the decorrelator pair and the bank's bands per
+# ERB, which are now constants.
 _DROPPED_KEYS = {
     "f_ref_low": ("target", "20.0"),
     "f_ref_high": ("target", "20000.0"),
     "offset_db": ("target", "0.0"),
+    "tolerance_db": ("solver", "0.5"),
+    "max_iterations": ("solver", "50"),
     "damping": ("solver", "0.7"),
     "anchor_mode": ("solver", "percentile-95"),
     "decorrelator_len": ("render", "1024"),
@@ -90,15 +91,25 @@ _DROPPED_KEYS = {
 
 
 @pytest.mark.parametrize("key", _DROPPED_KEYS)
-def test_dropped_target_keys_are_refused_by_name(tmp_path, capsys, key):
+def test_dropped_target_keys_are_refused_by_name(tmp_path, capsys, monkeypatch, key):
     """A config that still sets a dropped key, even to the value every run
     now uses, is refused by name rather than read as another design:
-    load_config raises, and design and simulate exit 2."""
+    load_config raises, and design and simulate exit 2 before they read a
+    WAV. A key of the dropped [solver] section is refused by the section's
+    name."""
     section, value = _DROPPED_KEYS[key]
     path = _write(tmp_path, MINIMAL_IO + "\n[%s]\n%s = %s\n" % (section, key, value))
-    named = "unknown key '%s' in section [%s]" % (key, section)
+    if section in _DEFAULTS:
+        named = "unknown key '%s' in section [%s]" % (key, section)
+    else:
+        named = "unknown section [%s]" % section
     with pytest.raises(ConfigError, match=re.escape(named)):
         load_config(path)
+
+    def no_read(path):
+        raise AssertionError("read %s" % path)
+
+    monkeypatch.setattr(config, "read_wav", no_read)
     for argv in (["design", "--config", str(path)],
                  ["simulate", "--design", str(tmp_path / "none.txt"), "--config", str(path)]):
         assert main(argv) == 2
@@ -106,7 +117,7 @@ def test_dropped_target_keys_are_refused_by_name(tmp_path, capsys, key):
 
 
 def test_unknown_key_is_fatal_and_named(tmp_path):
-    text = MINIMAL_IO + "\n[solver]\ntolerence_db = 0.5\n"
+    text = MINIMAL_IO + "\n[target]\ntolerence_db = 0.5\n"
     with pytest.raises(ConfigError, match="tolerence_db"):
         load_config(_write(tmp_path, text))
 
@@ -116,7 +127,6 @@ _FULL_CONFIG = {
     "io": MINIMAL_IO.splitlines()[1:],
     "filterbank": ["f_low = 80.0"],
     "target": ["slope_db = 5.0"],
-    "solver": ["tolerance_db = 0.5"],
     "render": ["delay_ms = 10.0"],
 }
 _KNOWN_KEYS = {"io": set(_IO_KEYS), **{name: set(keys) for name, keys in _DEFAULTS.items()}}
@@ -160,8 +170,8 @@ def test_unknown_io_key_is_fatal(tmp_path):
 
 
 def test_non_numeric_value_is_fatal(tmp_path):
-    text = MINIMAL_IO + "\n[solver]\nmax_iterations = many\n"
-    with pytest.raises(ConfigError, match="max_iterations"):
+    text = MINIMAL_IO + "\n[render]\ndelay_ms = many\n"
+    with pytest.raises(ConfigError, match="delay_ms"):
         load_config(_write(tmp_path, text))
 
 
@@ -173,7 +183,7 @@ def test_missing_channel_is_fatal(tmp_path):
 
 def test_missing_io_section_is_fatal(tmp_path):
     with pytest.raises(ConfigError, match="io"):
-        load_config(_write(tmp_path, "[solver]\ntolerance_db = 0.25\n"))
+        load_config(_write(tmp_path, "[render]\ndelay_ms = 12.5\n"))
 
 
 def test_single_path_and_pair_are_mutually_exclusive(tmp_path):

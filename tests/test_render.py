@@ -19,7 +19,7 @@ from roomfill.render import (
     render,
     support_chain_latency,
 )
-from roomfill.solver import BandGainSet, ChannelSolve, SolverConfig
+from roomfill.solver import BandGainSet, ChannelSolve
 from roomfill.target import TargetFunction
 
 
@@ -113,7 +113,7 @@ def test_solve_design_rejects_bad_chain_before_solving(monkeypatch, fixture_rirs
     for bad in (1.0, 50.5):
         with pytest.raises(ContractError):
             pipeline.solve_design(
-                fixture_rirs, spec48, TargetFunction(), SolverConfig(), SupportChain(bad)
+                fixture_rirs, spec48, TargetFunction(), SupportChain(bad)
             )
 
 

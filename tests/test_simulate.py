@@ -15,6 +15,7 @@ from roomfill.pipeline import solve_design
 from roomfill.render import DELAY_RANGE_MS, SupportChain, render
 from roomfill.rirs import RirSet
 from roomfill.simulate import (
+    MAX_NOTCH_DB,
     REPORT_HEADER,
     SyntheticRirParams,
     VerificationReport,
@@ -23,7 +24,7 @@ from roomfill.simulate import (
     simulate_total,
     synth_rir,
 )
-from roomfill.solver import BandGainSet, SolverConfig
+from roomfill.solver import BandGainSet
 from roomfill.target import TargetFunction
 
 from conftest import FIXTURE_SUITE, report_csv
@@ -45,7 +46,9 @@ def test_params_validation():
     with pytest.raises(ContractError):
         _params(direct_delay_ms=-0.1)
     # a notch must be one the biquad can build: three finite numbers, a
-    # centre strictly inside (0, Nyquist) and a positive q
+    # centre strictly inside (0, Nyquist), a positive q and a depth within
+    # MAX_NOTCH_DB (+-20000 dB overflows the coefficients, -1000 dB blows
+    # the response up)
     for notch in (
         (1000.0,),
         (1000.0, math.nan, 3.0),
@@ -54,13 +57,20 @@ def test_params_validation():
         (0.0, 15.0, 3.0),
         (24000.0, 15.0, 3.0),
         (30000.0, 15.0, 3.0),
+        (1000.0, -20000.0, 3.0),
+        (1000.0, 20000.0, 3.0),
+        (1000.0, -1000.0, 3.0),
+        (1000.0, MAX_NOTCH_DB + 0.5, 3.0),
     ):
         with pytest.raises(ContractError, match="notch"):
             _params(notch=notch)
-    # a negative depth is a stable boost
+    # a negative depth is a stable boost, up to the bound
     assert _params(notch=(1000.0, -6.0, 3.0)).coloration_summary() == (
         "notch 1000 Hz, depth -6 dB, q 3"
     )
+    for depth in (MAX_NOTCH_DB, -MAX_NOTCH_DB):
+        assert np.isfinite(synth_rir(_params(notch=(1000.0, depth, 3.0))).data).all()
+
 
 
 def test_short_fixture_warns():
@@ -195,7 +205,7 @@ def test_simulated_deviation_is_the_solver_residual_on_drawn_rooms(
         for seed, amp, room_notch in zip(seeds, amplitudes, notches)
     ))
     design = solve_design(
-        rirs, spec48, TargetFunction(), SolverConfig(), chain=SupportChain(delay_ms=delay_ms)
+        rirs, spec48, TargetFunction(), chain=SupportChain(delay_ms=delay_ms)
     )
     for channel, report in zip(("left", "right"), simulate_total(design, rirs)):
         solve = getattr(design.gains, channel)
@@ -210,7 +220,6 @@ def test_odd_delay_simulates_to_the_solver_residual(fixture_rirs, spec48):
         fixture_rirs,
         spec48,
         TargetFunction(),
-        SolverConfig(),
         chain=SupportChain(delay_ms=20.96875),
     )
     for channel, report in zip(("left", "right"), simulate_total(design, fixture_rirs)):
@@ -288,7 +297,7 @@ def test_no_meter_outlives_its_command(spec48):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        design = solve_design(rirs, spec48, TargetFunction(), SolverConfig())
+        design = solve_design(rirs, spec48, TargetFunction())
         designed = tracemalloc.get_traced_memory()[0]
         reports = simulate_total(design, rirs)
         simulated = tracemalloc.get_traced_memory()[0]

@@ -29,7 +29,6 @@ from roomfill.pipeline import room_meter, solve_design
 from roomfill.rirs import RirSet, balance_levels
 from roomfill.solver import (
     G_MAX,
-    SolverConfig,
     _anchored_targets,
     _chain_meter,
     _measure_total,
@@ -61,15 +60,6 @@ def _short(seed, notch=()):
             48000, 450.0, 150.0, direct_delay_ms=2.0, notch=notch, seed=seed
         )
     )
-
-
-def test_solver_config_validation():
-    with pytest.raises(ContractError):
-        SolverConfig(tolerance_db=0.0)
-    with pytest.raises(ContractError):
-        SolverConfig(tolerance_db=float("nan"))
-    with pytest.raises(ContractError):
-        SolverConfig(max_iterations=0)
 
 
 def test_anchor_offset_is_the_95th_percentile():
@@ -110,7 +100,7 @@ def test_target_below_primary_needs_no_fill(spec48):
     primary = _short(11)
     support = _short(12)
     solve = solve_gains(
-        primary, support, TargetFunction(), spec48, SolverConfig(), offset_db=-100.0
+        primary, support, TargetFunction(), spec48, offset_db=-100.0
     )
     assert solve.converged
     assert solve.iterations_used == 0
@@ -204,12 +194,12 @@ def test_meter_size_does_not_change_the_band_energies(fixture_rirs, spec48):
             assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
-def test_solve_matches_brute_force_oracle():
+def test_solve_matches_brute_force_oracle(monkeypatch):
     """Iterative solve and golden-section oracle agree on a band gain to
     1e-2 relative for a single-band bank."""
     spec, primary, support, offset = _single_band_case(1200.0, 21)
-    cfg = SolverConfig(tolerance_db=0.01, max_iterations=200)
-    solve = solve_gains(primary, support, TargetFunction(), spec, cfg, offset_db=offset)
+    monkeypatch.setattr(solver, "TOLERANCE_DB", 0.01)
+    solve = solve_gains(primary, support, TargetFunction(), spec, offset_db=offset)
     target_e = _anchored_targets(TargetFunction(), spec, offset)[1][0]
     g_ref = oracle_single_band(primary, support, target_e, 0, spec)
     assert solve.converged
@@ -220,15 +210,13 @@ def test_solve_is_scale_equivariant():
     """Scaling both responses by alpha and lifting the target to match
     leaves the solved gains unchanged."""
     spec, primary, support, offset = _single_band_case(800.0, 33)
-    cfg = SolverConfig(tolerance_db=0.05, max_iterations=100)
-    base = solve_gains(primary, support, TargetFunction(), spec, cfg, offset_db=offset)
+    base = solve_gains(primary, support, TargetFunction(), spec, offset_db=offset)
     alpha = 3.7
     scaled = solve_gains(
         ImpulseResponse(AudioBuffer(primary.data * alpha, 48000)),
         ImpulseResponse(AudioBuffer(support.data * alpha, 48000)),
         TargetFunction(),
         spec,
-        cfg,
         offset_db=offset + 20.0 * np.log10(alpha),
     )
     assert np.allclose(scaled.gains, base.gains, rtol=1e-6)
@@ -247,7 +235,7 @@ def test_design_is_invariant_to_the_rooms_overall_level(fixture_rirs, spec48, so
         name: ImpulseResponse(AudioBuffer(ir.data * c, ir.sample_rate))
         for name, ir in fixture_rirs.responses.items()
     })
-    design = solve_design(scaled, spec48, TargetFunction(), SolverConfig())
+    design = solve_design(scaled, spec48, TargetFunction())
     for name, gain in solved_design.balance_gains.items():
         assert design.balance_gains[name] == pytest.approx(gain, rel=1e-9, abs=0.0)
     for group in ("gains", "front_gains"):
@@ -307,13 +295,13 @@ def test_a_stalled_solve_stops_stall_steps_past_its_best(spec48, monkeypatch):
     room = _cut_room()
 
     def solves():
-        design = solve_design(room, spec48, TargetFunction(), SolverConfig())
+        design = solve_design(room, spec48, TargetFunction())
         return (design.gains.left, design.gains.right,
                 design.front_gains.left, design.front_gains.right)
 
     stall_steps = solver.STALL_STEPS
     stalled = solves()
-    monkeypatch.setattr(solver, "STALL_STEPS", SolverConfig().max_iterations + 1)
+    monkeypatch.setattr(solver, "STALL_STEPS", solver.MAX_ITERATIONS + 1)
     capped = solves()
     assert [s.iterations_used for s in stalled] == [19, 16, 15, 29]
     assert [s.iterations_used for s in capped] == [19, 16, 50, 50]
@@ -342,7 +330,7 @@ def test_a_solve_measures_each_step_once(spec48, monkeypatch):
         return result
 
     monkeypatch.setattr(solver, "_solve", counted)
-    solve_design(_cut_room(), spec48, TargetFunction(), SolverConfig())
+    solve_design(_cut_room(), spec48, TargetFunction())
     assert len(counts) == 4
     assert sum(not result.converged for _, result in counts) == 2
     for n, result in counts:
@@ -370,7 +358,6 @@ def test_gain_cap_is_respected():
     primary = _short(41, (1000.0, 15.0, 3.0))
     support = _short(42)
     spec = make_spec(48000, 500.0, 2000.0)
-    cfg = SolverConfig(tolerance_db=0.5, max_iterations=8)
     offset = (
         anchor_target(
             band_energies(primary, spec),
@@ -378,7 +365,7 @@ def test_gain_cap_is_respected():
         )
         + 25.0
     )
-    solve = solve_gains(primary, support, TargetFunction(), spec, cfg, offset_db=offset)
+    solve = solve_gains(primary, support, TargetFunction(), spec, offset_db=offset)
     assert np.all(solve.gains <= G_MAX)
     assert solve.capped_bands
     assert not solve.converged  # the cap makes +25 dB unreachable
@@ -387,7 +374,7 @@ def test_gain_cap_is_respected():
 def test_front_solve_meets_target_without_muting():
     primary = _short(51)
     spec = make_spec(48000, 200.0, 8000.0)
-    solve = solve_front_gains(primary, TargetFunction(), spec, SolverConfig())
+    solve = solve_front_gains(primary, TargetFunction(), spec)
     assert solve.converged
     assert np.all(solve.gains > 0.0)
     assert np.max(np.abs(solve.residual_db)) <= 0.5
@@ -398,10 +385,8 @@ def test_front_solve_cuts_when_target_is_below_primary():
     # known to converge; a uniform -10 dB then scales the fixed point
     primary = _short(51)
     spec = make_spec(48000, 200.0, 8000.0)
-    ref = solve_front_gains(primary, TargetFunction(), spec, SolverConfig())
-    cut = solve_front_gains(
-        primary, TargetFunction(), spec, SolverConfig(), offset_db=ref.offset_db - 10.0
-    )
+    ref = solve_front_gains(primary, TargetFunction(), spec)
+    cut = solve_front_gains(primary, TargetFunction(), spec, offset_db=ref.offset_db - 10.0)
     assert cut.converged
     assert np.all(cut.gains > 0.0)
     assert np.median(cut.gains) < 1.0
@@ -449,11 +434,11 @@ def test_solve_is_invariant_to_a_common_delay(spec48, d):
 
     def solves(p, s):
         fill = solve_gains(
-            p, s, TargetFunction(), spec48, SolverConfig(),
+            p, s, TargetFunction(), spec48,
             decorrelator=chain.decorrelator("left"),
             extra_delay=chain.delay_samples(48000),
         )
-        return fill, solve_front_gains(p, TargetFunction(), spec48, SolverConfig())
+        return fill, solve_front_gains(p, TargetFunction(), spec48)
 
     delayed = solves(_delayed(primary, d), _delayed(support, d))
     for got, want in zip(delayed, solves(primary, support)):
@@ -464,11 +449,11 @@ def test_solve_is_invariant_to_a_common_delay(spec48, d):
 @pytest.mark.parametrize("measure", [
     pytest.param(lambda p, s, spec: band_energies(p, spec), id="band_energies"),
     pytest.param(
-        lambda p, s, spec: solve_gains(p, s, TargetFunction(), spec, SolverConfig()),
+        lambda p, s, spec: solve_gains(p, s, TargetFunction(), spec),
         id="solve_gains",
     ),
     pytest.param(
-        lambda p, s, spec: solve_front_gains(p, TargetFunction(), spec, SolverConfig()),
+        lambda p, s, spec: solve_front_gains(p, TargetFunction(), spec),
         id="solve_front_gains",
     ),
 ])
@@ -490,8 +475,7 @@ def test_negative_extra_delay_is_refused_before_any_work(spec48, monkeypatch):
     monkeypatch.setattr(solver, "_band_energy_meter", no_meter)
     with pytest.raises(ContractError, match="extra_delay"):
         solve_gains(
-            _short(73), _short(74), TargetFunction(), spec48, SolverConfig(),
-            extra_delay=-5,
+            _short(73), _short(74), TargetFunction(), spec48, extra_delay=-5,
         )
 
 
@@ -531,9 +515,9 @@ def test_design_measures_through_one_room_meter(spec48, monkeypatch):
         support_left=_room_ir(83),
         support_right=_room_ir(84, length_ms=350.0),
     )
-    target, cfg, chain = TargetFunction(), SolverConfig(), SupportChain()
+    target, chain = TargetFunction(), SupportChain()
     sizes = _count_builds(monkeypatch)
-    design = solve_design(rirs, spec48, target, cfg, chain)
+    design = solve_design(rirs, spec48, target, chain)
     delay = chain.delay_samples(48000)
     assert sizes == [16800 + delay + EQ_IR_LEN + DEFAULT_DECORRELATOR_LEN - 2]
 
@@ -542,11 +526,11 @@ def test_design_measures_through_one_room_meter(spec48, monkeypatch):
     for side in ("left", "right"):
         primary = balanced["primary_" + side]
         fill = solve_gains(
-            primary, balanced["support_" + side], target, spec48, cfg,
+            primary, balanced["support_" + side], target, spec48,
             decorrelator=chain.decorrelator(side), extra_delay=delay, meter=meter,
         )
         _assert_same_solve(getattr(design.gains, side), fill)
-        front = solve_front_gains(primary, target, spec48, cfg, meter=meter)
+        front = solve_front_gains(primary, target, spec48, meter=meter)
         _assert_same_solve(getattr(design.front_gains, side), front)
     assert sizes == sizes[:1] * 2
 
@@ -571,7 +555,7 @@ def test_chain_meter_takes_a_meter_that_fits_and_refuses_a_smaller_one(spec48, m
     counted = meter._replace(spectrum=spectrum)
     primary = _response(np.random.default_rng(85), 30001 - EQ_IR_LEN + 1)
     with pytest.raises(ContractError, match="30000.*30001"):
-        solve_front_gains(primary, TargetFunction(), spec48, SolverConfig(), meter=counted)
+        solve_front_gains(primary, TargetFunction(), spec48, meter=counted)
     with pytest.raises(ContractError, match="30000.*30001"):
         _chain_meter(spec48, 0, 30001 - EQ_IR_LEN + 1, meter)
     assert spectra == [] and sizes == [30000]
