@@ -140,22 +140,6 @@ class FilterbankSpec:
 make_spec = FilterbankSpec
 
 
-@dataclass
-class BandSignals:
-    """Complex band signals, shape (num_bands, num_samples)."""
-
-    spec: FilterbankSpec
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.data.ndim != 2 or self.data.shape[0] != self.spec.num_bands:
-            raise ContractError("data must be (num_bands, n)")
-
-    @property
-    def num_samples(self) -> int:
-        return self.data.shape[1]
-
-
 def _pole_coefficients(spec: FilterbankSpec):
     """Per-band pole radius lam and angle theta (the pole is
     lam * exp(i*theta)) and the peak-normalisation factor."""
@@ -174,8 +158,8 @@ def _poles(spec: FilterbankSpec):
     return lam * np.exp(1j * theta), norm
 
 
-def analyze(buffer: AudioBuffer, spec: FilterbankSpec) -> BandSignals:
-    """Split a mono buffer into complex band signals (same length).
+def analyze(buffer: AudioBuffer, spec: FilterbankSpec) -> np.ndarray:
+    """Split a mono buffer of n samples into complex band signals, (num_bands, n).
 
     This is the time-domain filterbank. Band energies and the impulse
     bands of the resynthesis design are computed in closed form instead
@@ -196,7 +180,7 @@ def analyze(buffer: AudioBuffer, spec: FilterbankSpec) -> BandSignals:
         for _ in range(ORDER):
             y = lfilter([1.0], den, y)
         out[b] = y * norm[b]
-    return BandSignals(spec, out)
+    return out
 
 
 def _impulse_bands(spec: FilterbankSpec, n: int) -> np.ndarray:
@@ -316,8 +300,11 @@ def _synthesis_design(spec: FilterbankSpec) -> _SynthesisDesign:
     undelayable low bands, but only the magnitude matters). Gains come
     from an iteratively reweighted least-squares fit of |summed response|
     to unity on the DESIGN_LEN-point DFT bins of _fit_grid. The delayed
-    bands are then nudged together until the reconstruction peak lands on
-    the 4 ms sample itself.
+    bands are then shifted by the latency miss and refitted, at most 5
+    times, until the reconstruction peak lands on the 4 ms sample itself.
+    On some banks the shifts cycle, so the search stops before it would
+    rebuild a delay set already built, and it keeps the build whose
+    latency lies nearest the 4 ms sample (the earliest on ties).
 
     The fit reads only those bins of the band spectra, so it takes them
     in closed form (_band_spectra), and only the first EQ_IR_LEN samples
@@ -335,6 +322,12 @@ def _synthesis_design(spec: FilterbankSpec) -> _SynthesisDesign:
     fit_spectra = _band_spectra(spec, fit_bins)
     cross_spectra = _band_spectra(spec, cross_bins)
     pairs = np.arange(n_bands - 1)
+
+    def resynthesis(cur_delays, phases, gains):
+        rows = np.zeros(bands.shape)  # row b: band b's share of an impulse's resynthesis
+        for b, d in enumerate(cur_delays):
+            _add_band(rows[b], bands[b], d, phases[b], gains[b])
+        return rows
 
     def build(cur_delays):
         cross = cross_spectra * _dft_phasors(cross_bins, cur_delays)
@@ -364,24 +357,27 @@ def _synthesis_design(spec: FilterbankSpec) -> _SynthesisDesign:
                 gram = scaled @ scaled.T
             scale = w / np.maximum(mag, 1e-12)
             gains = _refined_lstsq(scaled.T, np.concatenate([re * scale, im * scale]), gram)
-        resynth = np.zeros(bands.shape)  # row b: band b's share of an impulse's resynthesis
-        for b, d in enumerate(cur_delays):
-            _add_band(resynth[b], bands[b], d, phases[b], gains[b])
-        return phases, gains, int(np.argmax(np.abs(resynth.sum(axis=0)))), resynth
+        resynth = resynthesis(cur_delays, phases, gains)
+        return cur_delays, phases, gains, int(np.argmax(np.abs(resynth.sum(axis=0))))
 
-    phases, gains, latency, resynth = build(delays)
-    for _ in range(5):
-        miss = latency - target_latency
+    builds = []  # (delays, phases, gains, latency) per delay set built
+    for _ in range(6):  # the first build and at most 5 shifts
+        builds.append(build(delays))
+        miss = builds[-1][3] - target_latency
         movable = delays > 0
         if miss == 0 or not np.any(movable):
             break
         delays = np.where(movable, np.maximum(0, delays - miss), delays)
-        phases, gains, latency, resynth = build(delays)
+        if any(np.array_equal(delays, built[0]) for built in builds):
+            break  # the shifts cycle
+    delays, phases, gains, latency = min(
+        builds, key=lambda built: abs(built[3] - target_latency)
+    )
 
     imp = np.zeros(DESIGN_LEN)
     imp[0] = 1.0
     impulse_energies = _band_energies_array(imp, spec)
-    eq_basis = resynth[:, :EQ_IR_LEN]
+    eq_basis = resynthesis(delays, phases, gains)[:, :EQ_IR_LEN]
     for arr in (delays, phases, gains, impulse_energies, eq_basis):
         arr.setflags(write=False)
     return _SynthesisDesign(delays, phases, gains, latency, impulse_energies, eq_basis)
@@ -394,17 +390,19 @@ def synthesis_latency(spec: FilterbankSpec) -> int:
     return _synthesis_design(spec).latency
 
 
-def synthesize(bands: BandSignals) -> AudioBuffer:
-    """Collapse band signals back to one channel.
+def synthesize(bands: np.ndarray, spec: FilterbankSpec) -> AudioBuffer:
+    """Collapse the (num_bands, n) band signals of bank spec to one channel.
 
     Applies the per-spec alignment delays, phase rotations and gain
     weights, then sums real parts. Output length equals input length.
     """
-    design = _synthesis_design(bands.spec)
-    out = np.zeros(bands.num_samples)
-    for b in range(bands.spec.num_bands):
-        _add_band(out, bands.data[b], design.delays[b], design.phases[b], design.gains[b])
-    return AudioBuffer(out, bands.spec.sample_rate)
+    if bands.ndim != 2 or bands.shape[0] != spec.num_bands:
+        raise ContractError("band signals must be (%d, n)" % spec.num_bands)
+    design = _synthesis_design(spec)
+    out = np.zeros(bands.shape[1])
+    for b in range(spec.num_bands):
+        _add_band(out, bands[b], design.delays[b], design.phases[b], design.gains[b])
+    return AudioBuffer(out, spec.sample_rate)
 
 
 def _check_rate(ir: ImpulseResponse, spec: FilterbankSpec) -> None:

@@ -122,14 +122,6 @@ class EqualisationDesign:
         return self.chain.delay_samples(self.sample_rate)
 
 
-@dataclass
-class RenderResult:
-    """4-channel output (FL, FR, SL, SR) plus per-channel chain latency."""
-
-    buffer: AudioBuffer
-    latency_samples: dict
-
-
 def _support_chain_kernel(design: EqualisationDesign, side: str):
     eq = band_gain_eq(getattr(design.gains, side).gains, design.spec)
     return np.convolve(eq.data, design.decorrelator(side).taps)
@@ -247,9 +239,10 @@ class RenderStream:
         return out
 
 
-def render(buffer: AudioBuffer, design: EqualisationDesign, mode: str) -> RenderResult:
+def render(buffer: AudioBuffer, design: EqualisationDesign, mode: str) -> AudioBuffer:
     """Render stereo input to the 4-channel (FL, FR, SL, SR) condition:
-    the blocks of one RenderStream over the buffer, collected."""
+    the blocks of one RenderStream over the buffer, collected. The chain
+    latencies are the stream's latency_samples."""
     stream = RenderStream(
         design, mode, buffer.num_channels, buffer.num_samples, buffer.sample_rate
     )
@@ -259,7 +252,4 @@ def render(buffer: AudioBuffer, design: EqualisationDesign, mode: str) -> Render
     for block in stream.blocks(x[:, i : i + step] for i in range(0, x.shape[1], step)):
         out[:, pos : pos + block.shape[1]] = block
         pos += block.shape[1]
-    return RenderResult(
-        buffer=AudioBuffer(out, buffer.sample_rate),
-        latency_samples=stream.latency_samples,
-    )
+    return AudioBuffer(out, buffer.sample_rate)

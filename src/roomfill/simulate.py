@@ -183,10 +183,6 @@ class VerificationReport:
             unfilled_band_count=int(np.count_nonzero(~filled)),
         )
 
-    @property
-    def num_bands(self) -> int:
-        return self.center_freqs.size
-
 
 def simulate_total(design: EqualisationDesign, rirs: RirSet) -> tuple:
     """Push one impulse through both channels' proposed-mode chains and
@@ -212,7 +208,7 @@ def simulate_total(design: EqualisationDesign, rirs: RirSet) -> tuple:
     meter = room_meter(spec, rirs, design.chain)
     reports = []
     for i, channel in enumerate(("left", "right")):
-        front, rear = rows.buffer.samples[i], rows.buffer.samples[2 + i]
+        front, rear = rows.samples[i], rows.samples[2 + i]
         trim = design.balance_gains["primary_" + channel]
         primary, support = (getattr(rirs, kind + channel).data for kind in ("primary_", "support_"))
         primary = meter.spectrum(front) * meter.spectrum(primary * trim)

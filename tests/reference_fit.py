@@ -99,14 +99,19 @@ def fft_synthesis_design(spec: FilterbankSpec) -> ReferenceFit:
             _add_band(recon, bands[b], d, phases[b], gains[b])
         return phases, gains, int(np.argmax(np.abs(recon))), spectra
 
-    phases, gains, latency, spectra = build(delays)
-    for _ in range(5):
-        miss = latency - target_latency
+    builds = []
+    for _ in range(6):
+        builds.append((delays,) + build(delays))
+        miss = builds[-1][3] - target_latency
         movable = delays > 0
         if miss == 0 or not np.any(movable):
             break
         delays = np.where(movable, np.maximum(0, delays - miss), delays)
-        phases, gains, latency, spectra = build(delays)
+        if any(np.array_equal(delays, built[0]) for built in builds):
+            break
+    delays, phases, gains, latency, spectra = min(
+        builds, key=lambda built: abs(built[3] - target_latency)
+    )
 
     eq_basis = np.zeros((n_bands, EQ_IR_LEN))
     for b in range(n_bands):

@@ -758,7 +758,7 @@ def _render(design, src, out, mode="proposed"):
 
 def _collected(design, src, out, mode):
     """The library's one-shot render of the same input, as a file."""
-    write_wav(out, render(read_wav(src), load_design(design), mode).buffer)
+    write_wav(out, render(read_wav(src), load_design(design), mode))
 
 
 @pytest.mark.parametrize("rate", (44100, 48000))

@@ -11,7 +11,6 @@ from roomfill.gammatone import (
     EQ_IR_LEN,
     ORDER,
     RESPONSE_TAIL_Q,
-    BandSignals,
     FilterbankSpec,
     _band_energy_meter,
     _gamma_upper_quantile,
@@ -46,7 +45,7 @@ def _filterbank_energies(x, spec, pad=0):
     """The slow reference: band energies of the time-domain filterbank
     run over x followed by `pad` zeros."""
     padded = np.concatenate([x, np.zeros(pad)])
-    bands = analyze(AudioBuffer(padded, spec.sample_rate), spec).data
+    bands = analyze(AudioBuffer(padded, spec.sample_rate), spec)
     return np.sum(bands.real**2 + bands.imag**2, axis=1)
 
 
@@ -126,16 +125,16 @@ def test_analyze_shape_and_determinism(spec48, rng):
     buf = AudioBuffer(rng.standard_normal(2048), 48000)
     one = analyze(buf, spec48)
     two = analyze(buf, spec48)
-    assert one.data.shape == (37, 2048)
-    assert one.data.dtype == np.complex128
-    assert np.array_equal(one.data, two.data)
+    assert one.shape == (37, 2048)
+    assert one.dtype == np.complex128
+    assert np.array_equal(one, two)
 
 
 def test_band_filters_peak_at_unity_and_hit_half_power_points(spec48):
     """Each band filter has unit gain at its centre and falls to -3 dB
     half a (0.886-wide) equivalent rectangular bandwidth away."""
     n = 65536
-    rows = analyze(_impulse(n), spec48).data
+    rows = analyze(_impulse(n), spec48)
     spectra = np.fft.fft(rows, axis=1)[:, : n // 2]
     freqs = np.arange(n // 2) * 48000.0 / n
     for b in (2, 10, 18, 30, 36):
@@ -152,7 +151,7 @@ def test_band_filters_peak_at_unity_and_hit_half_power_points(spec48):
 
 
 def test_reconstruction_flat_within_one_db(spec48):
-    rec = synthesize(analyze(_impulse(16384), spec48)).mono
+    rec = synthesize(analyze(_impulse(16384), spec48), spec48).mono
     db = _magnitude_db(rec, 48000)
     assert db.min() >= -1.0
     assert db.max() <= 1.0
@@ -160,7 +159,7 @@ def test_reconstruction_flat_within_one_db(spec48):
 
 def test_reconstruction_flat_at_44100():
     spec = make_spec(44100, 80.0, 16000.0)
-    rec = synthesize(analyze(_impulse(16384, 44100), spec)).mono
+    rec = synthesize(analyze(_impulse(16384, 44100), spec), spec).mono
     db = _magnitude_db(rec, 44100)
     assert db.min() >= -1.0
     assert db.max() <= 1.0
@@ -169,7 +168,7 @@ def test_reconstruction_flat_at_44100():
 def test_reconstruction_peaks_at_alignment_latency(spec48):
     assert synthesis_latency(spec48) == 192  # 4 ms at 48 kHz
     assert synthesis_latency(make_spec(44100, 80.0, 16000.0)) == 176
-    rec = synthesize(analyze(_impulse(16384), spec48)).mono
+    rec = synthesize(analyze(_impulse(16384), spec48), spec48).mono
     assert int(np.argmax(np.abs(rec))) == 192
 
 
@@ -178,10 +177,21 @@ def test_synthesize_of_short_bands_is_a_prefix(spec48, n):
     """Resynthesis is causal: band signals of n samples give the first n
     samples of the long signal's reconstruction, also where n is shorter
     than some bands' alignment delays (up to 175 samples here)."""
-    rec = synthesize(analyze(_impulse(1000), spec48)).mono
-    short = synthesize(analyze(_impulse(n), spec48)).mono
+    rec = synthesize(analyze(_impulse(1000), spec48), spec48).mono
+    short = synthesize(analyze(_impulse(n), spec48), spec48).mono
     assert short.size == n
     assert np.max(np.abs(short - rec[:n]), initial=0.0) <= 1e-14 * np.max(np.abs(rec))
+
+
+def test_synthesize_refuses_bands_of_another_bank(spec48):
+    """synthesize takes one row per band of its bank: rows from another
+    bank, or a flat signal, are refused rather than resynthesised."""
+    bands = analyze(_impulse(64), spec48)
+    other = make_spec(48000, 80.0, 8000.0)
+    assert other.num_bands == 31
+    for wrong, spec in ((bands, other), (bands[:-1], spec48), (bands[0], spec48)):
+        with pytest.raises(ContractError):
+            synthesize(wrong, spec)
 
 
 def test_unity_eq_is_a_delayed_near_delta(spec48):
@@ -243,7 +253,7 @@ def test_eq_matches_fresh_impulse_resynthesis(spec48, rng):
     fresh = _impulse_bands(spec48, EQ_IR_LEN)
 
     def slow(g):
-        return synthesize(BandSignals(spec48, fresh * g[:, None])).mono
+        return synthesize(fresh * g[:, None], spec48).mono
 
     for g in np.eye(37):
         assert np.array_equal(band_gain_eq(g, spec48).data, slow(g))
@@ -261,7 +271,7 @@ def test_closed_form_impulse_bands_match_analyze(rate, order):
     reference. Orders 1-4 exercise the binomial factor."""
     spec = make_spec(rate, 80.0, 16000.0)
     fast = _impulse_bands(spec, DESIGN_LEN)
-    slow = analyze(_impulse(DESIGN_LEN, rate), spec).data
+    slow = analyze(_impulse(DESIGN_LEN, rate), spec)
     peak = np.abs(slow).max(axis=1)
     assert np.all(np.abs(fast - slow).max(axis=1) <= 1e-14 * peak)
 
@@ -334,7 +344,7 @@ def test_ring_tail_lets_the_slowest_band_ring_out():
         spec = make_spec(rate, 80.0, 16000.0)
         tail = _ring_tail(spec)
         assert tail == want
-        bands = analyze(_impulse(2 * tail, rate), spec).data
+        bands = analyze(_impulse(2 * tail, rate), spec)
         energy = bands.real**2 + bands.imag**2
         past = energy[:, tail:].sum(axis=1) / energy.sum(axis=1)
         assert past.max() < 1e-30, rate

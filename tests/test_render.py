@@ -13,6 +13,7 @@ from roomfill.render import (
     DEFAULT_SEED_RIGHT,
     RENDER_MODES,
     EqualisationDesign,
+    RenderStream,
     SupportChain,
     _support_chain_kernel,
     design_decorrelator,
@@ -134,12 +135,12 @@ def test_chain_latency_metadata_matches_measured_peak(spec48):
     design = _design(spec48)
     imp = np.zeros((2, 1))
     imp[0, 0] = 1.0
-    result = render(AudioBuffer(imp, 48000), design, "proposed")
-    rear = result.buffer.samples[2]
-    assert result.latency_samples["SL"] == support_chain_latency(design, "left")
-    assert abs(int(np.argmax(np.abs(rear))) - result.latency_samples["SL"]) <= 1
-    assert result.latency_samples["FL"] == 0
-    assert result.latency_samples["FR"] == 0
+    rear = render(AudioBuffer(imp, 48000), design, "proposed").samples[2]
+    latency = RenderStream(design, "proposed", 2, 1, 48000).latency_samples
+    assert latency["SL"] == support_chain_latency(design, "left")
+    assert abs(int(np.argmax(np.abs(rear))) - latency["SL"]) <= 1
+    assert latency["FL"] == 0
+    assert latency["FR"] == 0
 
 
 def test_proposed_onset_lag_is_the_configured_delay():
@@ -150,7 +151,7 @@ def test_proposed_onset_lag_is_the_configured_delay():
         imp[:, 0] = 1.0
         result = render(AudioBuffer(imp, rate), design, "proposed")
         want = int(round(0.010 * rate))
-        for row in (result.buffer.samples[2], result.buffer.samples[3]):
+        for row in (result.samples[2], result.samples[3]):
             onset = int(np.flatnonzero(row)[0])
             assert abs(onset - want) <= 1
 
@@ -159,10 +160,10 @@ def test_proposed_mode_leaves_fronts_bit_identical(spec48, rng):
     sig = rng.standard_normal((2, 3000)) * 0.3
     result = render(AudioBuffer(sig, 48000), _design(spec48), "proposed")
     n = sig.shape[1]
-    assert np.array_equal(result.buffer.samples[0, :n], sig[0])
-    assert np.array_equal(result.buffer.samples[1, :n], sig[1])
-    assert np.all(result.buffer.samples[0, n:] == 0.0)
-    assert np.all(result.buffer.samples[1, n:] == 0.0)
+    assert np.array_equal(result.samples[0, :n], sig[0])
+    assert np.array_equal(result.samples[1, :n], sig[1])
+    assert np.all(result.samples[0, n:] == 0.0)
+    assert np.all(result.samples[1, n:] == 0.0)
 
 
 def test_proposed_mode_applies_support_trim(spec48, rng):
@@ -177,33 +178,35 @@ def test_proposed_mode_applies_support_trim(spec48, rng):
     trimmed = render(
         AudioBuffer(sig, 48000), _design(spec48, balance_gains=balance), "proposed"
     )
-    assert np.allclose(trimmed.buffer.samples[2], 0.5 * plain.buffer.samples[2], atol=0)
-    assert np.allclose(trimmed.buffer.samples[3], 2.0 * plain.buffer.samples[3], atol=0)
+    assert np.allclose(trimmed.samples[2], 0.5 * plain.samples[2], atol=0)
+    assert np.allclose(trimmed.samples[3], 2.0 * plain.samples[3], atol=0)
 
 
 def test_stereo_mode_rears_digitally_silent(spec48, rng):
     sig = rng.standard_normal((2, 500))
     result = render(AudioBuffer(sig, 48000), _design(spec48), "stereo")
-    assert np.array_equal(result.buffer.samples[0], sig[0])
-    assert np.array_equal(result.buffer.samples[1], sig[1])
-    assert np.all(result.buffer.samples[2:] == 0.0)
+    assert np.array_equal(result.samples[0], sig[0])
+    assert np.array_equal(result.samples[1], sig[1])
+    assert np.all(result.samples[2:] == 0.0)
 
 
 def test_rear_stereo_mode_duplicates_fronts(spec48, rng):
     sig = rng.standard_normal((2, 500))
     result = render(AudioBuffer(sig, 48000), _design(spec48), "rear_stereo")
-    assert np.array_equal(result.buffer.samples[2], result.buffer.samples[0])
-    assert np.array_equal(result.buffer.samples[3], result.buffer.samples[1])
+    assert np.array_equal(result.samples[2], result.samples[0])
+    assert np.array_equal(result.samples[3], result.samples[1])
 
 
 def test_front_eq_mode_replaces_fronts(spec48, rng):
     sig = rng.standard_normal((2, 500))
-    result = render(AudioBuffer(sig, 48000), _design(spec48), "front_eq")
-    assert np.all(result.buffer.samples[2:] == 0.0)
-    assert np.any(result.buffer.samples[0] != 0.0)
+    design = _design(spec48)
+    result = render(AudioBuffer(sig, 48000), design, "front_eq")
+    assert np.all(result.samples[2:] == 0.0)
+    assert np.any(result.samples[0] != 0.0)
     lat = synthesis_latency(spec48)
-    assert result.latency_samples["FL"] == lat
-    assert result.latency_samples["FR"] == lat
+    latency = RenderStream(design, "front_eq", 2, 500, 48000).latency_samples
+    assert latency["FL"] == lat
+    assert latency["FR"] == lat
 
 
 @pytest.mark.parametrize("rate", (44100, 48000))
@@ -229,7 +232,7 @@ def test_render_lengths_and_wet_channels(mode, rate, rng):
     )
     n = 700
     sig = rng.standard_normal((2, n))
-    out = render(AudioBuffer(sig, rate), design, mode).buffer.samples
+    out = render(AudioBuffer(sig, rate), design, mode).samples
     delay = rate // 100
     kernel_len = EQ_IR_LEN + DEFAULT_DECORRELATOR_LEN - 1
     want = {
@@ -264,7 +267,7 @@ def test_render_of_empty_programme_has_no_frames(mode, rate):
     """A 0-frame programme renders to 0 frames in every mode: a row with
     no samples adds no frames, the proposed rears' bulk delay included."""
     design = _design(make_spec(rate, 80.0, 16000.0))
-    out = render(AudioBuffer(np.zeros((2, 0)), rate), design, mode).buffer
+    out = render(AudioBuffer(np.zeros((2, 0)), rate), design, mode)
     assert out.samples.shape == (4, 0)
 
 
@@ -292,7 +295,7 @@ def test_render_rows_are_each_sides_convolve_bit_for_bit(mode, rng):
                      balance_gains=balance)
     sig = rng.standard_normal((2, 70001))
     sig[:, 30000:40000] = 0.0
-    out = render(AudioBuffer(sig, 48000), design, mode).buffer.samples
+    out = render(AudioBuffer(sig, 48000), design, mode).samples
     for i, side in enumerate(("left", "right")):
         if mode == "proposed":
             kernel = _support_chain_kernel(design, side)

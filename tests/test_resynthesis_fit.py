@@ -103,6 +103,30 @@ def test_cold_fit_builds_impulse_bands_no_longer_than_the_eq(monkeypatch, rate):
     assert lengths and max(lengths) <= EQ_IR_LEN
 
 
+@pytest.mark.parametrize("rate, f_low, latency, builds", (
+    (48000, 80.0, 192, 3),
+    (44100, 80.0, 176, 2),
+    (48000, 50.0, 193, 4),
+))
+def test_latency_search_stops_where_its_delay_sets_cycle(monkeypatch, rate, f_low,
+                                                         latency, builds):
+    """The default banks reach the 4 ms sample (192 and 176 samples). On
+    the 48 kHz 50-16000 Hz bank the builds land at 198, 193, 190 and 194,
+    and the next shift would rebuild the delays of 190, after which the
+    builds would alternate 190 and 194. The search stops there and keeps
+    193, the build nearest 192. Each build runs 16 refined solves."""
+    calls = []
+    real = gammatone._refined_lstsq
+
+    def spy(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(gammatone, "_refined_lstsq", spy)
+    fit = _synthesis_design.__wrapped__(make_spec(rate, f_low, 16000.0))  # bypass the cache
+    assert (fit.latency, len(calls)) == (latency, 16 * builds)
+
+
 _FIT_BYTES = """
 import hashlib, json
 import numpy as np

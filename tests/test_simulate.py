@@ -163,7 +163,7 @@ def test_zero_gains_leave_total_at_primary(solved_design, fixture_rirs):
     silent = _with_gain_factor(solved_design, 0.0)
     report, _ = simulate_total(silent, fixture_rirs)
     assert np.array_equal(report.total_db, report.primary_db)
-    assert report.unfilled_band_count == report.num_bands
+    assert report.unfilled_band_count == report.center_freqs.size
 
 
 def test_doubling_fill_gains_adds_six_db_to_fill(solved_design, fixture_rirs):
@@ -255,7 +255,7 @@ def test_spectral_simulation_matches_time_domain_paths(solved_design, fixture_ri
     for i, (channel, report) in enumerate(zip(("left", "right"), reports)):
         imp = np.zeros((2, 1))
         imp[i, 0] = 1.0
-        out = render(AudioBuffer(imp, rate), solved_design, "proposed").buffer.samples
+        out = render(AudioBuffer(imp, rate), solved_design, "proposed").samples
         primary = getattr(fixture_rirs, "primary_" + channel).data
         primary = primary * solved_design.balance_gains["primary_" + channel]
         primary_path = fftconvolve(out[i], primary)
@@ -305,7 +305,7 @@ def test_no_meter_outlives_its_command(spec48):
         tracemalloc.stop()
     assert designed - start < 2**20
     assert simulated - designed < 2**20
-    assert all(r.num_bands == spec48.num_bands for r in reports)
+    assert all(r.center_freqs.size == spec48.num_bands for r in reports)
 
 
 def test_report_round_trip_six_significant_digits(tmp_path, solved_design, fixture_rirs):
@@ -314,11 +314,11 @@ def test_report_round_trip_six_significant_digits(tmp_path, solved_design, fixtu
     export_report(report, path)
     lines = path.read_text().splitlines()
     assert lines[0] == REPORT_HEADER
-    assert len(lines) == 1 + report.num_bands + 3
+    assert len(lines) == 1 + report.center_freqs.size + 3
     assert sum(1 for ln in lines if ln.startswith("#")) == 3
 
     rows, summary = report_csv(path)
-    assert rows.shape == (report.num_bands, 6)
+    assert rows.shape == (report.center_freqs.size, 6)
     for got, want in (
         (rows[:, 3], report.total_db),
         (rows[:, 5], report.deviation_db),

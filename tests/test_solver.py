@@ -150,7 +150,7 @@ def test_spectral_measurement_matches_time_domain_chain(fixture_rirs, spec48):
         total = np.zeros(max(base.size, fill.size) + _ring_tail(spec48))
         total[: base.size] += base
         total[: fill.size] += fill
-        bands = analyze(AudioBuffer(total, 48000), spec48).data
+        bands = analyze(AudioBuffer(total, 48000), spec48)
         want = np.sum(bands.real**2 + bands.imag**2, axis=1)
         assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
